@@ -12,10 +12,10 @@ from .errors import (ConfigError, CorruptionError, ModalfuseError, NotFoundError
 from .evaluation import (EvalResult, collapse_report, evaluate, is_yes_no,
                          normalize_answer, run_ablation, vqa_accuracy)
 from .experts import (Embedding, FusedInput, StubEncoders, fuse, l2_normalize,
-                      load_precomputed, stub_encode_frame, stub_encode_text)
+                      stub_encode_frame, stub_encode_text)
 from .objectives import (PretrainExample, TrainConfig, VqaExample,
-                         build_full_caption_example, build_split_half_example,
-                         build_vqa_example, corpus_loss, train)
+                         build_full_caption_example, build_pretrain_example,
+                         build_split_half_example, build_vqa_example, corpus_loss, train)
 from .synthetic import make_leakage_corpus, make_mini_vqa
 from .scene_graph import SceneGraph, linearize, parse_scene_graph
 from .segmentation import (Segment, TimedTranscript, TimedWord, filter_segments,

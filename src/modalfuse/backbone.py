@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ModelConfig:
     d_ff: int = 1024
     vocab_size: int = tokenizer.VOCAB_SIZE
     max_target_len: int = 128
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -44,8 +43,6 @@ class ModelConfig:
             raise ConfigError("vocab_size must cover PAD, BOS, EOS and one symbol")
         if self.max_target_len < 1:
             raise ConfigError("max_target_len must be >= 1")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 class Parameter:
@@ -118,32 +115,6 @@ def _gelu_grad(x):
     t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
     dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * dt
-
-
-class _TrainState:
-    """Shared dropout state: one rng per model, one training flag."""
-
-    def __init__(self, rate: float, seed: int):
-        self.rate = rate
-        self.rng = np.random.default_rng(seed)
-        self.training = False
-
-
-class Dropout:
-    def __init__(self, state: _TrainState):
-        self.state = state
-        self._mask = None
-
-    def forward(self, x):
-        s = self.state
-        if not s.training or s.rate == 0.0:
-            self._mask = None
-            return x
-        self._mask = (s.rng.random(x.shape) >= s.rate) / (1.0 - s.rate)
-        return x * self._mask
-
-    def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
 
 
 class FeedForward:
@@ -223,23 +194,21 @@ class MultiHeadAttention:
 
 
 class EncoderBlock:
-    def __init__(self, cfg: ModelConfig, rng, state: _TrainState, name: str):
+    def __init__(self, cfg: ModelConfig, rng, name: str):
         self.norm1 = RMSNorm(cfg.d_model, f"{name}/norm1")
         self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/attn")
-        self.drop1 = Dropout(state)
         self.norm2 = RMSNorm(cfg.d_model, f"{name}/norm2")
         self.ff = FeedForward(cfg.d_model, cfg.d_ff, rng, f"{name}/ff")
-        self.drop2 = Dropout(state)
 
     def forward(self, x):
         h = self.norm1.forward(x)
-        x = x + self.drop1.forward(self.attn.forward(h, h))
-        x = x + self.drop2.forward(self.ff.forward(self.norm2.forward(x)))
+        x = x + self.attn.forward(h, h)
+        x = x + self.ff.forward(self.norm2.forward(x))
         return x
 
     def backward(self, dy):
-        dx = dy + self.norm2.backward(self.ff.backward(self.drop2.backward(dy)))
-        dq, dkv = self.attn.backward(self.drop1.backward(dx))
+        dx = dy + self.norm2.backward(self.ff.backward(dy))
+        dq, dkv = self.attn.backward(dx)
         return dx + self.norm1.backward(dq + dkv)
 
     def params(self):
@@ -247,30 +216,27 @@ class EncoderBlock:
 
 
 class DecoderBlock:
-    def __init__(self, cfg: ModelConfig, rng, state: _TrainState, name: str):
+    def __init__(self, cfg: ModelConfig, rng, name: str):
         self.norm1 = RMSNorm(cfg.d_model, f"{name}/norm1")
         self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/self")
-        self.drop1 = Dropout(state)
         self.norm2 = RMSNorm(cfg.d_model, f"{name}/norm2")
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/cross")
-        self.drop2 = Dropout(state)
         self.norm3 = RMSNorm(cfg.d_model, f"{name}/norm3")
         self.ff = FeedForward(cfg.d_model, cfg.d_ff, rng, f"{name}/ff")
-        self.drop3 = Dropout(state)
 
     def forward(self, x, enc_hidden):
         h = self.norm1.forward(x)
-        x = x + self.drop1.forward(self.self_attn.forward(h, h, causal=True))
-        x = x + self.drop2.forward(self.cross_attn.forward(self.norm2.forward(x), enc_hidden))
-        x = x + self.drop3.forward(self.ff.forward(self.norm3.forward(x)))
+        x = x + self.self_attn.forward(h, h, causal=True)
+        x = x + self.cross_attn.forward(self.norm2.forward(x), enc_hidden)
+        x = x + self.ff.forward(self.norm3.forward(x))
         return x
 
     def backward(self, dy):
         """Returns (dx, d_enc_hidden)."""
-        dx = dy + self.norm3.backward(self.ff.backward(self.drop3.backward(dy)))
-        dq, d_enc = self.cross_attn.backward(self.drop2.backward(dx))
+        dx = dy + self.norm3.backward(self.ff.backward(dy))
+        dq, d_enc = self.cross_attn.backward(dx)
         dx = dx + self.norm2.backward(dq)
-        dq, dkv = self.self_attn.backward(self.drop1.backward(dx))
+        dq, dkv = self.self_attn.backward(dx)
         return dx + self.norm1.backward(dq + dkv), d_enc
 
     def params(self):
@@ -297,16 +263,12 @@ class Model:
         c = config
         self.type_emb = Parameter(_init(rng, (len(MODALITIES), c.d_model)), "type_emb")
         self.tok_emb = Parameter(_init(rng, (c.vocab_size, c.d_model)), "tok_emb")
-        self.state = _TrainState(c.dropout, seed=seed + 1)
-        self.enc_blocks = [EncoderBlock(c, rng, self.state, f"enc{i}")
-                           for i in range(c.n_encoder_layers)]
+        self.enc_blocks = [EncoderBlock(c, rng, f"enc{i}") for i in range(c.n_encoder_layers)]
         self.enc_norm = RMSNorm(c.d_model, "enc_norm")
-        self.dec_blocks = [DecoderBlock(c, rng, self.state, f"dec{i}")
-                           for i in range(c.n_decoder_layers)]
+        self.dec_blocks = [DecoderBlock(c, rng, f"dec{i}") for i in range(c.n_decoder_layers)]
         self.dec_norm = RMSNorm(c.d_model, "dec_norm")
         self.lm_head = Linear(c.d_model, c.vocab_size, rng, "lm_head")
         self.pos = sinusoidal_positions(c.max_target_len, c.d_model)
-        self._cache = None
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -324,9 +286,6 @@ class Model:
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()
-
-    def train_mode(self, on: bool = True):
-        self.state.training = on
 
     # -- forward ------------------------------------------------------------
 
@@ -397,14 +356,9 @@ class Model:
         targets = np.asarray(targets, dtype=np.int64)
         if targets.ndim == 1:
             targets = targets[None, :]
-        was_training = self.state.training
-        self.train_mode(True)
-        try:
-            logits = self.forward(rows, modality_ids, targets[:, :-1])
-            loss, dlogits = cross_entropy_with_grad(logits, targets[:, 1:])
-            self.backward(dlogits)
-        finally:
-            self.train_mode(was_training)
+        logits = self.forward(rows, modality_ids, targets[:, :-1])
+        loss, dlogits = cross_entropy_with_grad(logits, targets[:, 1:])
+        self.backward(dlogits)
         return loss
 
     def greedy_decode(self, rows, modality_ids, max_len: int | None = None) -> np.ndarray:
@@ -491,21 +445,6 @@ class AdamW:
             p.value -= self.lr * update
 
 
-def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.0):
-    """One functional update; returns (param, m, v) for step number t (1-based)."""
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient")
-    b1, b2 = betas
-    m = b1 * m + (1 - b1) * grad
-    v = b2 * v + (1 - b2) * grad * grad
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    param = param - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
-    return param, m, v
-
-
 def gradient_check(model: Model, rows, modality_ids, targets,
                    n_samples: int = 200, h: float = 1e-4, seed: int = 0,
                    floor: float = 1e-6) -> float:
@@ -571,8 +510,14 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     with Store(path) as store:
         cfg_arr = store.get_by_key(_CONFIG_KEY).arrays[0][1]
-        cfg = ModelConfig(**json.loads(bytes(cfg_arr.astype(np.uint8)).decode("utf-8")))
-        model = Model(cfg, seed=0)
+        cfg = json.loads(bytes(cfg_arr.astype(np.uint8)).decode("utf-8"))
+        expected = {f.name for f in fields(ModelConfig)}
+        if set(cfg) != expected:
+            raise ConfigError(
+                f"{path}: checkpoint config has unknown keys {sorted(set(cfg) - expected)}"
+                f" and lacks keys {sorted(expected - set(cfg))}"
+            )
+        model = Model(ModelConfig(**cfg), seed=0)
         for p in model.params():
             arr = store.get_by_key(f"param:{p.name}").arrays[0][1]
             if arr.shape != p.value.shape:

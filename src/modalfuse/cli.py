@@ -12,6 +12,7 @@ temp-file + rename so partial results never appear at final paths.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -22,9 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, objectives, segmentation, synthetic
-from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .errors import ModalfuseError
-from .experts import StubEncoders
+# save_checkpoint is unused here but stays importable as cli.save_checkpoint,
+# where the benchmark's call tracer patches it.
+from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
+from .errors import ModalfuseError, ValidationError
+from .experts import Embedding, StubEncoders
 from .scene_graph import SceneGraph, read_graph_manifest
 from .store import EmbeddingRecord, Store, write_store
 
@@ -130,8 +133,6 @@ def cmd_segment(args) -> int:
     cfg = _resolve(args, _SEGMENT_DEFAULTS)
     out = Path(args.out)
     kept = dropped = 0
-    lines: list[str] = []
-    import io
     buf = io.StringIO()
     with open(args.transcripts, encoding="utf-8") as f:
         for transcript in segmentation.read_transcripts(f):
@@ -193,35 +194,22 @@ def cmd_encode_pack(args) -> int:
 
 def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
                          max_target_len: int) -> list[objectives.PretrainExample]:
-    from . import tokenizer
-    from .experts import Embedding, FusedInput, fuse
+    """One example per encode-pack record; split_half skips one-word captions."""
     out = []
     for i in range(len(store)):
         rec = store.get(i)
-        frames = [Embedding(arr.reshape(-1), "frame")
-                  for tag, arr in rec.arrays if tag == "frame"]
-        caption_row = next(arr for tag, arr in rec.arrays if tag == "caption")
-        graph_row = next((arr for tag, arr in rec.arrays if tag == "scene_graph"), None)
-        caption_bytes = next(arr for tag, arr in rec.arrays if tag == "raw")
-        caption = bytes(caption_bytes.astype(np.uint8)).decode("utf-8")
-        graph = None if graph_row is None else Embedding(graph_row.reshape(-1), "scene_graph")
-
-        if objective == "full_caption":
-            text_row = Embedding(caption_row.reshape(-1), "caption")
-            target = tokenizer.tokenize(caption, max_target_len)
-        else:
-            words = caption.split(" ")
-            if len(words) < 2:
-                continue
-            first, second = objectives.split_caption(words)
-            text_row = encoders.encode_caption(" ".join(first))
-            target = tokenizer.tokenize(" ".join(second), max_target_len)
-        out.append(objectives.PretrainExample(
-            fused=fuse(frames, text_row, graph),
-            target=target,
-            objective=objective,
-            caption=caption,
-        ))
+        frames = [Embedding(arr.reshape(-1), "frame") for tag, arr in rec.arrays if tag == "frame"]
+        rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
+        if "caption" not in rows or "raw" not in rows:
+            raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
+        caption = bytes(rows["raw"].astype(np.uint8)).decode("utf-8")
+        if objective == "split_half" and len(caption.split(" ")) < 2:
+            continue
+        graph = rows.get("scene_graph")
+        out.append(objectives.build_pretrain_example(
+            objective, frames, caption, Embedding(rows["caption"], "caption"),
+            None if graph is None else Embedding(graph, "scene_graph"),
+            encoders, max_target_len))
     return out
 
 
@@ -293,6 +281,24 @@ def _load_vqa_records(path: str) -> list[dict]:
     return records
 
 
+def _vqa_examples(args, cfg: dict, model_cfg: ModelConfig) -> list[objectives.VqaExample]:
+    """The --vqa records as examples, seeded by --seed, filtered by --yes-no-only."""
+    encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
+    records = _load_vqa_records(args.vqa)
+    rng = np.random.default_rng(cfg["seed"])
+    with Store(args.image_store) as image_store:
+        examples = [
+            objectives.build_vqa_example(
+                image_store, r["image_key"], r.get("graph"), r["question"],
+                r["answers"], rng, encoders, include_graph=cfg["graph"],
+                max_target_len=model_cfg.max_target_len)
+            for r in records
+        ]
+    if cfg["yes-no-only"]:
+        examples = [e for e in examples if evaluation.is_yes_no(e)]
+    return examples
+
+
 _FINETUNE_DEFAULTS = {
     **_MODEL_DEFAULTS,
     "steps": 100, "batch-size": 16, "lr": 1e-4, "weight-decay": 0.0,
@@ -311,21 +317,9 @@ def cmd_finetune(args) -> int:
     else:
         model_cfg = _model_config(cfg)
         model = Model(model_cfg, seed=cfg["seed"])
-    encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
-    records = _load_vqa_records(args.vqa)
-    rng = np.random.default_rng(cfg["seed"])
-    with Store(args.image_store) as image_store:
-        examples = [
-            objectives.build_vqa_example(
-                image_store, r["image_key"], r.get("graph"), r["question"],
-                r["answers"], rng, encoders, include_graph=cfg["graph"],
-                max_target_len=model_cfg.max_target_len)
-            for r in records
-        ]
-    if cfg["yes-no-only"]:
-        examples = [e for e in examples if evaluation.is_yes_no(e)]
-        if not examples:
-            raise SystemExit("no yes/no examples in the dataset")
+    examples = _vqa_examples(args, cfg, model_cfg)
+    if cfg["yes-no-only"] and not examples:
+        raise SystemExit("no yes/no examples in the dataset")
     metrics = _run_training(model, examples, cfg, run_dir, args.svg)
     _write_resolved({**cfg, "vqa": str(args.vqa),
                      "image_store": str(args.image_store),
@@ -350,19 +344,7 @@ def cmd_eval(args) -> int:
         print(f"checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 1
     model = load_checkpoint(args.checkpoint)
-    encoders = StubEncoders(d=model.config.d_model, seed=cfg["stub-seed"])
-    records = _load_vqa_records(args.vqa)
-    rng = np.random.default_rng(cfg["seed"])
-    with Store(args.image_store) as image_store:
-        examples = [
-            objectives.build_vqa_example(
-                image_store, r["image_key"], r.get("graph"), r["question"],
-                r["answers"], rng, encoders, include_graph=cfg["graph"],
-                max_target_len=model.config.max_target_len)
-            for r in records
-        ]
-    if cfg["yes-no-only"]:
-        examples = [e for e in examples if evaluation.is_yes_no(e)]
+    examples = _vqa_examples(args, cfg, model.config)
     result = evaluation.evaluate(model, examples, max_decode_len=cfg["max-decode-len"])
     run_dir = Path(args.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -414,7 +396,6 @@ def cmd_ablate(args) -> int:
         rows = evaluation.run_ablation(grid, model_cfg, corpus, vqa_records,
                                        image_store, encoders,
                                        batch_size=cfg["batch-size"], lr=cfg["lr"])
-    import io
     buf = io.StringIO()
     evaluation.write_ablation_table(rows, buf)
     atomic_write_text(run_dir / "ablation.tsv", buf.getvalue())

@@ -6,18 +6,15 @@ pseudo-random unit vector. The hash is splitmix64 over the UTF-8 payload
 bytes; the expansion is numpy's counter-based Philox generator keyed by the
 hash, drawing d standard normals in float32. Same payload + seed gives
 bitwise-identical vectors on every platform numpy supports.
-
-A manifest loader serves genuinely precomputed embeddings from an embedding
-store; stub and precomputed encoders expose the same call surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotFoundError
+from .errors import ConfigError
 from .scene_graph import SceneGraph, linearize
 
 DEFAULT_DIM = 768
@@ -100,20 +97,6 @@ def stub_encode_frame(video_id: str, time_s: float, d: int = DEFAULT_DIM,
     return Embedding(_vector_from_key(key, d), "frame")
 
 
-def load_precomputed(store, key: str, d: int, modality: str = "caption") -> Embedding:
-    """Fetch a precomputed vector from an embedding store by key."""
-    record = store.get_by_key(key)
-    if not record.arrays:
-        raise ConfigError(f"record {key!r} holds no arrays")
-    tag, values = record.arrays[0]
-    values = np.asarray(values, dtype=np.float32).reshape(-1)
-    if values.shape[0] != d:
-        raise ConfigError(
-            f"embedding {key!r} has dimension {values.shape[0]}, config expects {d}"
-        )
-    return Embedding(values, modality)
-
-
 @dataclass(frozen=True)
 class FusedInput:
     """Stacked modality rows: (frame rows..., caption-or-question row, graph row).
@@ -172,23 +155,3 @@ class StubEncoders:
 
     def encode_frame(self, video_id: str, time_s: float) -> Embedding:
         return stub_encode_frame(video_id, time_s, self.d, self.seed)
-
-
-@dataclass
-class PrecomputedEncoders:
-    """Experts backed by a manifest of stored vectors, keyed by payload strings."""
-    store: object
-    d: int = DEFAULT_DIM
-
-    def encode_caption(self, text: str) -> Embedding:
-        return load_precomputed(self.store, f"caption:{text}", self.d, "caption")
-
-    def encode_question(self, text: str) -> Embedding:
-        return load_precomputed(self.store, f"question:{text}", self.d, "question")
-
-    def encode_graph(self, graph: SceneGraph) -> Embedding:
-        return load_precomputed(self.store, f"scene_graph:{linearize(graph)}", self.d, "scene_graph")
-
-    def encode_frame(self, video_id: str, time_s: float) -> Embedding:
-        bucket = round(time_s * 100)
-        return load_precomputed(self.store, f"frame:{video_id}\x1f{bucket}", self.d, "frame")

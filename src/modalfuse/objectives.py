@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tokenizer
 from .backbone import AdamW, Model, cross_entropy_loss, save_checkpoint
-from .errors import NotFoundError
+from .errors import ConfigError
 from .experts import Embedding, FusedInput, fuse
 from .scene_graph import SceneGraph
 from .segmentation import Segment, sample_frame_times
@@ -62,37 +62,44 @@ def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
     return None if graph is None else encoders.encode_graph(graph)
 
 
+def build_pretrain_example(objective: str, frames: list[Embedding], caption: str,
+                           caption_row: Embedding | None, graph_row: Embedding | None,
+                           encoders, max_target_len: int = 128) -> PretrainExample:
+    """Apply ``objective`` to ready-made rows.
+
+    ``caption_row`` is the encoded full caption; only "full_caption" reads it.
+    "split_half" encodes the first half of ``caption`` with ``encoders``.
+    """
+    if objective == "full_caption":
+        text_row, target_text = caption_row, caption
+    elif objective == "split_half":
+        first, second = split_caption(caption.split(" "))
+        text_row, target_text = encoders.encode_caption(" ".join(first)), " ".join(second)
+    else:
+        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    return PretrainExample(
+        fused=fuse(frames, text_row, graph_row),
+        target=tokenizer.tokenize(target_text, max_target_len),
+        objective=objective,
+        caption=caption,
+    )
+
+
 def build_full_caption_example(segment: Segment, encoders, k_frames: int = 1,
                                graph: SceneGraph | None = None,
                                max_target_len: int = 128) -> PretrainExample:
-    fused = fuse(
-        _frame_rows(segment, encoders, k_frames),
-        encoders.encode_caption(segment.caption),
-        _graph_row(graph, encoders),
-    )
-    return PretrainExample(
-        fused=fused,
-        target=tokenizer.tokenize(segment.caption, max_target_len),
-        objective="full_caption",
-        caption=segment.caption,
-    )
+    return build_pretrain_example(
+        "full_caption", _frame_rows(segment, encoders, k_frames), segment.caption,
+        encoders.encode_caption(segment.caption), _graph_row(graph, encoders),
+        encoders, max_target_len)
 
 
 def build_split_half_example(segment: Segment, encoders, k_frames: int = 1,
                              graph: SceneGraph | None = None,
                              max_target_len: int = 128) -> PretrainExample:
-    first, second = split_caption(segment.caption.split(" "))
-    fused = fuse(
-        _frame_rows(segment, encoders, k_frames),
-        encoders.encode_caption(" ".join(first)),
-        _graph_row(graph, encoders),
-    )
-    return PretrainExample(
-        fused=fused,
-        target=tokenizer.tokenize(" ".join(second), max_target_len),
-        objective="split_half",
-        caption=segment.caption,
-    )
+    return build_pretrain_example(
+        "split_half", _frame_rows(segment, encoders, k_frames), segment.caption,
+        None, _graph_row(graph, encoders), encoders, max_target_len)
 
 
 def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,

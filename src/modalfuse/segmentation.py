@@ -68,15 +68,10 @@ class Segment:
     t_start: float
     t_end: float
     frame_times: tuple[float, ...] = field(default_factory=tuple)
-    wpm: float = 0.0
 
     @property
     def word_count(self) -> int:
         return self.word_end - self.word_start
-
-    @property
-    def words(self) -> list[str]:
-        return self.caption.split(" ")
 
 
 def segment_transcript(
@@ -100,25 +95,15 @@ def segment_transcript(
     segments = []
     for offset in range(0, len(words) - window + 1, stride):
         span = words[offset : offset + window]
-        seg = _make_segment(transcript.video_id, offset, span)
-        segments.append(seg)
+        segments.append(Segment(
+            video_id=transcript.video_id,
+            word_start=offset,
+            word_end=offset + len(span),
+            caption=" ".join(w.text for w in span),
+            t_start=span[0].start_s,
+            t_end=span[-1].end_s,
+        ))
     return segments
-
-
-def _make_segment(video_id: str, offset: int, span: tuple[TimedWord, ...]) -> Segment:
-    t_start = span[0].start_s
-    t_end = span[-1].end_s
-    duration_min = (t_end - t_start) / 60.0
-    wpm = math.inf if duration_min == 0.0 else len(span) / duration_min
-    return Segment(
-        video_id=video_id,
-        word_start=offset,
-        word_end=offset + len(span),
-        caption=" ".join(w.text for w in span),
-        t_start=t_start,
-        t_end=t_end,
-        wpm=wpm,
-    )
 
 
 def word_density(segment: Segment) -> float:
@@ -163,19 +148,7 @@ def with_frame_times(segment: Segment, k: int) -> Segment:
         t_start=segment.t_start,
         t_end=segment.t_end,
         frame_times=tuple(sample_frame_times(segment, k)),
-        wpm=segment.wpm,
     )
-
-
-def mean_video_density(segments: Iterable[Segment]) -> float:
-    """Mean per-segment density; optional whole-video density check."""
-    vals = [word_density(s) for s in segments]
-    if not vals:
-        raise ValueError("no segments")
-    finite = [v for v in vals if math.isfinite(v)]
-    if not finite:
-        return math.inf
-    return sum(finite) / len(finite)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +189,11 @@ def read_transcripts(fp: TextIO) -> Iterator[TimedTranscript]:
 
 
 def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
+    """One JSON line per segment. The "wpm" key is informational: readers
+    recompute density with ``word_density``."""
     n = 0
     for s in segments:
+        wpm = word_density(s)
         fp.write(json.dumps({
             "video_id": s.video_id,
             "word_start": s.word_start,
@@ -226,7 +202,7 @@ def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
             "t_start": s.t_start,
             "t_end": s.t_end,
             "frame_times": list(s.frame_times),
-            "wpm": s.wpm if math.isfinite(s.wpm) else None,
+            "wpm": wpm if math.isfinite(wpm) else None,
         }) + "\n")
         n += 1
     return n
@@ -247,7 +223,6 @@ def read_segments(fp: TextIO) -> Iterator[Segment]:
                 t_start=float(rec["t_start"]),
                 t_end=float(rec["t_end"]),
                 frame_times=tuple(rec.get("frame_times", ())),
-                wpm=math.inf if rec.get("wpm") is None else float(rec["wpm"]),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise RecordParseError(str(e), line=lineno) from e

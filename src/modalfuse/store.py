@@ -247,6 +247,11 @@ class Store:
         if len(table_bytes) != table_size * 8:
             raise CorruptionError(f"{self.path}: hash table truncated")
         self._table = np.frombuffer(table_bytes, dtype="<u8")
+        # get_by_key masks slots with size - 1 and reads record (entry - 1)
+        if table_size == 0 or table_size & (table_size - 1):
+            raise CorruptionError(f"{self.path}: hash table size {table_size} is not a power of two")
+        if int(self._table.max()) > count:
+            raise CorruptionError(f"{self.path}: hash table points past record count {count}")
 
     def close(self):
         self._f.close()
@@ -289,9 +294,6 @@ class Store:
                     return record
             slot = (slot + 1) & mask
         raise NotFoundError(f"key {key!r} not found in {self.path}")
-
-    def keys(self) -> list[str]:
-        return [self.get(i).key for i in range(self.count)]
 
     def iterate_batches(self, batch_size: int, seed: int, epoch: int = 0,
                         ) -> Iterator[list[EmbeddingRecord]]:

@@ -83,7 +83,6 @@ def make_leakage_corpus(n_segments: int = 256, variants_per_group: int = 8,
                 caption=" ".join([*first, *second]),
                 t_start=0.0,
                 t_end=20.0,
-                wpm=words_per_segment / (20.0 / 60.0),
             )
             out.append((with_frame_times(seg, 1), graph))
     return out

@@ -3,11 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from modalfuse import objectives
+from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
+from modalfuse.errors import ConfigError
+from modalfuse.experts import StubEncoders
 from modalfuse.scene_graph import serialize_scene_graph
 from modalfuse.segmentation import read_segments
-from modalfuse.store import Store
-from modalfuse.synthetic import make_mini_vqa, make_transcript_words
+from modalfuse.store import EmbeddingRecord, Store, write_store
+from modalfuse.synthetic import (make_mini_vqa, make_transcript_words,
+                                  write_vqa_image_store)
+from modalfuse.tokenizer import tokenize
 
 TINY_MODEL = ["--d-model", "32", "--n-heads", "4", "--enc-layers", "1",
               "--dec-layers", "1", "--d-ff", "64", "--max-target-len", "32"]
@@ -156,8 +162,6 @@ class TestTrainingPipeline:
         vqa = tmp_path / "vqa.jsonl"
         write_vqa_jsonl(vqa, records)
         img_store = tmp_path / "images.store"
-        from modalfuse.experts import StubEncoders
-        from modalfuse.synthetic import write_vqa_image_store
         write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
 
         fin = tmp_path / "fin"
@@ -179,6 +183,68 @@ class TestTrainingPipeline:
         assert isinstance(summary["collapse_flag"], bool)
         assert "accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("objective", ["full_caption", "split_half"])
+    def test_pretrain_examples_follow_the_objective(self, tmp_path, packed, monkeypatch,
+                                                    objective):
+        """The store was packed with --seed 0; pretrain reads it with --stub-seed 1."""
+        seen = []
+        real_train = objectives.train
+
+        def spy(examples, *args, **kwargs):
+            seen.extend(examples)
+            return real_train(examples, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "train", spy)
+        assert main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
+                     "--objective", objective, "--stub-seed", "1", "--steps", "1",
+                     "--batch-size", "2", *TINY_MODEL]) == 0
+        stub = StubEncoders(d=32, seed=1)
+        with Store(packed) as store:
+            stored = [dict(store.get(i).arrays) for i in range(len(store))]
+        assert [ex.caption for ex in seen] == [
+            bytes(r["raw"].astype(np.uint8)).decode("utf-8") for r in stored]
+        for ex, rec in zip(seen, stored):
+            assert ex.fused.modalities == ("frame", "caption")
+            assert np.array_equal(ex.fused.rows[0], rec["frame"])
+            if objective == "full_caption":
+                text, target = rec["caption"], ex.caption
+                assert not np.array_equal(text, stub.encode_caption(ex.caption).values)
+            else:
+                first, second = objectives.split_caption(ex.caption.split(" "))
+                text = stub.encode_caption(" ".join(first)).values
+                target = " ".join(second)
+            assert ex.fused.rows[1].tobytes() == text.tobytes()
+            assert np.array_equal(ex.target, tokenize(target, 32))
+
+    def test_pretrain_rejects_store_without_captions(self, tmp_path, capsys):
+        images = tmp_path / "images.store"
+        write_vqa_image_store(make_mini_vqa(2, seed=0), StubEncoders(d=32, seed=0), images)
+        rc = main(["pretrain", "--store", str(images), "--out-dir", str(tmp_path / "run"),
+                   "--steps", "1", *TINY_MODEL])
+        assert rc == 1
+        assert "no caption row" in capsys.readouterr().err
+
+    def test_eval_rejects_foreign_checkpoint_config(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.store"
+        save_checkpoint(Model(ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=32, max_target_len=8)),
+                        ckpt)
+        with Store(ckpt) as s:
+            records = [s.get(i) for i in range(len(s))]
+        assert records[0].key == "__model_config__"
+        cfg = json.loads(bytes(dict(records[0].arrays)["raw"].astype(np.uint8)))
+        del cfg["d_ff"]
+        cfg["dropout"] = 0.0      # the key every older checkpoint carries
+        cfg_row = np.frombuffer(json.dumps(cfg).encode("utf-8"), dtype=np.uint8)
+        write_store([EmbeddingRecord(records[0].key, (("raw", cfg_row),)), *records[1:]],
+                    ckpt, compression="deflate")
+        with pytest.raises(ConfigError, match=r"\['dropout'\].*\['d_ff'\]"):
+            load_checkpoint(ckpt)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--vqa", "x", "--image-store", "y",
+                   "--out-dir", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "dropout" in capsys.readouterr().err
+
     def test_eval_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.store"),
                    "--vqa", "x", "--image-store", "y",
@@ -191,8 +257,6 @@ class TestTrainingPipeline:
         vqa = tmp_path / "vqa.jsonl"
         write_vqa_jsonl(vqa, records)
         img_store = tmp_path / "images.store"
-        from modalfuse.experts import StubEncoders
-        from modalfuse.synthetic import write_vqa_image_store
         write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
         fin = tmp_path / "fin"
         rc = main(["finetune", "--vqa", str(vqa), "--image-store", str(img_store),

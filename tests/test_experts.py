@@ -3,11 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from modalfuse.errors import ConfigError, NotFoundError
+from modalfuse.errors import ConfigError
 from modalfuse.experts import (Embedding, StubEncoders, fuse, hash_bytes,
-                               l2_normalize, load_precomputed,
-                               stub_encode_frame, stub_encode_text)
-from modalfuse.store import EmbeddingRecord, Store, write_store
+                               l2_normalize, stub_encode_frame, stub_encode_text)
 
 
 class TestStubText:
@@ -120,22 +118,6 @@ class TestFuse:
         with pytest.raises(ConfigError):
             fuse([stub_encode_frame("v", 0.0, 64)],
                  stub_encode_text("x", 128), None)
-
-
-class TestPrecomputed:
-    def test_passthrough_and_errors(self, tmp_path):
-        path = tmp_path / "emb.store"
-        write_store([
-            EmbeddingRecord("k", (("caption", np.array([0.6, 0.8], dtype=np.float32)),)),
-            EmbeddingRecord("wide", (("caption", np.zeros(512, dtype=np.float32)),)),
-        ], path)
-        with Store(path) as store:
-            emb = load_precomputed(store, "k", d=2)
-            assert np.allclose(emb.values, [0.6, 0.8])
-            with pytest.raises(NotFoundError):
-                load_precomputed(store, "absent", d=2)
-            with pytest.raises(ConfigError):
-                load_precomputed(store, "wide", d=768)
 
 
 class TestHash:

@@ -29,7 +29,7 @@ def encoders():
 
 def make_segment(caption, video_id="v1"):
     n = len(caption.split(" "))
-    seg = Segment(video_id, 0, n, caption, 0.0, 20.0, wpm=45.0)
+    seg = Segment(video_id, 0, n, caption, 0.0, 20.0)
     return with_frame_times(seg, 1)
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -97,7 +98,9 @@ class TestWordDensity:
 
     def test_segmenter_fills_wpm(self):
         seg = segment_transcript(make_transcript(15), window=15)[0]
-        assert seg.wpm == pytest.approx(word_density(seg))
+        buf = io.StringIO()
+        write_segments([seg], buf)
+        assert json.loads(buf.getvalue())["wpm"] == word_density(seg)
 
 
 class TestFilterSegments:

@@ -1,5 +1,7 @@
 import os
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -125,6 +127,29 @@ class TestGet:
                 assert records_equal(s.get_by_key(f"key-{i}"), recs[i])
             with pytest.raises(NotFoundError):
                 s.get_by_key("nope")
+
+
+class TestIndexIntegrity:
+    def rewrite_table(self, path, table):
+        """Replace the hash table and recompute the footer CRC, so the file
+        passes the CRC check and only the table is wrong."""
+        data = path.read_bytes()
+        index_offset, _, tail = struct.unpack("<QI4s", data[-16:])
+        header = data[:17]
+        count = struct.unpack_from("<Q", header, 9)[0]
+        entries = data[index_offset : index_offset + 24 * count]
+        index = entries + struct.pack("<Q", len(table)) + np.asarray(table, "<u8").tobytes()
+        path.write_bytes(data[:index_offset] + index
+                         + struct.pack("<QI4s", index_offset, zlib.crc32(header + index), tail))
+
+    @pytest.mark.parametrize("table", [[98, 0, 1, 2, 3, 0, 0, 0],   # slot past count 3
+                                       [1, 2, 3]])                   # size not a power of two
+    def test_bad_hash_table_rejected_at_open(self, tmp_path, table):
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord(f"k{i}", ()) for i in range(3)], path)
+        self.rewrite_table(path, table)
+        with pytest.raises(CorruptionError, match="hash table"):
+            Store(path)
 
 
 class TestAtomicity:
