@@ -37,12 +37,20 @@ class ModelConfig:
     max_target_len: int = 128
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ConfigError(f"{f.name} must be an int, got {value!r}")
+        for name in ("d_model", "n_heads", "d_ff", "max_target_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_encoder_layers", "n_decoder_layers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover PAD, BOS, EOS and one symbol")
-        if self.max_target_len < 1:
-            raise ConfigError("max_target_len must be >= 1")
 
 
 class Parameter:
@@ -96,9 +104,9 @@ class RMSNorm:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, r = self._cache
         n = x.shape[-1]
-        self.g.grad += np.sum(dy * x * r, axis=tuple(range(dy.ndim - 1)))
+        self.g.grad += np.sum(dy * x * r, axis=tuple(range(x.ndim - 1)))
         h = dy * self.g.value
-        return h * r - x * (np.sum(h * x, axis=-1, keepdims=True) * r**3 / n)
+        return h * r - x * (np.sum(h * x, axis=-1, keepdims=True) * (r * r * r) / n)
 
     def params(self):
         return [self.g]
@@ -108,29 +116,55 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+    """GELU (tanh approximation) of ``x`` and its tanh term, for _gelu_grad.
+
+    The cube is ``x * x * x``: on float64 ``x**3`` goes through ``pow``,
+    which costs about 50 times as much. Both GELU functions work in place on
+    one fresh array, which is faster and holds fewer hidden-sized
+    temporaries than the same formula written as one expression.
+    """
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, t
 
 
-def _gelu_grad(x):
-    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
-    dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * dt
+def _gelu_grad(x, t):
+    """d GELU/dx at ``x``, given the tanh term ``t`` that _gelu returned."""
+    dt = x * x
+    dt *= 3 * 0.044715
+    dt += 1.0
+    dt *= _GELU_C
+    dt *= 1.0 - t * t
+    dt *= x
+    dt += t
+    dt += 1.0
+    dt *= 0.5
+    return dt
 
 
 class FeedForward:
     def __init__(self, d_model: int, d_ff: int, rng, name: str):
         self.w_in = Linear(d_model, d_ff, rng, f"{name}/in")
         self.w_out = Linear(d_ff, d_model, rng, f"{name}/out")
-        self._pre = None
+        self._cache = None
 
     def forward(self, x):
         pre = self.w_in.forward(x)
-        self._pre = pre
-        return self.w_out.forward(_gelu(pre))
+        h, t = _gelu(pre)
+        self._cache = (pre, t)
+        return self.w_out.forward(h)
 
     def backward(self, dy):
         dh = self.w_out.backward(dy)
-        return self.w_in.backward(dh * _gelu_grad(self._pre))
+        dh *= _gelu_grad(*self._cache)
+        return self.w_in.backward(dh)
 
     def params(self):
         return self.w_in.params() + self.w_out.params()
@@ -393,16 +427,19 @@ def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ValueError("all target positions are PAD")
+    tgt = targets.clip(0)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=-1))
-    tgt_logit = np.take_along_axis(shifted, targets[..., None].clip(0), axis=-1)[..., 0]
+    tgt_logit = np.take_along_axis(shifted, tgt[..., None], axis=-1)[..., 0]
+    # one exp pass: the shifted logits become exp(shifted), then the softmax
+    dlogits = np.exp(shifted, out=shifted)
+    z = dlogits.sum(axis=-1, keepdims=True)
+    log_z = np.log(z[..., 0])
     nll = (log_z - tgt_logit) * mask
     loss = float(nll.sum() / n_valid)
 
-    probs = np.exp(shifted - log_z[..., None])
-    dlogits = probs.copy()
+    dlogits /= z
     flat = dlogits.reshape(-1, dlogits.shape[-1])
-    flat[np.arange(flat.shape[0]), targets.reshape(-1).clip(0)] -= 1.0
+    flat[np.arange(flat.shape[0]), tgt.reshape(-1)] -= 1.0
     dlogits *= (mask[..., None] / n_valid)
     return loss, dlogits
 

@@ -296,6 +296,8 @@ def _vqa_examples(args, cfg: dict, model_cfg: ModelConfig) -> list[objectives.Vq
         ]
     if cfg["yes-no-only"]:
         examples = [e for e in examples if evaluation.is_yes_no(e)]
+        if not examples:
+            raise ValidationError(f"--yes-no-only: {args.vqa} has no yes/no questions")
     return examples
 
 
@@ -318,8 +320,6 @@ def cmd_finetune(args) -> int:
         model_cfg = _model_config(cfg)
         model = Model(model_cfg, seed=cfg["seed"])
     examples = _vqa_examples(args, cfg, model_cfg)
-    if cfg["yes-no-only"] and not examples:
-        raise SystemExit("no yes/no examples in the dataset")
     metrics = _run_training(model, examples, cfg, run_dir, args.svg)
     _write_resolved({**cfg, "vqa": str(args.vqa),
                      "image_store": str(args.image_store),
@@ -352,6 +352,7 @@ def cmd_eval(args) -> int:
         "mean_accuracy": result.mean_accuracy,
         "n_examples": len(result.per_example),
         "n_errors": result.n_errors,
+        "errors": [asdict(e) for e in result.errors],
         "collapse_flag": result.collapse.collapsed,
         "top_answer_share": result.collapse.top_share,
         "entropy_nats": result.collapse.entropy_nats,

@@ -78,38 +78,57 @@ def collapse_report(predictions: list[str], share_threshold: float = 0.5) -> Col
 
 
 @dataclass(frozen=True)
+class ExampleError:
+    """Why one example could not be decoded."""
+    index: int       # position in the list passed to ``evaluate``
+    type: str        # exception class name
+    message: str
+
+
+@dataclass(frozen=True)
 class EvalResult:
     per_example: tuple[float, ...]
     mean_accuracy: float
     collapse: CollapseReport
     predictions: tuple[str, ...]
-    n_errors: int
+    errors: tuple[ExampleError, ...]
+
+    @property
+    def n_errors(self) -> int:
+        return len(self.errors)
 
 
 def evaluate(model: Model, examples: list[VqaExample],
              max_decode_len: int | None = None) -> EvalResult:
-    """Greedy-decode every example, score it, and aggregate."""
+    """Greedy-decode every example, score it, and aggregate.
+
+    An example whose decode raises is left out of the scores and recorded in
+    ``errors``; the evaluation fails only when no example decodes.
+    """
     scores: list[float] = []
     predictions: list[str] = []
-    n_errors = 0
-    for ex in examples:
+    errors: list[ExampleError] = []
+    for i, ex in enumerate(examples):
         try:
             tokens = model.greedy_decode(ex.fused.rows, ex.fused.modality_ids,
                                          max_len=max_decode_len)
             pred = tokenizer.detokenize(tokens)
-        except Exception:
-            n_errors += 1
+        except Exception as e:
+            errors.append(ExampleError(i, type(e).__name__, str(e)))
             continue
         predictions.append(pred)
         scores.append(vqa_accuracy(pred, list(ex.human_answers)))
     if not scores:
-        raise ValueError("no example decoded successfully")
+        why = ""
+        if errors:
+            why = f"; example {errors[0].index}: {errors[0].type}: {errors[0].message}"
+        raise ValueError(f"no example decoded successfully{why}")
     return EvalResult(
         per_example=tuple(scores),
         mean_accuracy=float(np.mean(scores)),
         collapse=collapse_report(predictions),
         predictions=tuple(predictions),
-        n_errors=n_errors,
+        errors=tuple(errors),
     )
 
 

@@ -157,9 +157,11 @@ def train(examples: list, model: Model, cfg: TrainConfig,
     """Seeded teacher-forced training; returns one metrics record per step.
 
     Batches follow per-epoch seeded permutations of the example list. Each
-    record is {step, loss, lr, examples_seen, wall_ms}; records stream to
-    ``metrics_fp`` (line-delimited JSON) as they happen so crashed runs stay
-    parseable.
+    record is {step, loss, lr, examples_seen, tokens, grad_norm, wall_ms}:
+    ``tokens`` counts the batch's non-PAD target tokens the loss averages
+    over, and ``grad_norm`` is the global L2 norm of the gradients before the
+    update. Records stream to ``metrics_fp`` (line-delimited JSON), one write
+    per step as it happens, so crashed runs stay parseable.
     """
     if not examples:
         raise ValueError("empty dataset")
@@ -186,6 +188,8 @@ def train(examples: list, model: Model, cfg: TrainConfig,
             "loss": loss,
             "lr": cfg.lr,
             "examples_seen": examples_seen,
+            "tokens": int((targets[:, 1:] != tokenizer.PAD).sum()),
+            "grad_norm": math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in opt.params)),
             "wall_ms": (time.monotonic() - t0) * 1000.0,
         }
         if not math.isfinite(loss):

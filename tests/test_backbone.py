@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse import tokenizer
-from modalfuse.backbone import (AdamW, Model, ModelConfig, cross_entropy_loss,
-                                cross_entropy_with_grad, gradient_check,
-                                load_checkpoint, save_checkpoint)
+from modalfuse.backbone import (AdamW, Model, ModelConfig, _gelu, _gelu_grad,
+                                cross_entropy_loss, cross_entropy_with_grad,
+                                gradient_check, load_checkpoint, save_checkpoint)
 from modalfuse.errors import ConfigError
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
@@ -57,6 +57,27 @@ class TestConfig:
     def test_vocab_floor(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=3)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_heads", "2", "n_heads must be an int"),
+        ("d_model", 64.0, "d_model must be an int"),
+        ("n_encoder_layers", True, "n_encoder_layers must be an int"),
+        ("vocab_size", np.int64(259), "vocab_size must be an int"),
+        ("n_heads", 0, "n_heads must be >= 1"),
+        ("d_model", 0, "d_model must be >= 1"),
+        ("d_ff", 0, "d_ff must be >= 1"),
+        ("max_target_len", 0, "max_target_len must be >= 1"),
+        ("n_decoder_layers", -1, "n_decoder_layers must be >= 0"),
+    ])
+    def test_field_types_and_ranges(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            ModelConfig(**{field: value})
+
+    def test_zero_layers_allowed(self):
+        cfg = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=0, n_decoder_layers=0,
+                          d_ff=32, max_target_len=16)
+        rows, ids, targets = tiny_batch()
+        assert math.isfinite(Model(cfg).loss_and_grads(rows, ids, targets))
 
 
 class TestEncoder:
@@ -158,6 +179,46 @@ class TestCrossEntropy:
         targets = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
         _, dlogits = cross_entropy_with_grad(logits, targets, pad_id=9)
         assert np.allclose(dlogits.sum(axis=-1), 0.0, atol=1e-12)
+
+    def test_grad_matches_central_differences(self):
+        rng = np.random.default_rng(2)
+        logits = 3.0 * rng.normal(size=(2, 5, 7))
+        targets = np.array([[1, 2, 6, 0, 0], [3, 3, 4, 5, 0]])   # 0 = PAD
+        before = logits.copy()
+        _, dlogits = cross_entropy_with_grad(logits, targets, pad_id=0)
+        assert np.array_equal(logits, before)
+        assert np.all(dlogits[targets == 0] == 0.0)
+        h = 1e-5
+        fd = np.zeros_like(logits)
+        for i in np.ndindex(logits.shape):
+            bumped = logits.copy()
+            bumped[i] += h
+            lp = cross_entropy_with_grad(bumped, targets, pad_id=0)[0]
+            bumped[i] -= 2 * h
+            lm = cross_entropy_with_grad(bumped, targets, pad_id=0)[0]
+            fd[i] = (lp - lm) / (2 * h)
+        np.testing.assert_allclose(dlogits, fd, rtol=0, atol=1e-9)
+
+
+class TestGelu:
+    GRID = np.linspace(-8.0, 8.0, 4001)
+
+    def test_matches_pow_reference(self):
+        x = self.GRID
+        ref_t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3))
+        y, t = _gelu(x)
+        np.testing.assert_allclose(t, ref_t, rtol=1e-14, atol=0)
+        # for x << 0, 1 + t cancels: one ulp of t moves the reference itself
+        # by 0.5 * |x| * eps, so the output gets that absolute floor
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(y, 0.5 * x * (1.0 + ref_t), rtol=1e-14, atol=8 * eps)
+        np.testing.assert_array_equal(y, 0.5 * x * (1.0 + t))
+
+    def test_grad_matches_central_differences(self):
+        x = self.GRID
+        h = 1e-5
+        fd = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2 * h)
+        np.testing.assert_allclose(_gelu_grad(x, _gelu(x)[1]), fd, rtol=0, atol=1e-9)
 
 
 class TestGradients:

@@ -180,6 +180,7 @@ class TestTrainingPipeline:
         summary = json.loads((ev / "eval.json").read_text())
         assert 0.0 <= summary["mean_accuracy"] <= 1.0
         assert summary["n_examples"] == 8
+        assert summary["n_errors"] == 0 and summary["errors"] == []
         assert isinstance(summary["collapse_flag"], bool)
         assert "accuracy" in capsys.readouterr().out
 
@@ -225,25 +226,39 @@ class TestTrainingPipeline:
         assert "no caption row" in capsys.readouterr().err
 
     def test_eval_rejects_foreign_checkpoint_config(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt.store"
-        save_checkpoint(Model(ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
-                                          n_decoder_layers=1, d_ff=32, max_target_len=8)),
-                        ckpt)
-        with Store(ckpt) as s:
-            records = [s.get(i) for i in range(len(s))]
-        assert records[0].key == "__model_config__"
-        cfg = json.loads(bytes(dict(records[0].arrays)["raw"].astype(np.uint8)))
-        del cfg["d_ff"]
-        cfg["dropout"] = 0.0      # the key every older checkpoint carries
-        cfg_row = np.frombuffer(json.dumps(cfg).encode("utf-8"), dtype=np.uint8)
-        write_store([EmbeddingRecord(records[0].key, (("raw", cfg_row),)), *records[1:]],
-                    ckpt, compression="deflate")
-        with pytest.raises(ConfigError, match=r"\['dropout'\].*\['d_ff'\]"):
-            load_checkpoint(ckpt)
-        rc = main(["eval", "--checkpoint", str(ckpt), "--vqa", "x", "--image-store", "y",
-                   "--out-dir", str(tmp_path / "ev")])
+        def drop_d_ff(cfg):
+            del cfg["d_ff"]
+            cfg["dropout"] = 0.0      # the key every older checkpoint carries
+
+        def string_n_heads(cfg):
+            cfg["n_heads"] = "2"
+
+        for edit, match, named in [(drop_d_ff, r"\['dropout'\].*\['d_ff'\]", "dropout"),
+                                   (string_n_heads, "n_heads must be an int", "n_heads")]:
+            ckpt = tmp_path / "ckpt.store"
+            save_checkpoint(Model(ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
+                                              n_decoder_layers=1, d_ff=32,
+                                              max_target_len=8)), ckpt)
+            with Store(ckpt) as s:
+                records = [s.get(i) for i in range(len(s))]
+            assert records[0].key == "__model_config__"
+            cfg = json.loads(bytes(dict(records[0].arrays)["raw"].astype(np.uint8)))
+            edit(cfg)
+            cfg_row = np.frombuffer(json.dumps(cfg).encode("utf-8"), dtype=np.uint8)
+            write_store([EmbeddingRecord(records[0].key, (("raw", cfg_row),)), *records[1:]],
+                        ckpt, compression="deflate")
+            with pytest.raises(ConfigError, match=match):
+                load_checkpoint(ckpt)
+            rc = main(["eval", "--checkpoint", str(ckpt), "--vqa", "x", "--image-store", "y",
+                       "--out-dir", str(tmp_path / "ev")])
+            assert rc == 1
+            assert named in capsys.readouterr().err
+
+    def test_pretrain_rejects_zero_heads(self, tmp_path, packed, capsys):
+        rc = main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
+                   "--steps", "1", *TINY_MODEL, "--n-heads", "0"])
         assert rc == 1
-        assert "dropout" in capsys.readouterr().err
+        assert "n_heads must be >= 1" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.store"),
@@ -251,6 +266,26 @@ class TestTrainingPipeline:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_yes_no_only_without_yes_no_questions(self, tmp_path, capsys, command):
+        records = [r for r in make_mini_vqa(8, seed=0)
+                   if r["question"].startswith("how many")]
+        assert records
+        vqa = tmp_path / "vqa.jsonl"
+        write_vqa_jsonl(vqa, records)
+        img_store = tmp_path / "images.store"
+        write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
+        ckpt = tmp_path / "ckpt.store"
+        save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=64, max_target_len=32)),
+                        ckpt)
+        checkpoint = ["--checkpoint-in" if command == "finetune" else "--checkpoint", str(ckpt)]
+        rc = main([command, "--vqa", str(vqa), "--image-store", str(img_store),
+                   "--out-dir", str(tmp_path / "out"), *checkpoint, "--yes-no-only"])
+        assert rc == 1
+        assert "has no yes/no questions" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval.json").exists()
 
     def test_finetune_yes_no_only(self, tmp_path, capsys):
         records = make_mini_vqa(8, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -142,6 +143,21 @@ class TestEvaluate:
         assert result.n_errors == 0
         assert all(s in (0.0, 1 / 3, 2 / 3, 1.0) or 0 <= s <= 1
                    for s in result.per_example)
+
+    def test_failed_example_is_recorded(self, vqa_setup):
+        _, _, examples, _ = vqa_setup
+        bad = examples[2]
+        wrong_d = dataclasses.replace(bad, fused=dataclasses.replace(
+            bad.fused, rows=np.zeros((bad.fused.rows.shape[0], D + 1))))
+        result = evaluate(Model(SMALL, seed=0), [*examples[:2], wrong_d, *examples[3:]],
+                          max_decode_len=8)
+        assert result.n_errors == 1
+        assert len(result.per_example) == len(examples) - 1
+        (err,) = result.errors
+        assert (err.index, err.type) == (2, "ConfigError")
+        assert f"dimension {D + 1}" in err.message
+        with pytest.raises(ValueError, match="no example decoded.*example 0: ConfigError"):
+            evaluate(Model(SMALL, seed=0), [wrong_d], max_decode_len=8)
 
     def test_fresh_model_collapses(self, vqa_setup):
         # an untrained decoder emits the same argmax path for every input,

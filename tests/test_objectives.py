@@ -204,9 +204,25 @@ class TestTrain:
         assert len(lines) == 3
         for i, rec in enumerate(lines):
             assert rec["step"] == i
-            assert set(rec) >= {"step", "loss", "lr", "examples_seen", "wall_ms"}
+            assert set(rec) >= {"step", "loss", "lr", "examples_seen", "tokens",
+                                "grad_norm", "wall_ms"}
         assert lines[-1]["examples_seen"] == 12
         assert metrics[-1]["loss"] == lines[-1]["loss"]
+
+    def test_metrics_tokens_and_grad_norm(self, encoders):
+        """One step over the whole dataset: the batch is a permutation of it."""
+        examples = self.make_examples(encoders)
+        metrics = train(examples, Model(SMALL, seed=0),
+                        TrainConfig(steps=1, batch_size=len(examples), seed=5))
+        assert metrics[0]["tokens"] == sum(
+            int((e.target[1:] != tokenizer.PAD).sum()) for e in examples)
+        order = np.random.default_rng([5, 0]).permutation(len(examples))
+        rows, ids, targets = collate([examples[i] for i in order])
+        model = Model(SMALL, seed=0)
+        model.loss_and_grads(rows, ids, targets)
+        expected = np.sqrt(sum((p.grad ** 2).sum() for p in model.params()))
+        assert metrics[0]["grad_norm"] == pytest.approx(expected, rel=1e-12)
+        assert metrics[0]["grad_norm"] > 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
