@@ -541,7 +541,7 @@ def save_checkpoint(model: Model, path) -> None:
     for p in model.params():
         records.append(EmbeddingRecord(f"param:{p.name}",
                                        (("raw", p.value.astype(np.float32)),)))
-    write_store(records, path, compression="deflate")
+    write_store(records, path)
 
 
 def load_checkpoint(path) -> Model:

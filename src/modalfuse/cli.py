@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,25 +27,12 @@ from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # no
 from .errors import ModalfuseError, ValidationError
 from .experts import Embedding, StubEncoders
 from .scene_graph import SceneGraph, read_graph_manifest
-from .store import EmbeddingRecord, Store, write_store
+from .store import EmbeddingRecord, Store, atomic_commit, write_store
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_commit(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -152,7 +137,7 @@ def cmd_segment(args) -> int:
 # encode-pack
 # ---------------------------------------------------------------------------
 
-_ENCODE_DEFAULTS = {"d": 768, "seed": 0, "k-frames": 1, "compression": "deflate"}
+_ENCODE_DEFAULTS = {"d": 768, "seed": 0}
 
 
 def cmd_encode_pack(args) -> int:
@@ -169,9 +154,10 @@ def cmd_encode_pack(args) -> int:
         with open(args.segments, encoding="utf-8") as f:
             for seg in segmentation.read_segments(f):
                 key = f"{seg.video_id}:{seg.word_start}"
-                times = seg.frame_times or segmentation.sample_frame_times(seg, cfg["k-frames"])
+                if not seg.frame_times:
+                    raise ValidationError(f"segment {key!r} lists no frame times")
                 arrays = [("frame", encoders.encode_frame(seg.video_id, t).values)
-                          for t in times[: cfg["k-frames"]]]
+                          for t in seg.frame_times]
                 arrays.append(("caption", encoders.encode_caption(seg.caption).values))
                 graph = graphs.get(key)
                 if graph is not None:
@@ -183,7 +169,7 @@ def cmd_encode_pack(args) -> int:
                 arrays.append(("raw", caption_bytes))
                 yield EmbeddingRecord(key, tuple(arrays))
 
-    summary = write_store(records(), args.out, compression=cfg["compression"])
+    summary = write_store(records(), args.out)
     _write_resolved({**cfg, "segments": str(args.segments),
                      "graphs": str(args.graphs) if args.graphs else None,
                      "out": str(args.out)}, Path(args.out))
@@ -414,8 +400,7 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     with Store(args.store) as store:
         info = store.inspect()
-    print(f"{info['path']}: version {info['version']}, "
-          f"compression {info['compression']}, {info['count']} records, "
+    print(f"{info['path']}: version {info['version']}, {info['count']} records, "
           f"{info['file_bytes']} bytes")
     for rec in info["records"]:
         shapes = ", ".join(f"{tag}{shape}" for tag, shape in rec["arrays"])
@@ -446,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--d", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--k-frames", type=int)
-    p.add_argument("--compression", choices=["none", "deflate"])
     p.set_defaults(func=cmd_encode_pack)
 
     p = sub.add_parser("pretrain", help="train on packed caption segments")

@@ -1,13 +1,13 @@
 """Binary store for ragged multimodal embedding records.
 
-Requirements covered: O(1) record lookup via an offset index, optional
-deflate compression, ragged float32 arrays per record, atomic commit via
-temp-file + rename, and unlimited concurrent readers over the immutable
-committed file.
+Requirements covered: O(1) record lookup via an offset index, ragged
+float32 arrays per record stored uncompressed, atomic commit via temp-file +
+rename, and unlimited concurrent readers over the immutable committed file.
 
 On-disk layout (all little-endian):
 
-  header   magic "VPTS" | u32 version=1 | u8 compression | u64 record count
+  header   magic "VPTS" | u32 version=1 | u8 compression, always 0
+           | u64 record count
   records  per record:
              u16 key length | key (UTF-8)
              u16 array count
@@ -29,9 +29,10 @@ import os
 import struct
 import tempfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -41,10 +42,6 @@ from .experts import hash_bytes
 MAGIC_HEAD = b"VPTS"
 MAGIC_TAIL = b"SPTV"
 VERSION = 1
-
-COMPRESSION_NONE = 0
-COMPRESSION_DEFLATE = 1
-_COMPRESSION_NAMES = {"none": COMPRESSION_NONE, "deflate": COMPRESSION_DEFLATE}
 
 # u8 modality tags; "raw" covers non-modality payloads such as checkpoints
 TAG_TO_ID = {"frame": 0, "caption": 1, "scene_graph": 2, "question": 3, "raw": 4}
@@ -74,10 +71,9 @@ class StoreSummary:
     path: Path
     count: int
     file_bytes: int
-    compression: str
 
 
-def _encode_record(record: EmbeddingRecord, compression: int) -> bytes:
+def _encode_record(record: EmbeddingRecord) -> bytes:
     key_bytes = record.key.encode("utf-8")
     if len(key_bytes) > 0xFFFF:
         raise ValueError(f"key too long: {len(key_bytes)} bytes")
@@ -86,8 +82,7 @@ def _encode_record(record: EmbeddingRecord, compression: int) -> bytes:
     out += key_bytes
     out += struct.pack("<H", len(record.arrays))
     for tag, arr in record.arrays:
-        raw = arr.tobytes()
-        payload = zlib.compress(raw) if compression == COMPRESSION_DEFLATE else raw
+        payload = arr.tobytes()
         out += struct.pack("<BB", TAG_TO_ID[tag], arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += struct.pack("<Q", len(payload))
@@ -96,7 +91,7 @@ def _encode_record(record: EmbeddingRecord, compression: int) -> bytes:
     return bytes(out)
 
 
-def _decode_record(blob: bytes, compression: int, where: str) -> EmbeddingRecord:
+def _decode_record(blob: bytes, where: str) -> EmbeddingRecord:
     try:
         pos = 0
         (key_len,) = struct.unpack_from("<H", blob, pos); pos += 2
@@ -111,18 +106,16 @@ def _decode_record(blob: bytes, compression: int, where: str) -> EmbeddingRecord
             (crc,) = struct.unpack_from("<I", blob, pos); pos += 4
             if zlib.crc32(payload) != crc:
                 raise CorruptionError(f"CRC mismatch in record {where}")
-            raw = zlib.decompress(payload) if compression == COMPRESSION_DEFLATE else payload
             expect = int(np.prod(dims, dtype=np.int64)) * 4
-            if len(raw) != expect:
-                raise CorruptionError(
-                    f"record {where}: payload {len(raw)} bytes, shape {tuple(dims)} needs {expect}"
-                )
-            arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            if len(payload) != expect:
+                raise CorruptionError(f"record {where}: payload {len(payload)} bytes, "
+                                      f"shape {tuple(dims)} needs {expect}")
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
             arrays.append((ID_TO_TAG[tag_id], arr))
         if pos != len(blob):
             raise CorruptionError(f"record {where}: {len(blob) - pos} trailing bytes")
         return EmbeddingRecord(key, tuple(arrays))
-    except (struct.error, UnicodeDecodeError, KeyError, zlib.error) as e:
+    except (struct.error, UnicodeDecodeError, KeyError) as e:
         raise CorruptionError(f"record {where} is corrupt: {e}") from e
 
 
@@ -139,48 +132,20 @@ def _build_hash_table(key_hashes: list[int]) -> np.ndarray:
     return table
 
 
-def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
-                compression: str = "none") -> StoreSummary:
-    """Stream records into a new store, committing with an atomic rename.
+@contextmanager
+def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
+    """Yield a binary temp file beside ``path``; on a clean exit, fsync it and
+    rename it over ``path``.
 
-    A pre-existing store at ``path`` stays untouched until the final rename;
+    A pre-existing file at ``path`` stays untouched until the final rename;
     on any failure the temporary file is removed and ``path`` is unchanged.
     """
-    if compression not in _COMPRESSION_NAMES:
-        raise ValueError(f"compression must be one of {sorted(_COMPRESSION_NAMES)}")
-    comp = _COMPRESSION_NAMES[compression]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    offsets: list[tuple[int, int, int]] = []
-    seen: set[str] = set()
     try:
         with os.fdopen(fd, "wb") as f:
-            # count is unknown until the stream ends; patch the header last
-            f.write(_HEADER.pack(MAGIC_HEAD, VERSION, comp, 0))
-            for record in records:
-                if record.key in seen:
-                    raise ValueError(f"duplicate key {record.key!r}")
-                seen.add(record.key)
-                blob = _encode_record(record, comp)
-                offsets.append((f.tell(), len(blob), hash_bytes(record.key.encode("utf-8"))))
-                f.write(blob)
-
-            count = len(offsets)
-            index_offset = f.tell()
-            index = bytearray()
-            for off, length, key_hash in offsets:
-                index += _INDEX_ENTRY.pack(off, length, key_hash)
-            table = _build_hash_table([h for _, _, h in offsets])
-            index += struct.pack("<Q", len(table))
-            index += table.astype("<u8").tobytes()
-            f.write(index)
-
-            header = _HEADER.pack(MAGIC_HEAD, VERSION, comp, count)
-            f.write(_FOOTER.pack(index_offset, zlib.crc32(header + bytes(index)), MAGIC_TAIL))
-            f.seek(0)
-            f.write(header)
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp_name, path)
@@ -190,7 +155,39 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
         except OSError:
             pass
         raise
-    return StoreSummary(path, len(offsets), path.stat().st_size, compression)
+
+
+def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSummary:
+    """Stream records into a new store, committed through ``atomic_commit``."""
+    path = Path(path)
+    offsets: list[tuple[int, int, int]] = []
+    seen: set[str] = set()
+    with atomic_commit(path) as f:
+        # count is unknown until the stream ends; patch the header last
+        f.write(_HEADER.pack(MAGIC_HEAD, VERSION, 0, 0))
+        for record in records:
+            if record.key in seen:
+                raise ValueError(f"duplicate key {record.key!r}")
+            seen.add(record.key)
+            blob = _encode_record(record)
+            offsets.append((f.tell(), len(blob), hash_bytes(record.key.encode("utf-8"))))
+            f.write(blob)
+
+        count = len(offsets)
+        index_offset = f.tell()
+        index = bytearray()
+        for off, length, key_hash in offsets:
+            index += _INDEX_ENTRY.pack(off, length, key_hash)
+        table = _build_hash_table([h for _, _, h in offsets])
+        index += struct.pack("<Q", len(table))
+        index += table.astype("<u8").tobytes()
+        f.write(index)
+
+        header = _HEADER.pack(MAGIC_HEAD, VERSION, 0, count)
+        f.write(_FOOTER.pack(index_offset, zlib.crc32(header + bytes(index)), MAGIC_TAIL))
+        f.seek(0)
+        f.write(header)
+    return StoreSummary(path, count, path.stat().st_size)
 
 
 class Store:
@@ -222,7 +219,11 @@ class Store:
             raise CorruptionError(f"{self.path}: bad header magic")
         if version != VERSION:
             raise CorruptionError(f"{self.path}: unsupported version {version}")
-        self.compression = comp
+        if comp != 0:
+            raise CorruptionError(
+                f"{self.path}: compression byte {comp}; compressed stores are no longer "
+                "read, so re-run the stage that wrote this file (encode-pack for an "
+                "embedding store, pretrain or finetune for a checkpoint)")
         self.count = count
 
         self._f.seek(file_size - _FOOTER.size)
@@ -275,7 +276,7 @@ class Store:
         self.bytes_read += len(blob)
         if len(blob) != length:
             raise CorruptionError(f"{self.path}: record {index} extent truncated")
-        return _decode_record(blob, self.compression, where=str(index))
+        return _decode_record(blob, where=str(index))
 
     def get_by_key(self, key: str) -> EmbeddingRecord:
         if self.count == 0:
@@ -295,17 +296,7 @@ class Store:
             slot = (slot + 1) & mask
         raise NotFoundError(f"key {key!r} not found in {self.path}")
 
-    def iterate_batches(self, batch_size: int, seed: int, epoch: int = 0,
-                        ) -> Iterator[list[EmbeddingRecord]]:
-        """Seeded shuffled batches; (seed, epoch) fully determines the order."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        perm = np.random.default_rng([seed, epoch]).permutation(self.count)
-        for lo in range(0, self.count, batch_size):
-            yield [self.get(int(i)) for i in perm[lo : lo + batch_size]]
-
     def inspect(self) -> dict:
-        comp_name = {v: k for k, v in _COMPRESSION_NAMES.items()}[self.compression]
         records = []
         for i in range(self.count):
             r = self.get(i)
@@ -316,7 +307,6 @@ class Store:
         return {
             "path": str(self.path),
             "version": VERSION,
-            "compression": comp_name,
             "count": self.count,
             "file_bytes": self.path.stat().st_size,
             "records": records,

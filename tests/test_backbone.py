@@ -352,6 +352,6 @@ class TestCheckpoint:
         m3 = load_checkpoint(path)
         logits_b = m3.forward(rows, ids, targets[:, :-1])
         assert np.array_equal(logits_a, logits_b)
-        # float32 storage keeps values close to the source model
+        # parameters are stored as float32 and come back exactly as stored
         for pa, pb in zip(m.params(), m2.params()):
-            assert np.allclose(pa.value, pb.value, atol=1e-6)
+            assert np.array_equal(pb.value, pa.value.astype(np.float32))

@@ -128,6 +128,33 @@ class TestEncodePack:
             tags = [t for t, _ in s.get_by_key(keys[0]).arrays]
             assert "scene_graph" in tags
 
+    def test_packs_every_frame_the_segments_list(self, tmp_path, transcripts):
+        segs = tmp_path / "segments.jsonl"
+        store_path = tmp_path / "emb.store"
+        assert main(["segment", "--transcripts", str(transcripts), "--out", str(segs),
+                     "--k-frames", "3"]) == 0
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(store_path),
+                     "--d", "32"]) == 0
+        with Store(store_path) as s:
+            assert len(s) == 4
+            for i in range(len(s)):
+                assert [t for t, _ in s.get(i).arrays].count("frame") == 3
+
+    def test_segment_without_frame_times_rejected(self, tmp_path, transcripts, capsys):
+        segs = tmp_path / "segments.jsonl"
+        store_path = tmp_path / "emb.store"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
+        lines = segs.read_text().splitlines()
+        seg = json.loads(lines[1])
+        del seg["frame_times"]
+        segs.write_text("\n".join([lines[0], json.dumps(seg), *lines[2:]]) + "\n")
+        rc = main(["encode-pack", "--segments", str(segs), "--out", str(store_path),
+                   "--d", "32"])
+        assert rc == 1
+        assert f"'{seg['video_id']}:{seg['word_start']}' lists no frame times" \
+            in capsys.readouterr().err
+        assert not store_path.exists()
+
 
 class TestTrainingPipeline:
     @pytest.fixture
@@ -246,7 +273,7 @@ class TestTrainingPipeline:
             edit(cfg)
             cfg_row = np.frombuffer(json.dumps(cfg).encode("utf-8"), dtype=np.uint8)
             write_store([EmbeddingRecord(records[0].key, (("raw", cfg_row),)), *records[1:]],
-                        ckpt, compression="deflate")
+                        ckpt)
             with pytest.raises(ConfigError, match=match):
                 load_checkpoint(ckpt)
             rc = main(["eval", "--checkpoint", str(ckpt), "--vqa", "x", "--image-store", "y",

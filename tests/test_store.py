@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse.errors import CorruptionError, NotFoundError
-from modalfuse.store import (COMPRESSION_DEFLATE, EmbeddingRecord, Store,
-                             write_store)
+from modalfuse.store import EmbeddingRecord, Store, atomic_commit, write_store
 
 
 def rand_record(rng, key, max_arrays=3):
@@ -41,12 +40,11 @@ class TestRoundtrip:
             with pytest.raises(NotFoundError):
                 s.get_by_key("anything")
 
-    @pytest.mark.parametrize("compression", ["none", "deflate"])
-    def test_roundtrip_bitwise(self, tmp_path, compression):
+    def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         recs = [rand_record(rng, f"key{i}") for i in range(200)]
         path = tmp_path / "s.store"
-        write_store(recs, path, compression=compression)
+        write_store(recs, path)
         with Store(path) as s:
             assert len(s) == 200
             for i, rec in enumerate(recs):
@@ -63,13 +61,6 @@ class TestRoundtrip:
         with Store(path) as s:
             assert records_equal(s.get(0), recs[0])
             assert records_equal(s.get(1), recs[1])
-
-    def test_deflate_smaller_for_constant_data(self, tmp_path):
-        arr = np.zeros(262144, dtype=np.float32)  # 1 MiB of constant payload
-        recs = [EmbeddingRecord("c", (("frame", arr),))]
-        write_store(recs, tmp_path / "raw.store", compression="none")
-        write_store(recs, tmp_path / "z.store", compression="deflate")
-        assert (tmp_path / "z.store").stat().st_size < (tmp_path / "raw.store").stat().st_size
 
     def test_duplicate_key_rejected(self, tmp_path):
         recs = [EmbeddingRecord("dup", ()), EmbeddingRecord("dup", ())]
@@ -130,17 +121,21 @@ class TestGet:
 
 
 class TestIndexIntegrity:
-    def rewrite_table(self, path, table):
-        """Replace the hash table and recompute the footer CRC, so the file
-        passes the CRC check and only the table is wrong."""
-        data = path.read_bytes()
+    def recrc(self, path, data):
+        """Write ``data`` with its footer CRC recomputed over header + index,
+        so the file passes the CRC check and only the edited bytes are wrong."""
         index_offset, _, tail = struct.unpack("<QI4s", data[-16:])
-        header = data[:17]
-        count = struct.unpack_from("<Q", header, 9)[0]
+        crc = zlib.crc32(data[:17] + data[index_offset:-16])
+        path.write_bytes(data[:-16] + struct.pack("<QI4s", index_offset, crc, tail))
+
+    def rewrite_table(self, path, table):
+        """Replace the hash table, keeping the footer CRC valid."""
+        data = path.read_bytes()
+        (index_offset,) = struct.unpack_from("<Q", data, len(data) - 16)
+        (count,) = struct.unpack_from("<Q", data, 9)
         entries = data[index_offset : index_offset + 24 * count]
         index = entries + struct.pack("<Q", len(table)) + np.asarray(table, "<u8").tobytes()
-        path.write_bytes(data[:index_offset] + index
-                         + struct.pack("<QI4s", index_offset, zlib.crc32(header + index), tail))
+        self.recrc(path, data[:index_offset] + index + data[-16:])
 
     @pytest.mark.parametrize("table", [[98, 0, 1, 2, 3, 0, 0, 0],   # slot past count 3
                                        [1, 2, 3]])                   # size not a power of two
@@ -149,6 +144,15 @@ class TestIndexIntegrity:
         write_store([EmbeddingRecord(f"k{i}", ()) for i in range(3)], path)
         self.rewrite_table(path, table)
         with pytest.raises(CorruptionError, match="hash table"):
+            Store(path)
+
+    def test_compressed_store_rejected_at_open(self, tmp_path):
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord("k", (("frame", np.ones(4, np.float32)),))], path)
+        data = bytearray(path.read_bytes())
+        data[8] = 1                       # the header's compression byte: deflate
+        self.recrc(path, bytes(data))
+        with pytest.raises(CorruptionError, match="re-run"):
             Store(path)
 
 
@@ -171,6 +175,16 @@ class TestAtomicity:
         with Store(path) as s:
             assert s.get(0).key == "old"
 
+    def test_failed_commit_leaves_target_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"committed\n")
+        with pytest.raises(RuntimeError):
+            with atomic_commit(path) as f:
+                f.write(b"partial")
+                raise RuntimeError("simulated crash")
+        assert path.read_bytes() == b"committed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
     def test_truncated_temp_never_corrupts(self, tmp_path):
         # simulate preemption: truncate a copy of the in-flight temp file at
         # arbitrary byte positions; the committed store must stay valid
@@ -188,38 +202,6 @@ class TestAtomicity:
             assert path.read_bytes() == committed
             with Store(path) as s:
                 assert s.get(0).key == "keep"
-
-
-class TestIterateBatches:
-    def make(self, tmp_path, n=10):
-        recs = [EmbeddingRecord(f"k{i}", (("frame", np.full(4, i, np.float32)),))
-                for i in range(n)]
-        path = tmp_path / "s.store"
-        write_store(recs, path)
-        return path
-
-    def test_batch_sizes(self, tmp_path):
-        with Store(self.make(tmp_path)) as s:
-            sizes = [len(b) for b in s.iterate_batches(4, seed=0)]
-        assert sizes == [4, 4, 2]
-
-    def test_same_seed_same_order(self, tmp_path):
-        with Store(self.make(tmp_path)) as s:
-            a = [r.key for b in s.iterate_batches(3, seed=5, epoch=0) for r in b]
-            b = [r.key for b in s.iterate_batches(3, seed=5, epoch=0) for r in b]
-        assert a == b
-
-    def test_epochs_differ(self, tmp_path):
-        with Store(self.make(tmp_path)) as s:
-            e0 = [r.key for b in s.iterate_batches(3, seed=5, epoch=0) for r in b]
-            e1 = [r.key for b in s.iterate_batches(3, seed=5, epoch=1) for r in b]
-        assert sorted(e0) == sorted(e1)
-        assert e0 != e1
-
-    def test_covers_all_records(self, tmp_path):
-        with Store(self.make(tmp_path)) as s:
-            seen = [r.key for b in s.iterate_batches(4, seed=1) for r in b]
-        assert sorted(seen) == sorted(f"k{i}" for i in range(10))
 
 
 class TestConcurrency:
@@ -262,7 +244,7 @@ def test_roundtrip_property(tmp_path_factory, shapes):
         arr = rng.normal(size=tuple(shape)).astype(np.float32)
         recs.append(EmbeddingRecord(f"r{i}", (("caption", arr),)))
     path = tmp_path_factory.mktemp("prop") / "s.store"
-    write_store(recs, path, compression="deflate")
+    write_store(recs, path)
     with Store(path) as s:
         for i, rec in enumerate(recs):
             assert records_equal(s.get(i), rec)
