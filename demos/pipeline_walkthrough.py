@@ -2,7 +2,8 @@
 pretraining -> question-answering finetune -> evaluation.
 
 Runs the CLI the same way a shell user would, on synthetic data, and prints
-the artifacts at each stage. Everything lands in a temporary directory.
+the artifacts at each stage. Everything lands in a temporary directory that
+is removed at exit.
 """
 
 import json
@@ -28,7 +29,11 @@ def run(argv):
 
 
 def main_demo():
-    root = Path(tempfile.mkdtemp(prefix="modalfuse-demo-"))
+    with tempfile.TemporaryDirectory(prefix="modalfuse-demo-") as root:
+        walkthrough(Path(root))
+
+
+def walkthrough(root: Path):
     print(f"working in {root}")
 
     # 1. synthesize timed transcripts: a header line per video, then one

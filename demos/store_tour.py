@@ -11,7 +11,11 @@ from modalfuse.store import EmbeddingRecord, Store, write_store
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="modalfuse-store-"))
+    with tempfile.TemporaryDirectory(prefix="modalfuse-store-") as root:
+        tour(Path(root))
+
+
+def tour(root: Path):
     path = root / "demo.store"
     rng = np.random.default_rng(0)
 

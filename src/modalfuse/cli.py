@@ -3,10 +3,11 @@ eval -> ablate -> inspect.
 
 One binary, subcommand style. Each subcommand accepts ``--config FILE`` (JSON
 whose keys mirror the long flag names); explicit flags win over the file, the
-file wins over defaults, and unknown config keys are rejected. Every run
-writes its fully resolved configuration next to its outputs so the run is
-reproducible from that file alone. File outputs are committed with a
-temp-file + rename so partial results never appear at final paths.
+file wins over defaults. A config key that names no flag, or whose value does
+not fit the flag's type, is rejected. Every run writes its fully resolved
+configuration next to its outputs so the run is reproducible from that file
+alone. File outputs are committed with a temp-file + rename so partial results
+never appear at final paths.
 """
 
 from __future__ import annotations
@@ -30,61 +31,86 @@ from .scene_graph import SceneGraph, read_graph_manifest
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
     with atomic_commit(path) as f:
         f.write(text.encode("utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# Settings: one table per subcommand, flag name -> default. A setting's type is
+# the type of its default; a type in place of a default means the default is
+# None and a value has that type. The tables build the parser, check --config
+# values and list the resolved config.
+# ---------------------------------------------------------------------------
+
+# flag -> ModelConfig field; the default model shape is ModelConfig's
+_MODEL_FIELDS = {
+    "d-model": "d_model", "n-heads": "n_heads", "enc-layers": "n_encoder_layers",
+    "dec-layers": "n_decoder_layers", "d-ff": "d_ff", "max-target-len": "max_target_len",
+}
+_MODEL_DEFAULTS = {flag: getattr(ModelConfig, name) for flag, name in _MODEL_FIELDS.items()}
+_TRAIN_DEFAULTS = {"batch-size": 16, "lr": 1e-4, "weight-decay": 0.0, "seed": 0,
+                   "stub-seed": 0, "checkpoint-every": 0}
+_CHOICES = {"objective": objectives.OBJECTIVES}
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}
+
+
+def _setting_type(default) -> type:
+    return default if isinstance(default, type) else type(default)
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """SystemExit unless ``value`` fits the setting declared by ``default``.
+
+    An int is accepted for a float setting and kept as written.
+    """
+    kind = _setting_type(default)
+    nullable = kind is default
+    if not ((value is None and nullable) or type(value) is kind
+            or (kind is float and type(value) is int)):
+        expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
+        raise SystemExit(f"config key {key!r} must be {expected}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise SystemExit(f"config key {key!r} must be one of {_CHOICES[key]}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags; reject unknown keys."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as f:
+    """Merge defaults < config file < explicit flags; reject unknown keys and
+    values that do not fit their setting's type."""
+    cfg = {key: None if isinstance(d, type) else d for key, d in defaults.items()}
+    if args.config:
+        with open(args.config, encoding="utf-8") as f:
             file_cfg = json.load(f)
+        if not isinstance(file_cfg, dict):
+            raise SystemExit(f"config file {args.config} must hold a JSON object, "
+                             f"got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, defaults[key])
         cfg.update(file_cfg)
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val
     return cfg
 
 
-def _write_resolved(cfg: dict, out_path: Path, name: str = "resolved_config.json"):
-    target = out_path / name if out_path.is_dir() or not out_path.suffix \
-        else out_path.with_suffix(out_path.suffix + ".config.json")
-    if target == out_path:
-        target = out_path.parent / name
-    atomic_write_text(target, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+def _write_resolved(args: argparse.Namespace, cfg: dict, paths: dict) -> None:
+    """The settings and path arguments, into --out-dir as resolved_config.json
+    or beside the --out file as FILE.config.json."""
+    resolved = dict(cfg)
+    for flag in paths:
+        dest = flag.replace("-", "_")
+        resolved[dest] = getattr(args, dest)
+    target = (Path(args.out_dir) / "resolved_config.json" if hasattr(args, "out_dir")
+              else Path(args.out + ".config.json"))
+    atomic_write_text(target, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        d_model=cfg["d-model"],
-        n_heads=cfg["n-heads"],
-        n_encoder_layers=cfg["enc-layers"],
-        n_decoder_layers=cfg["dec-layers"],
-        d_ff=cfg["d-ff"],
-        max_target_len=cfg["max-target-len"],
-    )
-
-
-_MODEL_DEFAULTS = {
-    "d-model": 768, "n-heads": 8, "enc-layers": 2, "dec-layers": 2,
-    "d-ff": 1024, "max-target-len": 128,
-}
-
-
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--d-model", type=int)
-    p.add_argument("--n-heads", type=int)
-    p.add_argument("--enc-layers", type=int)
-    p.add_argument("--dec-layers", type=int)
-    p.add_argument("--d-ff", type=int)
-    p.add_argument("--max-target-len", type=int)
+    return ModelConfig(**{name: cfg[flag] for flag, name in _MODEL_FIELDS.items()})
 
 
 def _loss_chart_svg(metrics: list[dict], width: int = 640, height: int = 360) -> str:
@@ -111,12 +137,10 @@ def _loss_chart_svg(metrics: list[dict], width: int = 640, height: int = 360) ->
 # segment
 # ---------------------------------------------------------------------------
 
-_SEGMENT_DEFAULTS = {"window": 15, "stride": None, "min-wpm": 30.0, "k-frames": 1}
+_SEGMENT_DEFAULTS = {"window": 15, "stride": int, "min-wpm": 30.0, "k-frames": 1}
 
 
-def cmd_segment(args) -> int:
-    cfg = _resolve(args, _SEGMENT_DEFAULTS)
-    out = Path(args.out)
+def cmd_segment(args, cfg: dict) -> int:
     kept = dropped = 0
     buf = io.StringIO()
     with open(args.transcripts, encoding="utf-8") as f:
@@ -127,8 +151,7 @@ def cmd_segment(args) -> int:
             dropped += len(segs) - len(keep)
             keep = [segmentation.with_frame_times(s, cfg["k-frames"]) for s in keep]
             kept += segmentation.write_segments(keep, buf)
-    atomic_write_text(out, buf.getvalue())
-    _write_resolved({**cfg, "transcripts": str(args.transcripts), "out": str(out)}, out)
+    atomic_write_text(args.out, buf.getvalue())
     print(f"kept {kept} segments, dropped {dropped} below {cfg['min-wpm']} wpm")
     return 0
 
@@ -137,11 +160,11 @@ def cmd_segment(args) -> int:
 # encode-pack
 # ---------------------------------------------------------------------------
 
-_ENCODE_DEFAULTS = {"d": 768, "seed": 0}
+# the store's rows feed a model of the default width
+_ENCODE_DEFAULTS = {"d": _MODEL_DEFAULTS["d-model"], "seed": 0}
 
 
-def cmd_encode_pack(args) -> int:
-    cfg = _resolve(args, _ENCODE_DEFAULTS)
+def cmd_encode_pack(args, cfg: dict) -> int:
     encoders = StubEncoders(d=cfg["d"], seed=cfg["seed"])
     graphs = {}
     if args.graphs:
@@ -170,9 +193,6 @@ def cmd_encode_pack(args) -> int:
                 yield EmbeddingRecord(key, tuple(arrays))
 
     summary = write_store(records(), args.out)
-    _write_resolved({**cfg, "segments": str(args.segments),
-                     "graphs": str(args.graphs) if args.graphs else None,
-                     "out": str(args.out)}, Path(args.out))
     print(f"packed {summary.count} records into {summary.path} "
           f"({summary.file_bytes} bytes); {missing_graphs} segments without a scene graph")
     return 0
@@ -203,17 +223,11 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
 # pretrain / finetune
 # ---------------------------------------------------------------------------
 
-_PRETRAIN_DEFAULTS = {
-    **_MODEL_DEFAULTS,
-    "objective": "split_half", "steps": 500, "batch-size": 16, "lr": 1e-4,
-    "weight-decay": 0.0, "seed": 0, "stub-seed": 0, "checkpoint-every": 0,
-}
+_PRETRAIN_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
+                      "objective": "split_half", "steps": 500}
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _resolve(args, _PRETRAIN_DEFAULTS)
-    if cfg["objective"] not in objectives.OBJECTIVES:
-        raise SystemExit(f"objective must be one of {objectives.OBJECTIVES}")
+def cmd_pretrain(args, cfg: dict) -> int:
     run_dir = Path(args.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
@@ -222,32 +236,26 @@ def cmd_pretrain(args) -> int:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)
     model = Model(model_cfg, seed=cfg["seed"])
-    metrics = _run_training(model, examples, cfg, run_dir, args.svg)
-    _write_resolved({**cfg, "store": str(args.store), "out_dir": str(run_dir)},
-                    run_dir)
-    print(f"pretrained {cfg['steps']} steps; final loss {metrics[-1]['loss']:.4f}")
+    final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
+    print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0
 
 
-def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> list[dict]:
+def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
+    """Train, write the run's files, and return "; final loss X" ("" for 0 steps)."""
     ckpt = run_dir / "checkpoint.store"
+    train_cfg = objectives.TrainConfig(
+        steps=cfg["steps"], batch_size=cfg["batch-size"], lr=cfg["lr"],
+        weight_decay=cfg["weight-decay"], seed=cfg["seed"],
+        checkpoint_every=cfg["checkpoint-every"], checkpoint_path=str(ckpt))
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as mf:
-        metrics = objectives.train(
-            examples, model,
-            objectives.TrainConfig(
-                steps=cfg["steps"], batch_size=cfg["batch-size"], lr=cfg["lr"],
-                weight_decay=cfg["weight-decay"], seed=cfg["seed"],
-                checkpoint_every=cfg.get("checkpoint-every", 0),
-                checkpoint_path=str(ckpt),
-            ),
-            metrics_fp=mf,
-        )
-    summary = {"steps": cfg["steps"], "final_loss": metrics[-1]["loss"] if metrics else None,
-               "checkpoint": str(ckpt)}
+        metrics = objectives.train(examples, model, train_cfg, metrics_fp=mf)
+    final_loss = metrics[-1]["loss"] if metrics else None
+    summary = {"steps": cfg["steps"], "final_loss": final_loss, "checkpoint": str(ckpt)}
     atomic_write_text(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     if svg:
         atomic_write_text(run_dir / "loss.svg", _loss_chart_svg(metrics))
-    return metrics
+    return "" if final_loss is None else f"; final loss {final_loss:.4f}"
 
 
 def _load_vqa_records(path: str) -> list[dict]:
@@ -271,32 +279,17 @@ def _vqa_examples(args, cfg: dict, model_cfg: ModelConfig) -> list[objectives.Vq
     """The --vqa records as examples, seeded by --seed, filtered by --yes-no-only."""
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
     records = _load_vqa_records(args.vqa)
-    rng = np.random.default_rng(cfg["seed"])
     with Store(args.image_store) as image_store:
-        examples = [
-            objectives.build_vqa_example(
-                image_store, r["image_key"], r.get("graph"), r["question"],
-                r["answers"], rng, encoders, include_graph=cfg["graph"],
-                max_target_len=model_cfg.max_target_len)
-            for r in records
-        ]
-    if cfg["yes-no-only"]:
-        examples = [e for e in examples if evaluation.is_yes_no(e)]
-        if not examples:
-            raise ValidationError(f"--yes-no-only: {args.vqa} has no yes/no questions")
-    return examples
+        return evaluation.vqa_examples(
+            records, image_store, encoders, seed=cfg["seed"], include_graph=cfg["graph"],
+            yes_no_only=cfg["yes-no-only"], max_target_len=model_cfg.max_target_len)
 
 
-_FINETUNE_DEFAULTS = {
-    **_MODEL_DEFAULTS,
-    "steps": 100, "batch-size": 16, "lr": 1e-4, "weight-decay": 0.0,
-    "seed": 0, "stub-seed": 0, "checkpoint-every": 0,
-    "yes-no-only": False, "graph": True,
-}
+_FINETUNE_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
+                      "steps": 100, "yes-no-only": False, "graph": True}
 
 
-def cmd_finetune(args) -> int:
-    cfg = _resolve(args, _FINETUNE_DEFAULTS)
+def cmd_finetune(args, cfg: dict) -> int:
     run_dir = Path(args.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     if args.checkpoint_in:
@@ -306,13 +299,8 @@ def cmd_finetune(args) -> int:
         model_cfg = _model_config(cfg)
         model = Model(model_cfg, seed=cfg["seed"])
     examples = _vqa_examples(args, cfg, model_cfg)
-    metrics = _run_training(model, examples, cfg, run_dir, args.svg)
-    _write_resolved({**cfg, "vqa": str(args.vqa),
-                     "image_store": str(args.image_store),
-                     "checkpoint_in": args.checkpoint_in,
-                     "out_dir": str(run_dir)}, run_dir)
-    print(f"finetuned {cfg['steps']} steps on {len(examples)} examples; "
-          f"final loss {metrics[-1]['loss']:.4f}")
+    final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
+    print(f"finetuned {cfg['steps']} steps on {len(examples)} examples{final_loss}")
     return 0
 
 
@@ -324,8 +312,7 @@ _EVAL_DEFAULTS = {"seed": 0, "stub-seed": 0, "graph": True, "yes-no-only": False
                   "max-decode-len": 16}
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(args, _EVAL_DEFAULTS)
+def cmd_eval(args, cfg: dict) -> int:
     if not Path(args.checkpoint).exists():
         print(f"checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 1
@@ -345,9 +332,6 @@ def cmd_eval(args) -> int:
         "histogram": result.collapse.histogram,
     }
     atomic_write_text(run_dir / "eval.json", json.dumps(summary, indent=2) + "\n")
-    _write_resolved({**cfg, "checkpoint": str(args.checkpoint), "vqa": str(args.vqa),
-                     "image_store": str(args.image_store), "out_dir": str(run_dir)},
-                    run_dir)
     print(f"accuracy {result.mean_accuracy:.4f} over {len(result.per_example)} examples; "
           f"collapse={'yes' if result.collapse.collapsed else 'no'} "
           f"(top share {result.collapse.top_share:.2f})")
@@ -365,8 +349,7 @@ _ABLATE_DEFAULTS = {
 }
 
 
-def cmd_ablate(args) -> int:
-    cfg = _resolve(args, _ABLATE_DEFAULTS)
+def cmd_ablate(args, cfg: dict) -> int:
     run_dir = Path(args.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
@@ -388,7 +371,6 @@ def cmd_ablate(args) -> int:
     atomic_write_text(run_dir / "ablation.tsv", buf.getvalue())
     atomic_write_text(run_dir / "ablation.jsonl",
                       "".join(json.dumps(asdict(r)) + "\n" for r in rows))
-    _write_resolved({**cfg, "out_dir": str(run_dir)}, run_dir)
     print(buf.getvalue(), end="")
     return 0
 
@@ -410,103 +392,59 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# name -> (help, handler, path arguments {flag: required}, settings or None)
+_COMMANDS = {
+    "segment": ("window transcripts into word-dense segments", cmd_segment,
+                {"transcripts": True, "out": True}, _SEGMENT_DEFAULTS),
+    "encode-pack": ("encode segments and pack a store", cmd_encode_pack,
+                    {"segments": True, "graphs": False, "out": True}, _ENCODE_DEFAULTS),
+    "pretrain": ("train on packed caption segments", cmd_pretrain,
+                 {"store": True, "out-dir": True}, _PRETRAIN_DEFAULTS),
+    "finetune": ("finetune on a question-answering set", cmd_finetune,
+                 {"vqa": True, "image-store": True, "out-dir": True, "checkpoint-in": False},
+                 _FINETUNE_DEFAULTS),
+    "eval": ("evaluate a checkpoint", cmd_eval,
+             {"checkpoint": True, "vqa": True, "image-store": True, "out-dir": True},
+             _EVAL_DEFAULTS),
+    "ablate": ("run the ablation grid on synthetic data", cmd_ablate,
+               {"out-dir": True}, _ABLATE_DEFAULTS),
+    "inspect": ("print store header and record shapes", cmd_inspect,
+                {"store": True}, None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modalfuse")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("segment", help="window transcripts into word-dense segments")
-    p.add_argument("--transcripts", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--min-wpm", type=float)
-    p.add_argument("--k-frames", type=int)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("encode-pack", help="encode segments and pack a store")
-    p.add_argument("--segments", required=True)
-    p.add_argument("--graphs")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--d", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_encode_pack)
-
-    p = sub.add_parser("pretrain", help="train on packed caption segments")
-    p.add_argument("--store", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
-    p.add_argument("--objective", choices=list(objectives.OBJECTIVES))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stub-seed", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--svg", action="store_true")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("finetune", help="finetune on a question-answering set")
-    p.add_argument("--vqa", required=True)
-    p.add_argument("--image-store", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--checkpoint-in")
-    p.add_argument("--config")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stub-seed", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--yes-no-only", action=argparse.BooleanOptionalAction)
-    p.add_argument("--graph", action=argparse.BooleanOptionalAction)
-    p.add_argument("--svg", action="store_true")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vqa", required=True)
-    p.add_argument("--image-store", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stub-seed", type=int)
-    p.add_argument("--graph", action=argparse.BooleanOptionalAction)
-    p.add_argument("--yes-no-only", action=argparse.BooleanOptionalAction)
-    p.add_argument("--max-decode-len", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="run the ablation grid on synthetic data")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
-    p.add_argument("--n-segments", type=int)
-    p.add_argument("--n-vqa", type=int)
-    p.add_argument("--pretrain-steps", type=int)
-    p.add_argument("--finetune-steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stub-seed", type=int)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("inspect", help="print store header and record shapes")
-    p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_inspect)
-
+    for name, (help_text, _, paths, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, required in paths.items():
+            p.add_argument(f"--{flag}", required=required)
+        if defaults is None:
+            continue
+        p.add_argument("--config")
+        for flag, default in defaults.items():
+            kind = _setting_type(default)
+            if kind is bool:
+                p.add_argument(f"--{flag}", action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(f"--{flag}", type=kind, choices=_CHOICES.get(flag))
+        if name in ("pretrain", "finetune"):
+            p.add_argument("--svg", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, paths, defaults = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        if defaults is None:
+            return handler(args)
+        cfg = _resolve(args, defaults)
+        rc = handler(args, cfg)
+        if rc == 0:
+            _write_resolved(args, cfg, paths)
+        return rc
     except (ModalfuseError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

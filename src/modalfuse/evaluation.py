@@ -24,8 +24,9 @@ import numpy as np
 
 from . import tokenizer
 from .backbone import Model, ModelConfig
-from .objectives import TrainConfig, VqaExample, build_full_caption_example, \
-    build_split_half_example, build_vqa_example, train
+from .errors import ValidationError
+from .objectives import TrainConfig, VqaExample, build_split_half_example, \
+    build_vqa_example, train
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -52,6 +53,27 @@ def vqa_accuracy(prediction: str, human_answers: list[str]) -> float:
 
 def is_yes_no(example: VqaExample) -> bool:
     return all(normalize_answer(a) in ("yes", "no") for a in example.human_answers)
+
+
+def vqa_examples(records: list[dict], image_store, encoders, seed: int,
+                 include_graph: bool, yes_no_only: bool,
+                 max_target_len: int) -> list[VqaExample]:
+    """One example per {image_key, question, answers, graph} record, targets
+    drawn by ``default_rng(seed)``; ``yes_no_only`` keeps the yes/no questions.
+    """
+    rng = np.random.default_rng(seed)
+    examples = [
+        build_vqa_example(image_store, r["image_key"], r.get("graph"), r["question"],
+                          r["answers"], rng, encoders, include_graph=include_graph,
+                          max_target_len=max_target_len)
+        for r in records
+    ]
+    if yes_no_only:
+        examples = [e for e in examples if is_yes_no(e)]
+        if not examples:
+            raise ValidationError(f"yes-no-only: the question set ({len(records)} questions) "
+                                  "has no yes/no questions")
+    return examples
 
 
 @dataclass(frozen=True)
@@ -144,7 +166,6 @@ class AblationConfig:
     yes_no_only: bool
     pretrain_steps: int = 100
     finetune_steps: int = 100
-    pretrain_objective: str = "split_half"
     seed: int = 0
 
 
@@ -182,22 +203,18 @@ def default_ablation_grid(pretrain_steps: int = 100, finetune_steps: int = 100,
 
 def run_ablation(grid: list[AblationConfig], model_config: ModelConfig,
                  corpus: list, vqa_records: list[dict], image_store,
-                 encoders, batch_size: int = 16, lr: float = 1e-4,
-                 max_target_len: int | None = None) -> list[AblationRow]:
+                 encoders, batch_size: int = 16, lr: float = 1e-4) -> list[AblationRow]:
     """One row per config; each run is independent and fully seeded.
 
     ``corpus`` is a list of (segment, graph) pairs for pretraining;
     ``vqa_records`` are raw {image_key, question, answers, graph} dicts so
     graph ablation can rebuild the fused inputs per config.
     """
-    if max_target_len is None:
-        max_target_len = model_config.max_target_len
     rows: list[AblationRow] = []
     for cfg in grid:
         try:
             rows.append(_run_one(cfg, model_config, corpus, vqa_records,
-                                 image_store, encoders, batch_size, lr,
-                                 max_target_len))
+                                 image_store, encoders, batch_size, lr))
         except Exception as e:
             rows.append(AblationRow(cfg.label, None,
                                     cfg.finetune_steps
@@ -207,17 +224,15 @@ def run_ablation(grid: list[AblationConfig], model_config: ModelConfig,
 
 
 def _run_one(cfg: AblationConfig, model_config: ModelConfig, corpus,
-             vqa_records, image_store, encoders, batch_size, lr,
-             max_target_len) -> AblationRow:
-    build = (build_full_caption_example if cfg.pretrain_objective == "full_caption"
-             else build_split_half_example)
+             vqa_records, image_store, encoders, batch_size, lr) -> AblationRow:
     model = Model(model_config, seed=cfg.seed)
     iterations = 0
 
     if cfg.pretrain:
         examples = [
-            build(seg, encoders, graph=graph if cfg.include_graph else None,
-                  max_target_len=max_target_len)
+            build_split_half_example(seg, encoders,
+                                     graph=graph if cfg.include_graph else None,
+                                     max_target_len=model_config.max_target_len)
             for seg, graph in corpus
         ]
         train(examples, model,
@@ -225,25 +240,14 @@ def _run_one(cfg: AblationConfig, model_config: ModelConfig, corpus,
                           lr=lr, seed=cfg.seed))
         iterations += cfg.pretrain_steps
 
-    rng = np.random.default_rng(cfg.seed)
-    vqa_examples = [
-        build_vqa_example(image_store, rec["image_key"], rec.get("graph"),
-                          rec["question"], rec["answers"], rng, encoders,
-                          include_graph=cfg.include_graph,
-                          max_target_len=max_target_len)
-        for rec in vqa_records
-    ]
-    if cfg.yes_no_only:
-        vqa_examples = [ex for ex in vqa_examples if is_yes_no(ex)]
-    if not vqa_examples:
-        raise ValueError("no examples left after yes/no filtering")
-
-    train(vqa_examples, model,
+    examples = vqa_examples(vqa_records, image_store, encoders, cfg.seed, cfg.include_graph,
+                            cfg.yes_no_only, model_config.max_target_len)
+    train(examples, model,
           TrainConfig(steps=cfg.finetune_steps, batch_size=batch_size,
                       lr=lr, seed=cfg.seed + 1))
     iterations += cfg.finetune_steps
 
-    result = evaluate(model, vqa_examples, max_decode_len=16)
+    result = evaluate(model, examples, max_decode_len=16)
     return AblationRow(cfg.label, result.mean_accuracy, iterations)
 
 

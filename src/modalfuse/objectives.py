@@ -151,6 +151,13 @@ class TrainConfig:
     checkpoint_every: int = 0     # 0 = never
     checkpoint_path: str | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("steps", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def train(examples: list, model: Model, cfg: TrainConfig,
           metrics_fp=None) -> list[dict]:

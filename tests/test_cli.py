@@ -43,6 +43,37 @@ def transcripts(tmp_path):
     return path
 
 
+@pytest.fixture
+def stage_argv(tmp_path, transcripts):
+    """Runnable argv for segment, pretrain, finetune and eval at d=32."""
+    segs = tmp_path / "segments.jsonl"
+    store_path = tmp_path / "emb.store"
+    main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
+    main(["encode-pack", "--segments", str(segs), "--out", str(store_path), "--d", "32"])
+    records = make_mini_vqa(8, seed=0)
+    vqa = tmp_path / "vqa.jsonl"
+    write_vqa_jsonl(vqa, records)
+    img_store = tmp_path / "images.store"
+    write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
+    ckpt = tmp_path / "ckpt.store"
+    save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
+                                      n_decoder_layers=1, d_ff=64, max_target_len=32)),
+                    ckpt)
+    out = tmp_path / "out"
+    out.mkdir()
+    return {
+        "segment": ["segment", "--transcripts", str(transcripts),
+                    "--out", str(out / "seg.jsonl")],
+        "pretrain": ["pretrain", "--store", str(store_path), "--out-dir", str(out / "run"),
+                     "--batch-size", "2", *TINY_MODEL],
+        "finetune": ["finetune", "--vqa", str(vqa), "--image-store", str(img_store),
+                     "--out-dir", str(out / "run"), "--batch-size", "2", *TINY_MODEL],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--vqa", str(vqa),
+                 "--image-store", str(img_store), "--out-dir", str(out / "run"),
+                 "--max-decode-len", "4"],
+    }
+
+
 class TestSegment:
     def test_produces_segments_and_resolved_config(self, tmp_path, transcripts, capsys):
         out = tmp_path / "segments.jsonl"
@@ -82,6 +113,20 @@ class TestSegment:
         with pytest.raises(SystemExit):
             main(["segment", "--transcripts", str(transcripts),
                   "--out", str(tmp_path / "o.jsonl"), "--config", str(cfg)])
+
+    def test_int_config_value_for_float_flag_kept(self, tmp_path, transcripts):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min-wpm": 5}))
+        out = tmp_path / "seg.jsonl"
+        assert main(["segment", "--transcripts", str(transcripts), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert '"min-wpm": 5,' in (tmp_path / "seg.jsonl.config.json").read_text()
+
+    def test_output_without_suffix(self, tmp_path, transcripts):
+        out = tmp_path / "segments"
+        assert main(["segment", "--transcripts", str(transcripts), "--out", str(out)]) == 0
+        assert out.is_file()
+        assert json.loads((tmp_path / "segments.config.json").read_text())["out"] == str(out)
 
     def test_missing_input_is_error_exit(self, tmp_path, capsys):
         rc = main(["segment", "--transcripts", str(tmp_path / "nope.jsonl"),
@@ -329,6 +374,23 @@ class TestTrainingPipeline:
                        for r in records)
         assert f"on {n_yes_no} examples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_zero_steps(self, tmp_path, stage_argv, capsys, command):
+        assert main([*stage_argv[command], "--steps", "0"]) == 0
+        summary = json.loads((tmp_path / "out" / "run" / "summary.json").read_text())
+        assert summary["steps"] == 0 and summary["final_loss"] is None
+        assert "final loss" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
+    ])
+    def test_bad_train_setting_exits_nonzero(self, tmp_path, stage_argv, capsys, flag, value,
+                                             message):
+        assert main([*stage_argv["pretrain"], "--steps", "2", flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run" / "metrics.jsonl").exists()
+
 
 class TestAblate:
     def test_grid_outputs_and_rerun_identical(self, tmp_path, capsys):
@@ -351,3 +413,20 @@ class TestAblate:
         assert len(rows) == 8
         out = capsys.readouterr().out
         assert "pretrain+graph" in out
+
+
+class TestTypedConfig:
+    @pytest.mark.parametrize("command, file_cfg, message", [
+        ("eval", {"graph": "false"}, "'graph' must be a bool, got 'false'"),
+        ("segment", {"min-wpm": "5"}, "'min-wpm' must be a number, got '5'"),
+        ("pretrain", {"steps": "2"}, "'steps' must be an int, got '2'"),
+        ("pretrain", {"steps": True}, "'steps' must be an int, got True"),
+        ("pretrain", {"objective": "bogus"}, "'objective' must be one of"),
+        ("segment", [{"window": 10}], "must hold a JSON object, got list"),
+    ])
+    def test_mistyped_config_rejected(self, tmp_path, stage_argv, command, file_cfg, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        with pytest.raises(SystemExit, match=message):
+            main([*stage_argv[command], "--config", str(cfg)])
+        assert list((tmp_path / "out").iterdir()) == []

@@ -228,6 +228,17 @@ class TestRunAblation:
         assert rows[0].accuracy is None
         assert rows[0].status.startswith("failed:")
 
+    def test_yes_no_only_without_yes_no_questions(self, vqa_setup):
+        records, store, _, encoders = vqa_setup
+        counting = [r for r in records if r["question"].startswith("how many")]
+        grid = [c for c in default_ablation_grid(pretrain_steps=1, finetune_steps=1)
+                if not c.pretrain]
+        rows = run_ablation(grid, SMALL, [], counting, store, encoders, batch_size=4)
+        assert [r.status for r in rows if "yes-no-only" in r.label] == [
+            f"failed: yes-no-only: the question set ({len(counting)} questions) "
+            "has no yes/no questions"] * 2
+        assert all(r.status == "ok" for r in rows if "all-questions" in r.label)
+
 
 class TestWriteTable:
     def test_tsv_layout(self):

@@ -6,7 +6,7 @@ import pytest
 
 from modalfuse import tokenizer
 from modalfuse.backbone import Model, ModelConfig
-from modalfuse.errors import NotFoundError
+from modalfuse.errors import ConfigError, NotFoundError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (TrainConfig, build_full_caption_example,
                                   build_split_half_example, build_vqa_example,
@@ -176,6 +176,16 @@ class TestTrain:
         assert metrics == []
         for p, b in zip(model.params(), before):
             assert np.array_equal(p.value, b)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("batch_size", -3, "batch_size must be >= 1, got -3"),
+        ("steps", -1, "steps must be >= 0, got -1"),
+        ("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1"),
+    ])
+    def test_config_ranges(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: value})
 
     def test_seeded_runs_identical(self, encoders):
         examples = self.make_examples(encoders)
