@@ -2,12 +2,12 @@
 eval -> ablate -> inspect.
 
 One binary, subcommand style. Each subcommand accepts ``--config FILE`` (JSON
-whose keys mirror the long flag names); explicit flags win over the file, the
-file wins over defaults. A config key that names no flag, or whose value does
-not fit the flag's type, is rejected. Every run writes its fully resolved
-configuration next to its outputs so the run is reproducible from that file
-alone. File outputs are committed with a temp-file + rename so partial results
-never appear at final paths.
+whose keys mirror the long flag names, path arguments included); explicit
+flags win over the file, the file wins over defaults. A config key that names
+no flag, or whose value does not fit the flag's type, is rejected. Every run
+writes its fully resolved configuration next to its outputs; passed back as
+``--config``, that file alone reproduces the run. File outputs are committed
+with a temp-file + rename so partial results never appear at final paths.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def _setting_type(default) -> type:
     return default if isinstance(default, type) else type(default)
 
 
-def _check_config_value(key: str, value, default) -> None:
+def _check_config_value(key: str, value, default, required: bool = False) -> None:
     """SystemExit unless ``value`` fits the setting declared by ``default``.
 
-    An int is accepted for a float setting and kept as written.
+    An int is accepted for a float setting and kept as written; null only for
+    a setting whose default is None and that is not a required path.
     """
     kind = _setting_type(default)
-    nullable = kind is default
+    nullable = kind is default and not required
     if not ((value is None and nullable) or type(value) is kind
             or (kind is float and type(value) is int)):
         expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
@@ -74,39 +75,40 @@ def _check_config_value(key: str, value, default) -> None:
         raise SystemExit(f"config key {key!r} must be one of {_CHOICES[key]}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags; reject unknown keys and
-    values that do not fit their setting's type."""
-    cfg = {key: None if isinstance(d, type) else d for key, d in defaults.items()}
+def _resolve(args: argparse.Namespace, defaults: dict, paths: dict) -> dict:
+    """Merge defaults < config file < explicit flags over the settings and the
+    path arguments (strings); reject unknown keys, values that do not fit
+    their setting's type and required paths given nowhere."""
+    settings = {**defaults, **{flag: str for flag in paths}}
+    cfg = {key: None if isinstance(d, type) else d for key, d in settings.items()}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             file_cfg = json.load(f)
         if not isinstance(file_cfg, dict):
             raise SystemExit(f"config file {args.config} must hold a JSON object, "
                              f"got {type(file_cfg).__name__}")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(settings)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            _check_config_value(key, value, defaults[key])
+            _check_config_value(key, value, settings[key], paths.get(key, False))
         cfg.update(file_cfg)
-    for key in defaults:
+    for key in settings:
         val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val
+    missing = [f"--{flag}" for flag, required in paths.items() if required and cfg[flag] is None]
+    if missing:
+        raise SystemExit(f"the following arguments are required: {', '.join(missing)}")
     return cfg
 
 
-def _write_resolved(args: argparse.Namespace, cfg: dict, paths: dict) -> None:
-    """The settings and path arguments, into --out-dir as resolved_config.json
+def _write_resolved(cfg: dict) -> None:
+    """The resolved settings and paths, into --out-dir as resolved_config.json
     or beside the --out file as FILE.config.json."""
-    resolved = dict(cfg)
-    for flag in paths:
-        dest = flag.replace("-", "_")
-        resolved[dest] = getattr(args, dest)
-    target = (Path(args.out_dir) / "resolved_config.json" if hasattr(args, "out_dir")
-              else Path(args.out + ".config.json"))
-    atomic_write_text(target, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    target = (Path(cfg["out-dir"]) / "resolved_config.json" if "out-dir" in cfg
+              else Path(cfg["out"] + ".config.json"))
+    atomic_write_text(target, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
 def _model_config(cfg: dict) -> ModelConfig:
@@ -143,7 +145,7 @@ _SEGMENT_DEFAULTS = {"window": 15, "stride": int, "min-wpm": 30.0, "k-frames": 1
 def cmd_segment(args, cfg: dict) -> int:
     kept = dropped = 0
     buf = io.StringIO()
-    with open(args.transcripts, encoding="utf-8") as f:
+    with open(cfg["transcripts"], encoding="utf-8") as f:
         for transcript in segmentation.read_transcripts(f):
             segs = segmentation.segment_transcript(
                 transcript, window=cfg["window"], stride=cfg["stride"])
@@ -151,7 +153,7 @@ def cmd_segment(args, cfg: dict) -> int:
             dropped += len(segs) - len(keep)
             keep = [segmentation.with_frame_times(s, cfg["k-frames"]) for s in keep]
             kept += segmentation.write_segments(keep, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    atomic_write_text(cfg["out"], buf.getvalue())
     print(f"kept {kept} segments, dropped {dropped} below {cfg['min-wpm']} wpm")
     return 0
 
@@ -167,14 +169,14 @@ _ENCODE_DEFAULTS = {"d": _MODEL_DEFAULTS["d-model"], "seed": 0}
 def cmd_encode_pack(args, cfg: dict) -> int:
     encoders = StubEncoders(d=cfg["d"], seed=cfg["seed"])
     graphs = {}
-    if args.graphs:
-        with open(args.graphs, encoding="utf-8") as f:
+    if cfg["graphs"]:
+        with open(cfg["graphs"], encoding="utf-8") as f:
             graphs = read_graph_manifest(f)
     missing_graphs = 0
 
     def records():
         nonlocal missing_graphs
-        with open(args.segments, encoding="utf-8") as f:
+        with open(cfg["segments"], encoding="utf-8") as f:
             for seg in segmentation.read_segments(f):
                 key = f"{seg.video_id}:{seg.word_start}"
                 if not seg.frame_times:
@@ -192,7 +194,7 @@ def cmd_encode_pack(args, cfg: dict) -> int:
                 arrays.append(("raw", caption_bytes))
                 yield EmbeddingRecord(key, tuple(arrays))
 
-    summary = write_store(records(), args.out)
+    summary = write_store(records(), cfg["out"])
     print(f"packed {summary.count} records into {summary.path} "
           f"({summary.file_bytes} bytes); {missing_graphs} segments without a scene graph")
     return 0
@@ -228,11 +230,11 @@ _PRETRAIN_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
 
 
 def cmd_pretrain(args, cfg: dict) -> int:
-    run_dir = Path(args.out_dir)
+    run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
     encoders = StubEncoders(d=cfg["d-model"], seed=cfg["stub-seed"])
-    with Store(args.store) as store:
+    with Store(cfg["store"]) as store:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)
     model = Model(model_cfg, seed=cfg["seed"])
@@ -275,11 +277,11 @@ def _load_vqa_records(path: str) -> list[dict]:
     return records
 
 
-def _vqa_examples(args, cfg: dict, model_cfg: ModelConfig) -> list[objectives.VqaExample]:
+def _vqa_examples(cfg: dict, model_cfg: ModelConfig) -> list[objectives.VqaExample]:
     """The --vqa records as examples, seeded by --seed, filtered by --yes-no-only."""
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
-    records = _load_vqa_records(args.vqa)
-    with Store(args.image_store) as image_store:
+    records = _load_vqa_records(cfg["vqa"])
+    with Store(cfg["image-store"]) as image_store:
         return evaluation.vqa_examples(
             records, image_store, encoders, seed=cfg["seed"], include_graph=cfg["graph"],
             yes_no_only=cfg["yes-no-only"], max_target_len=model_cfg.max_target_len)
@@ -290,15 +292,15 @@ _FINETUNE_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    run_dir = Path(args.out_dir)
+    run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
-    if args.checkpoint_in:
-        model = load_checkpoint(args.checkpoint_in)
+    if cfg["checkpoint-in"]:
+        model = load_checkpoint(cfg["checkpoint-in"])
         model_cfg = model.config
     else:
         model_cfg = _model_config(cfg)
         model = Model(model_cfg, seed=cfg["seed"])
-    examples = _vqa_examples(args, cfg, model_cfg)
+    examples = _vqa_examples(cfg, model_cfg)
     final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
     print(f"finetuned {cfg['steps']} steps on {len(examples)} examples{final_loss}")
     return 0
@@ -313,13 +315,13 @@ _EVAL_DEFAULTS = {"seed": 0, "stub-seed": 0, "graph": True, "yes-no-only": False
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    if not Path(args.checkpoint).exists():
-        print(f"checkpoint not found: {args.checkpoint}", file=sys.stderr)
+    if not Path(cfg["checkpoint"]).exists():
+        print(f"checkpoint not found: {cfg['checkpoint']}", file=sys.stderr)
         return 1
-    model = load_checkpoint(args.checkpoint)
-    examples = _vqa_examples(args, cfg, model.config)
+    model = load_checkpoint(cfg["checkpoint"])
+    examples = _vqa_examples(cfg, model.config)
     result = evaluation.evaluate(model, examples, max_decode_len=cfg["max-decode-len"])
-    run_dir = Path(args.out_dir)
+    run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "mean_accuracy": result.mean_accuracy,
@@ -350,7 +352,7 @@ _ABLATE_DEFAULTS = {
 
 
 def cmd_ablate(args, cfg: dict) -> int:
-    run_dir = Path(args.out_dir)
+    run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
@@ -372,6 +374,11 @@ def cmd_ablate(args, cfg: dict) -> int:
     atomic_write_text(run_dir / "ablation.jsonl",
                       "".join(json.dumps(asdict(r)) + "\n" for r in rows))
     print(buf.getvalue(), end="")
+    failed = [r.label for r in rows if r.status != "ok"]
+    if failed:
+        print(f"error: {len(failed)} of {len(rows)} ablation rows failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -419,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, _, paths, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, required in paths.items():
-            p.add_argument(f"--{flag}", required=required)
+            # with --config, a required path may come from the file instead
+            p.add_argument(f"--{flag}", required=required and defaults is None)
         if defaults is None:
             continue
         p.add_argument("--config")
@@ -440,10 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if defaults is None:
             return handler(args)
-        cfg = _resolve(args, defaults)
+        cfg = _resolve(args, defaults, paths)
         rc = handler(args, cfg)
         if rc == 0:
-            _write_resolved(args, cfg, paths)
+            _write_resolved(cfg)
         return rc
     except (ModalfuseError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

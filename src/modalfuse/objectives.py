@@ -30,7 +30,7 @@ OBJECTIVES = ("full_caption", "split_half")
 @dataclass(frozen=True)
 class PretrainExample:
     fused: FusedInput
-    target: np.ndarray        # token ids, fixed length
+    target: np.ndarray        # token ids, PAD-padded to max_target_len; collate trims per batch
     objective: str
     caption: str
 
@@ -129,14 +129,21 @@ def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
 # ---------------------------------------------------------------------------
 
 def collate(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack fused rows, modality ids and targets; row counts must agree."""
+    """Stack fused rows, modality ids and targets; row counts must agree.
+
+    Each example's target is PAD-padded to max_target_len; the stacked
+    targets are trimmed to the batch's longest non-PAD target. PAD only
+    trails, and causal attention keeps every real position blind to later
+    ones, so the trim changes no loss or gradient beyond rounding.
+    """
     ms = {e.fused.rows.shape[0] for e in examples}
     if len(ms) != 1:
         raise ValueError(f"cannot batch examples with differing row counts: {sorted(ms)}")
     rows = np.stack([e.fused.rows for e in examples]).astype(np.float64)
     ids = np.stack([e.fused.modality_ids for e in examples])
     targets = np.stack([e.target for e in examples])
-    return rows, ids, targets
+    width = int((targets != tokenizer.PAD).sum(axis=1).max())
+    return rows, ids, targets[:, :width]
 
 
 @dataclass
@@ -185,7 +192,7 @@ def train(examples: list, model: Model, cfg: TrainConfig,
             rng = np.random.default_rng([cfg.seed, epoch])
             order.extend(int(i) for i in rng.permutation(len(examples)))
             epoch += 1
-        batch_idx = [order.pop(0) for _ in range(cfg.batch_size)]
+        batch_idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
         rows, ids, targets = collate([examples[i] for i in batch_idx])
 
         model.zero_grad()

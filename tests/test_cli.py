@@ -414,6 +414,67 @@ class TestAblate:
         out = capsys.readouterr().out
         assert "pretrain+graph" in out
 
+    def test_failed_rows_exit_nonzero(self, tmp_path, capsys):
+        run = tmp_path / "a"
+        assert main(["ablate", "--n-segments", "8", "--n-vqa", "8",
+                     "--pretrain-steps", "1", "--finetune-steps", "1",
+                     "--batch-size", "0", *TINY_MODEL, "--out-dir", str(run)]) == 1
+        lines = (run / "ablation.tsv").read_text().splitlines()
+        assert len(lines) == 9
+        assert all(l.split("\t")[3].startswith("failed:") for l in lines[1:])
+        assert len((run / "ablation.jsonl").read_text().splitlines()) == 8
+        err = capsys.readouterr().err
+        assert "error: 8 of 8 ablation rows failed" in err and "pretrain+graph" in err
+
+
+def run_losses(run_dir):
+    return [json.loads(l)["loss"] for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
+
+
+class TestResolvedConfig:
+    def test_pretrain_rerun_from_resolved_config(self, tmp_path, stage_argv):
+        r1, r2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["pretrain", *stage_argv["pretrain"][1:], "--steps", "2",
+                     "--out-dir", str(r1)]) == 0
+        assert main(["pretrain", "--config", str(r1 / "resolved_config.json"),
+                     "--out-dir", str(r2)]) == 0
+        assert len(run_losses(r1)) == 2 and run_losses(r1) == run_losses(r2)
+        cfg1 = json.loads((r1 / "resolved_config.json").read_text())
+        cfg2 = json.loads((r2 / "resolved_config.json").read_text())
+        assert cfg1["store"] == stage_argv["pretrain"][2]
+        assert {k for k in cfg1 if cfg1[k] != cfg2[k]} == {"out-dir"}
+        assert cfg2["out-dir"] == str(r2)
+
+    def test_optional_path_from_file_used(self, tmp_path, stage_argv):
+        ckpt = tmp_path / "seed7.store"
+        save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=64, max_target_len=32),
+                              seed=7), ckpt)
+        r1, r2 = tmp_path / "r1", tmp_path / "r2"
+        assert main([*stage_argv["finetune"], "--steps", "2", "--checkpoint-in", str(ckpt),
+                     "--out-dir", str(r1)]) == 0
+        # a fresh seed-0 model would train to different losses
+        assert main([*stage_argv["finetune"], "--steps", "2", "--out-dir", str(r2),
+                     "--config", str(r1 / "resolved_config.json")]) == 0
+        assert len(run_losses(r1)) == 2 and run_losses(r1) == run_losses(r2)
+        assert json.loads((r2 / "resolved_config.json").read_text())["checkpoint-in"] \
+            == str(ckpt)
+
+    @pytest.mark.parametrize("command, file_cfg, message", [
+        ("pretrain", None, "the following arguments are required: --store"),
+        ("pretrain", {"store": None}, "'store' must be a string, got None"),
+        ("finetune", {"checkpoint-in": 3}, "'checkpoint-in' must be a string or null, got 3"),
+    ])
+    def test_path_keys_checked(self, tmp_path, command, file_cfg, message):
+        argv = [command, "--out-dir", str(tmp_path / "run")]
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+        assert not (tmp_path / "run").exists()
+
 
 class TestTypedConfig:
     @pytest.mark.parametrize("command, file_cfg, message", [

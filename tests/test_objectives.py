@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from modalfuse import tokenizer
-from modalfuse.backbone import Model, ModelConfig
+from modalfuse.backbone import Model, ModelConfig, cross_entropy_loss
 from modalfuse.errors import ConfigError, NotFoundError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (TrainConfig, build_full_caption_example,
                                   build_split_half_example, build_vqa_example,
-                                  collate, split_caption, train)
+                                  collate, corpus_loss, split_caption, train)
 from modalfuse.scene_graph import SceneGraph
 from modalfuse.segmentation import Segment, with_frame_times
 from modalfuse.synthetic import make_leakage_corpus, make_mini_vqa, \
@@ -253,3 +253,61 @@ class TestTrain:
         without = build_full_caption_example(seg, encoders, graph=None)
         with pytest.raises(ValueError):
             collate([with_graph, without])
+
+
+class TestTrimmedBatch:
+    """collate cuts targets to the batch's longest target; nothing else moves."""
+
+    @pytest.fixture
+    def vqa_batch(self, tmp_path, encoders):
+        path = tmp_path / "img.store"
+        write_vqa_image_store(make_mini_vqa(4, seed=0), encoders, path)
+        with Store(path) as store:
+            return [build_vqa_example(store, f"img{i:04d}", GRAPH, "q", [answer] * 10,
+                                      np.random.default_rng(0), encoders,
+                                      max_target_len=SMALL.max_target_len)
+                    for i, answer in enumerate(["yes", "no", "2", "no"])]
+
+    @staticmethod
+    def full_width(examples):
+        return np.stack([e.target for e in examples])
+
+    def test_width_is_longest_vqa_target(self, vqa_batch):
+        _, _, targets = collate(vqa_batch)
+        assert targets.shape == (4, 5)          # BOS y e s EOS
+        assert np.array_equal(targets, self.full_width(vqa_batch)[:, :5])
+
+    def test_width_is_longest_split_half_target(self, encoders):
+        corpus = make_leakage_corpus(n_segments=6, variants_per_group=2, seed=0)
+        examples = [build_split_half_example(s, encoders, graph=g, max_target_len=64)
+                    for s, g in corpus]
+        _, _, targets = collate(examples)
+        longest = max(int((e.target != tokenizer.PAD).sum()) for e in examples)
+        assert targets.shape == (len(examples), longest)
+        assert longest < 64
+
+    def test_loss_and_grads_match_full_width(self, vqa_batch):
+        rows, ids, targets = collate(vqa_batch)
+        trimmed = Model(SMALL, seed=0)
+        loss = trimmed.loss_and_grads(rows, ids, targets)
+        full = Model(SMALL, seed=0)
+        full_loss = full.loss_and_grads(rows, ids, self.full_width(vqa_batch))
+        assert loss == pytest.approx(full_loss, rel=1e-12)
+        # relative to each gradient's norm: single entries that nearly cancel
+        # carry rounding far above 1e-12 of their own size
+        for p, q in zip(trimmed.params(), full.params()):
+            assert np.linalg.norm(p.grad - q.grad) <= 1e-12 * np.linalg.norm(q.grad)
+
+    def test_corpus_loss_matches_full_width(self, vqa_batch):
+        model = Model(SMALL, seed=0)
+        total = n_tokens = 0
+        for lo in (0, 2):
+            batch = vqa_batch[lo:lo + 2]
+            rows, ids, _ = collate(batch)
+            full = self.full_width(batch)
+            tokens = int((full[:, 1:] != tokenizer.PAD).sum())
+            total += cross_entropy_loss(model.forward(rows, ids, full[:, :-1]),
+                                        full[:, 1:]) * tokens
+            n_tokens += tokens
+        assert corpus_loss(model, vqa_batch, batch_size=2) == pytest.approx(
+            total / n_tokens, rel=1e-12)
