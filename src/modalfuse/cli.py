@@ -25,9 +25,9 @@ from . import evaluation, objectives, segmentation, synthetic
 # save_checkpoint is unused here but stays importable as cli.save_checkpoint,
 # where the benchmark's call tracer patches it.
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
-from .errors import ModalfuseError, ValidationError
+from .errors import ModalfuseError, RecordParseError, ValidationError
 from .experts import Embedding, StubEncoders
-from .scene_graph import SceneGraph, read_graph_manifest
+from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
 
 
@@ -261,18 +261,22 @@ def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
 
 
 def _load_vqa_records(path: str) -> list[dict]:
+    """The {image_key, question, answers, graph} records of a VQA JSONL file."""
     records = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise RecordParseError(f"bad VQA record: {e}", line=lineno) from e
+            if not isinstance(rec, dict) or not {"image_key", "question", "answers"} <= rec.keys():
+                raise RecordParseError("VQA record needs 'image_key', 'question' and 'answers'",
+                                       line=lineno)
             if rec.get("graph") is not None:
-                rec["graph"] = SceneGraph(
-                    objects=tuple(rec["graph"]["objects"]),
-                    relations=tuple(tuple(r) for r in rec["graph"]["relations"]),
-                )
+                rec["graph"] = scene_graph_from_dict(rec["graph"], line=lineno)
             records.append(rec)
     return records
 

@@ -151,8 +151,6 @@ class TrainConfig:
     steps: int = 500
     batch_size: int = 16
     lr: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.0
     seed: int = 0
     checkpoint_every: int = 0     # 0 = never
@@ -179,8 +177,7 @@ def train(examples: list, model: Model, cfg: TrainConfig,
     """
     if not examples:
         raise ValueError("empty dataset")
-    opt = AdamW(model.params(), lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     metrics: list[dict] = []
     examples_seen = 0
     epoch = 0

@@ -18,7 +18,6 @@ from .errors import RecordParseError, ValidationError
 class SceneGraph:
     objects: tuple[str, ...]
     relations: tuple[tuple[int, str, int], ...] = field(default_factory=tuple)
-    allow_self_loops: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -35,16 +34,13 @@ class SceneGraph:
                 )
             if not pred:
                 raise ValidationError("predicate must be non-empty")
-            if subj == obj and not self.allow_self_loops:
+            if subj == obj:
                 raise ValidationError(f"self-loop on object {subj} ({self.objects[subj]!r})")
 
 
-def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
-    """Parse one serialized graph record: {"objects": [...], "relations": [[s, p, o], ...]}."""
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise RecordParseError(f"bad scene-graph record: {e}", line=line) from e
+def scene_graph_from_dict(rec, line: int | None = None) -> SceneGraph:
+    """Build a graph from one decoded {"objects": [...], "relations": [[s, p, o], ...]}
+    record, coercing labels and predicates to str and indices to int."""
     if not isinstance(rec, dict) or "objects" not in rec or "relations" not in rec:
         raise RecordParseError("scene-graph record needs 'objects' and 'relations'", line=line)
     try:
@@ -53,7 +49,16 @@ def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
             relations=tuple((int(s), str(p), int(o)) for s, p, o in rec["relations"]),
         )
     except (TypeError, ValueError) as e:
-        raise RecordParseError(f"malformed relation list: {e}", line=line) from e
+        raise RecordParseError(f"malformed scene graph: {e}", line=line) from e
+
+
+def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
+    """Parse one serialized graph record: {"objects": [...], "relations": [[s, p, o], ...]}."""
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise RecordParseError(f"bad scene-graph record: {e}", line=line) from e
+    return scene_graph_from_dict(rec, line)
 
 
 def serialize_scene_graph(graph: SceneGraph) -> str:
@@ -87,8 +92,5 @@ def read_graph_manifest(fp) -> dict[str, SceneGraph]:
             key = rec["key"]
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise RecordParseError(f"bad graph manifest record: {e}", line=lineno) from e
-        graphs[key] = parse_scene_graph(
-            json.dumps({"objects": rec["objects"], "relations": rec["relations"]}),
-            line=lineno,
-        )
+        graphs[key] = scene_graph_from_dict(rec, line=lineno)
     return graphs

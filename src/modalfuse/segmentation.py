@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, TextIO
 
 from .errors import RecordParseError, ValidationError
@@ -140,15 +140,7 @@ def sample_frame_times(segment: Segment, k: int) -> list[float]:
 
 
 def with_frame_times(segment: Segment, k: int) -> Segment:
-    return Segment(
-        video_id=segment.video_id,
-        word_start=segment.word_start,
-        word_end=segment.word_end,
-        caption=segment.caption,
-        t_start=segment.t_start,
-        t_end=segment.t_end,
-        frame_times=tuple(sample_frame_times(segment, k)),
-    )
+    return replace(segment, frame_times=tuple(sample_frame_times(segment, k)))
 
 
 # ---------------------------------------------------------------------------

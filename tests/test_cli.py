@@ -391,6 +391,29 @@ class TestTrainingPipeline:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "run" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: "{not json", "bad VQA record"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "image_key"}, "needs 'image_key'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "question"}, "needs 'image_key'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "answers"}, "needs 'image_key'"),
+        (lambda rec: {**rec, "graph": {"objects": ["dog"]}}, "needs 'objects' and 'relations'"),
+        (lambda rec: {**rec, "graph": {"objects": ["dog", "cat"],
+                                       "relations": [["first", "on", "second"]]}},
+         "malformed scene graph"),
+    ], ids=["invalid-json", "no-image-key", "no-question", "no-answers",
+            "graph-without-relations", "string-relation-indices"])
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_malformed_vqa_record_exits_nonzero(self, tmp_path, stage_argv, capsys, command,
+                                                edit, message):
+        vqa = tmp_path / "vqa.jsonl"        # the file stage_argv passes as --vqa
+        lines = vqa.read_text().splitlines()
+        bad = edit(json.loads(lines[2]))
+        lines[2] = bad if isinstance(bad, str) else json.dumps(bad)
+        vqa.write_text("\n".join(lines) + "\n")
+        assert main(stage_argv[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and message in err
+
 
 class TestAblate:
     def test_grid_outputs_and_rerun_identical(self, tmp_path, capsys):

@@ -29,7 +29,6 @@ class TestParse:
     def test_self_loop_rejected_by_default(self):
         with pytest.raises(ValidationError):
             SceneGraph(("dog",), ((0, "next to", 0),))
-        SceneGraph(("dog",), ((0, "next to", 0),), allow_self_loops=True)
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValidationError):

@@ -98,10 +98,9 @@ class TestGet:
         path = tmp_path / "s.store"
         write_store([EmbeddingRecord("k", (("frame", arr),))], path)
         with Store(path) as s:
-            off = int(s._offsets[0])
-            length = int(s._lengths[0])
+            _, off, length = s._entries[0]
         data = bytearray(path.read_bytes())
-        # flip one bit in the payload area (skip key/header bytes of the record)
+        # flip one bit in the payload area (before the record's trailing CRC)
         data[off + length - 10] ^= 0x01
         path.write_bytes(bytes(data))
         with Store(path) as s:
@@ -120,40 +119,113 @@ class TestGet:
                 s.get_by_key("nope")
 
 
+HEADER = FOOTER = 16
+
+
+def index_offset(blob):
+    return struct.unpack_from("<Q", blob, len(blob) - FOOTER)[0]
+
+
+def with_index(blob, index, count=None):
+    """``blob`` with its index (and, given ``count``, its record count) replaced
+    and the footer CRC recomputed, so only the edited bytes are wrong."""
+    header = blob[:8] + struct.pack("<Q", count) if count is not None else blob[:HEADER]
+    return (header + blob[HEADER : index_offset(blob)] + index
+            + struct.pack("<QI4s", index_offset(blob), zlib.crc32(header + index), b"SPTV"))
+
+
+def index_bytes(entries):
+    out = b""
+    for off, length, key in entries:
+        key = key.encode("utf-8")
+        out += struct.pack("<QQH", off, length, len(key)) + key
+    return out
+
+
+class TestLayout:
+    def test_two_record_store_bytes(self, tmp_path):
+        recs = [EmbeddingRecord("a", (("frame", np.array([1.0, -2.0], np.float32)),)),
+                EmbeddingRecord("bc", (("caption", np.zeros((0, 3), np.float32)),
+                                       ("raw", np.array([0.5], np.float32))))]
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        expected = bytes.fromhex(
+            # header: magic, version 2, 2 records
+            "56505453 02000000 0200000000000000"
+            # record 0 at 16: 1 array | frame, rank 1, dims 2 | 1.0, -2.0 | CRC32
+            "0100 00 01 02000000 0000803f 000000c0 e164dbd5"
+            # record 1 at 36: 2 arrays | caption, rank 2, dims 0 3, no payload
+            # | raw, rank 1, dims 1 | 0.5 | CRC32
+            "0200 01 02 00000000 03000000 04 01 01000000 0000003f 96f9978f"
+            # index at 62: offset | length | key length | key, per record
+            "1000000000000000 1400000000000000 0100 61"
+            "2400000000000000 1a00000000000000 0200 6263"
+            # footer: index offset 62 | CRC32(header + index) | tail magic
+            "3e00000000000000 5475227c 53505456")
+        assert path.read_bytes() == expected
+        for start, end in ((16, 36), (36, 62)):
+            assert zlib.crc32(expected[start : end - 4]) == int.from_bytes(
+                expected[end - 4 : end], "little")
+        assert zlib.crc32(expected[:16] + expected[62:101]) == 0x7C227554
+
+
 class TestIndexIntegrity:
-    def recrc(self, path, data):
-        """Write ``data`` with its footer CRC recomputed over header + index,
-        so the file passes the CRC check and only the edited bytes are wrong."""
-        index_offset, _, tail = struct.unpack("<QI4s", data[-16:])
-        crc = zlib.crc32(data[:17] + data[index_offset:-16])
-        path.write_bytes(data[:-16] + struct.pack("<QI4s", index_offset, crc, tail))
-
-    def rewrite_table(self, path, table):
-        """Replace the hash table, keeping the footer CRC valid."""
-        data = path.read_bytes()
-        (index_offset,) = struct.unpack_from("<Q", data, len(data) - 16)
-        (count,) = struct.unpack_from("<Q", data, 9)
-        entries = data[index_offset : index_offset + 24 * count]
-        index = entries + struct.pack("<Q", len(table)) + np.asarray(table, "<u8").tobytes()
-        self.recrc(path, data[:index_offset] + index + data[-16:])
-
-    @pytest.mark.parametrize("table", [[98, 0, 1, 2, 3, 0, 0, 0],   # slot past count 3
-                                       [1, 2, 3]])                   # size not a power of two
-    def test_bad_hash_table_rejected_at_open(self, tmp_path, table):
-        path = tmp_path / "s.store"
-        write_store([EmbeddingRecord(f"k{i}", ()) for i in range(3)], path)
-        self.rewrite_table(path, table)
-        with pytest.raises(CorruptionError, match="hash table"):
+    def test_v1_store_refused(self, tmp_path):
+        # an empty store as the version-1 writer laid it out: a header with a
+        # compression byte, a 2-slot hash table as the index
+        header = struct.pack("<4sIBQ", b"VPTS", 1, 0, 0)
+        index = struct.pack("<Q", 2) + bytes(16)
+        path = tmp_path / "v1.store"
+        path.write_bytes(header + index + struct.pack(
+            "<QI4s", len(header), zlib.crc32(header + index), b"SPTV"))
+        with pytest.raises(CorruptionError, match="version 1.*re-run"):
             Store(path)
 
-    def test_compressed_store_rejected_at_open(self, tmp_path):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda e: [e[0], (*e[1][:2], "k0")], "duplicate key 'k0'"),
+        (lambda e: index_bytes(e)[:-1], "index"),
+        (lambda e: index_bytes(e)[:-5], "index"),
+        (lambda e: index_bytes(e) + b"\0", "index holds"),
+        (lambda e: [e[0], (2**64 - 1, *e[1][1:])], "outside"),
+        (lambda e: [e[0], (e[1][0], 2**40, e[1][2])], "outside"),
+        (lambda e: [e[0], (e[1][0], e[1][1] + 1, e[1][2])], "outside"),
+        (lambda e: [(HEADER - 1, *e[0][1:]), e[1]], "outside"),
+    ], ids=["duplicate-key", "key-cut-short", "entry-cut-short", "bytes-past-entries",
+            "offset-2**64-1", "length-2**40", "extent-into-index", "extent-into-header"])
+    def test_bad_index_rejected_at_open(self, tmp_path, edit, match):
         path = tmp_path / "s.store"
-        write_store([EmbeddingRecord("k", (("frame", np.ones(4, np.float32)),))], path)
+        write_store([EmbeddingRecord(f"k{i}", (("frame", np.ones(3, np.float32)),))
+                     for i in range(2)], path)
+        with Store(path) as s:
+            entries = [(off, length, key) for key, off, length in s._entries]
+        index = edit(entries)
+        if isinstance(index, list):
+            index = index_bytes(index)
+        path.write_bytes(with_index(path.read_bytes(), index))
+        with pytest.raises(CorruptionError, match=match):
+            Store(path)
+
+    def test_count_disagreeing_with_index_rejected(self, tmp_path):
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord(f"k{i}", ()) for i in range(2)], path)
+        blob = path.read_bytes()
+        index = blob[index_offset(blob) : -FOOTER]
+        for count in (1, 3, 2**64 - 1):
+            path.write_bytes(with_index(blob, index, count=count))
+            with pytest.raises(CorruptionError, match="index"):
+                Store(path)
+
+    def test_record_crc_covers_dims(self, tmp_path):
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord("k", (("frame", np.ones((2, 3), np.float32)),))], path)
+        with Store(path) as s:
+            _, off, _ = s._entries[0]
         data = bytearray(path.read_bytes())
-        data[8] = 1                       # the header's compression byte: deflate
-        self.recrc(path, bytes(data))
-        with pytest.raises(CorruptionError, match="re-run"):
-            Store(path)
+        data[off + 4] ^= 0x01          # after u16 array count, u8 tag, u8 rank: dims[0]
+        path.write_bytes(bytes(data))
+        with Store(path) as s:
+            with pytest.raises(CorruptionError, match="CRC"):
+                s.get(0)
 
 
 class TestAtomicity:
@@ -248,3 +320,95 @@ def test_roundtrip_property(tmp_path_factory, shapes):
     with Store(path) as s:
         for i, rec in enumerate(recs):
             assert records_equal(s.get(i), rec)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: whatever the bytes, open, get and get_by_key raise only CorruptionError,
+# NotFoundError or, for an index past the end, IndexError.
+# ---------------------------------------------------------------------------
+
+FUZZ_KEYS = ("a", "bb", "k\u00e9y", "vid007:120")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """(file bytes, [(key, offset, length)]) of a 4-record store, and a scratch path."""
+    rng = np.random.default_rng(5)
+    path = tmp_path_factory.mktemp("fuzz") / "s.store"
+    write_store([rand_record(rng, k) for k in FUZZ_KEYS], path)
+    with Store(path) as s:
+        entries = list(s._entries)
+    return path.read_bytes(), entries, path
+
+
+def exercise(path):
+    try:
+        s = Store(path)
+    except CorruptionError:
+        return
+    with s:
+        for i in range(len(s)):
+            try:
+                s.get(i)
+            except CorruptionError:
+                pass
+        for key in (*FUZZ_KEYS, "absent"):
+            try:
+                s.get_by_key(key)
+            except (CorruptionError, NotFoundError):
+                pass
+        with pytest.raises(IndexError):
+            s.get(len(s))
+
+
+flips = st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), min_size=1, max_size=4)
+
+
+def flipped(data, edits, start=0, end=None):
+    """``data`` with each (position, mask) XORed into [start, end)."""
+    data = bytearray(data)
+    end = len(data) if end is None else end
+    for pos, mask in edits:
+        data[start + pos % (end - start)] ^= mask
+    return bytes(data)
+
+
+@given(cut=st.integers(0, 2**20))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_truncated_file(fuzz_base, cut):
+    blob, _, path = fuzz_base
+    path.write_bytes(blob[: cut % len(blob)])
+    exercise(path)
+
+
+@given(edits=flips, resize=st.integers(-12, 12), count=st.one_of(st.none(), st.integers(0, 8)))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_crc_valid_index(fuzz_base, edits, resize, count):
+    blob, _, path = fuzz_base
+    index = blob[index_offset(blob) : -FOOTER]
+    index = flipped(index, edits)
+    index = index[:resize] if resize < 0 else index + bytes(resize)
+    path.write_bytes(with_index(blob, index, count))
+    exercise(path)
+
+
+@given(offset=st.one_of(st.integers(0, 2**12), st.integers(0, 2**64 - 1)))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_footer_index_offset(fuzz_base, offset):
+    # the footer CRC covers the header and whatever the offset points at
+    blob, _, path = fuzz_base
+    header, body = blob[:HEADER], blob[:-FOOTER]
+    path.write_bytes(body + struct.pack("<QI4s", offset,
+                                        zlib.crc32(header + body[offset:]), b"SPTV"))
+    exercise(path)
+
+
+@given(record=st.integers(0, len(FUZZ_KEYS) - 1), edits=flips)
+@settings(max_examples=200, deadline=None)
+def test_fuzz_crc_valid_record(fuzz_base, record, edits):
+    blob, entries, path = fuzz_base
+    _, off, length = entries[record]
+    data = bytearray(flipped(blob, edits, off, off + length - 4))
+    data[off + length - 4 : off + length] = struct.pack("<I", zlib.crc32(data[off : off + length - 4]))
+    path.write_bytes(bytes(data))
+    exercise(path)
