@@ -170,6 +170,21 @@ class FeedForward:
         return self.w_in.params() + self.w_out.params()
 
 
+def _attend(q, k, v, scale: float, causal: bool = False):
+    """Softmax attention of q [B, H, Tq, dh] over k, v [B, H, Tk, dh]; returns
+    the context [B, H, Tq, dh] and the weights [B, H, Tq, Tk]."""
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    if causal:
+        tq, tk = scores.shape[-2:]
+        if tq != tk:
+            raise ValueError("causal attention needs square score matrix")
+        scores = scores + np.triu(np.full((tq, tk), -np.inf), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights @ v, weights
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention; optionally causal (requires Tq == Tk)."""
 
@@ -193,22 +208,32 @@ class MultiHeadAttention:
 
     def forward(self, xq: np.ndarray, xkv: np.ndarray, causal: bool = False) -> np.ndarray:
         q = self._split(self.wq.forward(xq))
-        k = self._split(self.wk.forward(xkv))
-        v = self._split(self.wv.forward(xkv))
+        k, v = self.keys_values(xkv)
         scale = 1.0 / math.sqrt(self.dh)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if causal:
-            tq, tk = scores.shape[-2:]
-            if tq != tk:
-                raise ValueError("causal attention needs square score matrix")
-            scores = scores + np.triu(np.full((tq, tk), -np.inf), k=1)
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        ctx = weights @ v
+        ctx, weights = _attend(q, k, v, scale, causal)
         self._cache = (q, k, v, weights, scale)
         self.last_weights = weights
         return self.wo.forward(self._merge(ctx))
+
+    def keys_values(self, xkv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values [B, H, T, dh] of ``xkv`` [B, T, d]."""
+        return self._split(self.wk.forward(xkv)), self._split(self.wv.forward(xkv))
+
+    def step(self, xq: np.ndarray, k: np.ndarray, v: np.ndarray, t: int | None = None):
+        """Attention output [B, d] of one new position per row, ``xq`` [B, d].
+
+        It attends over the keys and values k, v [B, H, T, dh]. With ``t``,
+        k and v are a self-attention cache: the keys and values of ``xq`` are
+        written at position t, and the query attends over positions 0..t.
+        """
+        b = xq.shape[0]
+        if t is not None:
+            k[:, :, t] = self.wk.forward(xq).reshape(b, self.h, self.dh)
+            v[:, :, t] = self.wv.forward(xq).reshape(b, self.h, self.dh)
+            k, v = k[:, :, :t + 1], v[:, :, :t + 1]
+        q = self.wq.forward(xq).reshape(b, self.h, 1, self.dh)
+        ctx, _ = _attend(q, k, v, 1.0 / math.sqrt(self.dh))
+        return self.wo.forward(ctx.reshape(b, self.h * self.dh))
 
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_xq, d_xkv)."""
@@ -264,6 +289,18 @@ class DecoderBlock:
         x = x + self.cross_attn.forward(self.norm2.forward(x), enc_hidden)
         x = x + self.ff.forward(self.norm3.forward(x))
         return x
+
+    def step(self, x: np.ndarray, t: int, cache: list[np.ndarray]) -> np.ndarray:
+        """``forward`` for the one new position t per row, ``x`` [B, d].
+
+        ``cache`` holds this block's self-attention keys and values
+        [B, H, L, dh], L > t, filled for positions 0..t-1, then its
+        cross-attention keys and values of the encoder output.
+        """
+        self_k, self_v, cross_k, cross_v = cache
+        x = x + self.self_attn.step(self.norm1.forward(x), self_k, self_v, t)
+        x = x + self.cross_attn.step(self.norm2.forward(x), cross_k, cross_v)
+        return x + self.ff.forward(self.norm3.forward(x))
 
     def backward(self, dy):
         """Returns (dx, d_enc_hidden)."""
@@ -414,6 +451,60 @@ class Model:
             if nxt == tokenizer.EOS:
                 break
         return np.array(out, dtype=np.int64)
+
+    def greedy_decode_batch(self, rows, modality_ids,
+                            max_len: int | None = None) -> list[np.ndarray]:
+        """Greedy decoding of a batch: rows [B, m, d_model], modality_ids [B, m].
+
+        Entry i of the result equals ``greedy_decode(rows[i], modality_ids[i],
+        max_len)``: the same ``max_len`` checks, ties broken toward the lowest
+        id, and each row cut after its first EOS. ``greedy_decode`` stays the
+        reference; this path gets the same tokens with less work. It runs the
+        encoder once, projects each layer's cross-attention keys and values
+        once, keeps each layer's self-attention keys and values in a
+        [B, H, max_len - 1, dh] cache, and runs only the newest position
+        through the decoder at each step. Rows that emit EOS leave the batch.
+        """
+        if max_len is None:
+            max_len = self.config.max_target_len
+        if max_len > self.config.max_target_len:
+            raise ValueError("max_len exceeds max_target_len")
+        enc = self.encoder_forward(rows, modality_ids)
+        b = enc.shape[0]
+        steps = max(max_len - 1, 0)   # positions run: BOS up to the last token but one
+        out = [[tokenizer.BOS] for _ in range(b)]
+        live = np.arange(b)
+        caches = []
+        for block in self.dec_blocks:
+            shape = (b, block.self_attn.h, steps, block.self_attn.dh)
+            # np.empty: positions not reached yet are never written or paged in
+            caches.append([np.empty(shape), np.empty(shape), *block.cross_attn.keys_values(enc)])
+        last = np.full(b, tokenizer.BOS)
+        for t in range(steps):
+            x = self.tok_emb.value[last] + self.pos[t]
+            for block, cache in zip(self.dec_blocks, caches):
+                x = block.step(x, t, cache)
+            logits = self.lm_head.forward(self.dec_norm.forward(x))
+            nxt = np.argmax(logits, axis=-1)
+            for i, tok in zip(live, nxt.tolist()):
+                out[i].append(tok)
+            going = nxt != tokenizer.EOS
+            if not going.all():
+                if not going.any():
+                    break
+                live, nxt = live[going], nxt[going]
+                caches = [[_keep_rows(c, going, t + 1) for c in cache[:2]]
+                          + [c[going] for c in cache[2:]] for cache in caches]
+            last = nxt
+        return [np.array(o, dtype=np.int64) for o in out]
+
+
+def _keep_rows(cache: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
+    """A new self-attention cache holding the ``keep`` rows of ``cache``; only
+    the first ``filled`` positions are copied."""
+    new = np.empty((int(keep.sum()),) + cache.shape[1:])
+    new[:, :, :filled] = cache[keep, :, :filled]
+    return new
 
 
 def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,

@@ -253,7 +253,13 @@ def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as mf:
         metrics = objectives.train(examples, model, train_cfg, metrics_fp=mf)
     final_loss = metrics[-1]["loss"] if metrics else None
-    summary = {"steps": cfg["steps"], "final_loss": final_loss, "checkpoint": str(ckpt)}
+    truncated = sum(e.truncated for e in examples)
+    if truncated:
+        n = model.config.max_target_len
+        print(f"warning: {truncated} of {len(examples)} targets cut to max-target-len {n}"
+              f" ({n - 2} bytes of text)", file=sys.stderr)
+    summary = {"steps": cfg["steps"], "final_loss": final_loss, "checkpoint": str(ckpt),
+               "truncated_targets": truncated}
     atomic_write_text(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     if svg:
         atomic_write_text(run_dir / "loss.svg", _loss_chart_svg(metrics))

@@ -120,26 +120,43 @@ class EvalResult:
         return len(self.errors)
 
 
+# Examples decoded together. Larger chunks decode faster but hold more
+# memory: 64-token decodes at d=64 peaked about 2 MB higher in chunks of 32
+# than in chunks of 16.
+DECODE_CHUNK = 16
+
+
 def evaluate(model: Model, examples: list[VqaExample],
              max_decode_len: int | None = None) -> EvalResult:
     """Greedy-decode every example, score it, and aggregate.
 
-    An example whose decode raises is left out of the scores and recorded in
-    ``errors``; the evaluation fails only when no example decodes.
+    Examples with the same row shape are decoded together, DECODE_CHUNK at a
+    time, with ``Model.greedy_decode_batch``. A chunk whose decode raises
+    records that error against each of its examples, which are left out of
+    the scores; the evaluation fails only when no example decodes.
+    Predictions and scores keep the order of ``examples``.
     """
-    scores: list[float] = []
-    predictions: list[str] = []
-    errors: list[ExampleError] = []
+    groups: dict[tuple, list[int]] = {}
     for i, ex in enumerate(examples):
-        try:
-            tokens = model.greedy_decode(ex.fused.rows, ex.fused.modality_ids,
-                                         max_len=max_decode_len)
-            pred = tokenizer.detokenize(tokens)
-        except Exception as e:
-            errors.append(ExampleError(i, type(e).__name__, str(e)))
-            continue
-        predictions.append(pred)
-        scores.append(vqa_accuracy(pred, list(ex.human_answers)))
+        groups.setdefault(ex.fused.rows.shape, []).append(i)
+    decoded: dict[int, str] = {}
+    errors: list[ExampleError] = []
+    for group in groups.values():
+        for lo in range(0, len(group), DECODE_CHUNK):
+            chunk = group[lo:lo + DECODE_CHUNK]
+            try:
+                rows = np.stack([examples[i].fused.rows for i in chunk])
+                ids = np.stack([examples[i].fused.modality_ids for i in chunk])
+                texts = [tokenizer.detokenize(t)
+                         for t in model.greedy_decode_batch(rows, ids, max_len=max_decode_len)]
+            except Exception as e:
+                errors.extend(ExampleError(i, type(e).__name__, str(e)) for i in chunk)
+                continue
+            decoded.update(zip(chunk, texts))
+    errors.sort(key=lambda e: e.index)
+    done = sorted(decoded)
+    predictions = [decoded[i] for i in done]
+    scores = [vqa_accuracy(decoded[i], list(examples[i].human_answers)) for i in done]
     if not scores:
         why = ""
         if errors:

@@ -33,6 +33,7 @@ class PretrainExample:
     target: np.ndarray        # token ids, PAD-padded to max_target_len; collate trims per batch
     objective: str
     caption: str
+    truncated: bool           # the target text was cut to fit max_target_len
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class VqaExample:
     target: np.ndarray
     question: str
     image_key: str
+    truncated: bool           # chosen_target was cut to fit max_target_len
 
 
 def split_caption(words: list[str]) -> tuple[list[str], list[str]]:
@@ -82,6 +84,7 @@ def build_pretrain_example(objective: str, frames: list[Embedding], caption: str
         target=tokenizer.tokenize(target_text, max_target_len),
         objective=objective,
         caption=caption,
+        truncated=tokenizer.truncates(target_text, max_target_len),
     )
 
 
@@ -121,6 +124,7 @@ def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
         target=tokenizer.tokenize(chosen, max_target_len),
         question=question,
         image_key=image_key,
+        truncated=tokenizer.truncates(chosen, max_target_len),
     )
 
 

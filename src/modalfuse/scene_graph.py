@@ -92,5 +92,8 @@ def read_graph_manifest(fp) -> dict[str, SceneGraph]:
             key = rec["key"]
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise RecordParseError(f"bad graph manifest record: {e}", line=lineno) from e
+        if not isinstance(key, str):
+            raise RecordParseError(f"graph manifest key must be a string, got {key!r}",
+                                   line=lineno)
         graphs[key] = scene_graph_from_dict(rec, line=lineno)
     return graphs

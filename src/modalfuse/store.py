@@ -64,7 +64,8 @@ class EmbeddingRecord:
         for tag, arr in self.arrays:
             if tag not in TAG_TO_ID:
                 raise ConfigError(f"unknown modality tag {tag!r}")
-            fixed.append((tag, np.ascontiguousarray(arr, dtype=np.float32)))
+            # not ascontiguousarray, which turns a 0-d array into shape (1,)
+            fixed.append((tag, np.asarray(arr, dtype=np.float32, order="C")))
         object.__setattr__(self, "arrays", tuple(fixed))
 
 

@@ -24,6 +24,11 @@ def tokenize(text: str, max_len: int) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
+def truncates(text: str, max_len: int) -> bool:
+    """Whether ``tokenize(text, max_len)`` cuts ``text``: it keeps max_len - 2 bytes."""
+    return len(text.encode("utf-8")) > max_len - 2
+
+
 def detokenize(tokens: np.ndarray) -> str:
     """Inverse of tokenize on untruncated text; ignores specials."""
     data = bytearray()

@@ -339,6 +339,76 @@ class TestGreedyDecode:
         assert tokenizer.detokenize(out) == "yes"
 
 
+DECODE_CFG = ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
+                         n_decoder_layers=2, d_ff=64, max_target_len=32)
+
+
+@pytest.fixture(scope="module")
+def decode_setup():
+    """A d=32 model with 2 decoder layers trained briefly on 12 inputs, so
+    its decodes stop at different lengths, some only at max_target_len."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(12, 3, DECODE_CFG.d_model))
+    ids = np.tile([0, 1, 2], (12, 1))
+    texts = ["yes", "no", "two", "a red ball", "x" * 28, "", "blue", "cat on mat",
+             "z", "qq", "hello world", "3"]
+    targets = np.stack([tokenizer.tokenize(s, DECODE_CFG.max_target_len) for s in texts])
+    m = Model(DECODE_CFG, seed=1)
+    opt = AdamW(m.params(), lr=3e-3)
+    for _ in range(50):
+        m.zero_grad()
+        m.loss_and_grads(rows, ids, targets)
+        opt.step()
+    return m, rows, ids
+
+
+class TestGreedyDecodeBatch:
+    @pytest.mark.parametrize("max_len", [1, 2, None])
+    def test_matches_greedy_decode(self, decode_setup, max_len):
+        m, rows, ids = decode_setup
+        batch = m.greedy_decode_batch(rows, ids, max_len)
+        expected = [m.greedy_decode(rows[i], ids[i], max_len) for i in range(len(rows))]
+        assert len(batch) == len(expected)
+        for got, want in zip(batch, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        if max_len is None:
+            # rows stop at different lengths, so rows leave the batch mid-decode
+            lengths = {len(t) for t in expected}
+            assert len(lengths) > 2 and DECODE_CFG.max_target_len in lengths
+
+    def test_max_len_over_limit_raises_like_greedy_decode(self, decode_setup):
+        m, rows, ids = decode_setup
+        too_long = DECODE_CFG.max_target_len + 1
+        with pytest.raises(ValueError) as single:
+            m.greedy_decode(rows[0], ids[0], too_long)
+        with pytest.raises(ValueError) as batch:
+            m.greedy_decode_batch(rows, ids, too_long)
+        assert str(batch.value) == str(single.value)
+
+    def test_cached_step_logits_match_full_decoder(self, decode_setup, monkeypatch):
+        m, rows, ids = decode_setup
+        steps = []
+        head = m.lm_head.forward
+
+        def recording_head(x):
+            steps.append(head(x))
+            return steps[-1]
+
+        monkeypatch.setattr(m.lm_head, "forward", recording_head)
+        decoded = m.greedy_decode_batch(rows, ids)
+        monkeypatch.undo()
+        assert len(steps) == DECODE_CFG.max_target_len - 1
+        for t, logits in enumerate(steps):
+            # the rows still decoding at step t, in index order
+            live = [i for i, out in enumerate(decoded) if len(out) > t + 1]
+            assert logits.shape == (len(live), DECODE_CFG.vocab_size)
+            for j, i in enumerate(live):
+                enc = m.encoder_forward(rows[i:i + 1], ids[i:i + 1])
+                full = m.decoder_forward(decoded[i][None, :t + 1], enc)[0, -1]
+                assert np.max(np.abs(logits[j] - full)) <= 1e-12 * np.max(np.abs(full))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         m = Model(TINY, seed=0)

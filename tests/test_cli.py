@@ -173,6 +173,20 @@ class TestEncodePack:
             tags = [t for t, _ in s.get_by_key(keys[0]).arrays]
             assert "scene_graph" in tags
 
+    def test_graph_manifest_key_not_a_string(self, tmp_path, transcripts, capsys):
+        segs = tmp_path / "segments.jsonl"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
+        graphs = tmp_path / "graphs.jsonl"
+        good = {"key": "vid0:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}
+        graphs.write_text(json.dumps(good) + "\n" + json.dumps({**good, "key": ["vid0", 0]})
+                          + "\n")
+        store_path = tmp_path / "emb.store"
+        rc = main(["encode-pack", "--segments", str(segs), "--graphs", str(graphs),
+                   "--out", str(store_path), "--d", "32"])
+        assert rc == 1
+        assert "error: line 2: graph manifest key must be a string" in capsys.readouterr().err
+        assert not store_path.exists()
+
     def test_packs_every_frame_the_segments_list(self, tmp_path, transcripts):
         segs = tmp_path / "segments.jsonl"
         store_path = tmp_path / "emb.store"
@@ -224,6 +238,25 @@ class TestTrainingPipeline:
         assert len(lines) == 3
         assert json.loads(lines[0])["step"] == 0
         assert "final loss" in capsys.readouterr().out
+
+    def test_truncated_targets_reported(self, tmp_path, stage_argv, capsys):
+        # every split-half target of the packed captions is longer than the
+        # 30 bytes of text that --max-target-len 32 leaves
+        with Store(stage_argv["pretrain"][2]) as store:
+            halves = [objectives.split_caption(
+                bytes(dict(store.get(i).arrays)["raw"].astype(np.uint8)).decode().split(" "))[1]
+                for i in range(len(store))]
+        assert min(len(" ".join(h).encode()) for h in halves) > 30
+        assert main([*stage_argv["pretrain"], "--steps", "1"]) == 0
+        summary = json.loads((tmp_path / "out" / "run" / "summary.json").read_text())
+        assert summary["truncated_targets"] == len(halves) == 4
+        assert ("warning: 4 of 4 targets cut to max-target-len 32 (30 bytes of text)"
+                in capsys.readouterr().err)
+        # the one- to three-byte VQA answers fit
+        fin = tmp_path / "fin"
+        assert main([*stage_argv["finetune"], "--steps", "1", "--out-dir", str(fin)]) == 0
+        assert json.loads((fin / "summary.json").read_text())["truncated_targets"] == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_full_pipeline_pretrain_finetune_eval(self, tmp_path, packed, capsys):
         pre = tmp_path / "pre"

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalfuse import tokenizer
 from modalfuse.backbone import Model, ModelConfig
-from modalfuse.evaluation import (AblationRow, collapse_report,
+from modalfuse.evaluation import (DECODE_CHUNK, AblationRow, collapse_report,
                                   default_ablation_grid, evaluate, is_yes_no,
                                   normalize_answer, run_ablation, vqa_accuracy,
                                   write_ablation_table)
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import build_vqa_example
+from modalfuse.objectives import TrainConfig, build_vqa_example, train
 from modalfuse.store import Store
 from modalfuse.synthetic import (make_leakage_corpus, make_mini_vqa,
                                  write_vqa_image_store)
@@ -133,6 +134,29 @@ def vqa_setup(tmp_path_factory):
     store.close()
 
 
+@pytest.fixture(scope="module")
+def mixed_setup(tmp_path_factory):
+    """40 examples, 34 with a graph row (3 rows, so 3 decode chunks) and 6
+    without (2 rows), interleaved, and a model trained briefly on the graph
+    examples so decodes differ in length and text."""
+    encoders = StubEncoders(d=D, seed=0)
+    records = make_mini_vqa(40, seed=1)
+    path = tmp_path_factory.mktemp("mixed") / "img.store"
+    write_vqa_image_store(records, encoders, path)
+    rng = np.random.default_rng(0)
+    with Store(path) as store:
+        examples = [
+            build_vqa_example(store, r["image_key"], r["graph"], r["question"], r["answers"],
+                              rng, encoders, include_graph=i % 7 != 3, max_target_len=32)
+            for i, r in enumerate(records)
+        ]
+    assert sum(e.fused.rows.shape[0] == 3 for e in examples) == 34
+    model = Model(SMALL, seed=0)
+    train([e for e in examples if e.fused.rows.shape[0] == 3], model,
+          TrainConfig(steps=60, batch_size=8, lr=3e-3, seed=0))
+    return model, examples
+
+
 class TestEvaluate:
     def test_fresh_model_scores_in_range(self, vqa_setup):
         _, _, examples, _ = vqa_setup
@@ -158,6 +182,45 @@ class TestEvaluate:
         assert f"dimension {D + 1}" in err.message
         with pytest.raises(ValueError, match="no example decoded.*example 0: ConfigError"):
             evaluate(Model(SMALL, seed=0), [wrong_d], max_decode_len=8)
+
+    def test_batched_decode_matches_greedy_decode(self, mixed_setup):
+        model, examples = mixed_setup
+        result = evaluate(model, examples)
+        expected = [tokenizer.detokenize(model.greedy_decode(e.fused.rows, e.fused.modality_ids))
+                    for e in examples]
+        assert result.errors == ()
+        assert result.predictions == tuple(expected)
+        assert len(set(expected)) > 1
+        assert result.per_example == tuple(
+            vqa_accuracy(p, list(e.human_answers)) for p, e in zip(expected, examples))
+
+    def test_failed_chunks_recorded_per_example(self, mixed_setup, monkeypatch):
+        model, examples = mixed_setup
+        graph_rows = [i for i, e in enumerate(examples) if e.fused.rows.shape[0] == 3]
+        # calls: graph chunks of 16, 16 and 2 examples, then the 6 without a graph
+        failing = sorted(graph_rows[DECODE_CHUNK:2 * DECODE_CHUNK]
+                         + [i for i in range(len(examples)) if i not in graph_rows])
+        real = model.greedy_decode_batch
+        calls = []
+
+        def chunks_2_and_4_fail(rows, ids, max_len=None):
+            calls.append(len(rows))
+            if len(calls) in (2, 4):
+                raise RuntimeError(f"boom {len(calls)}")
+            return real(rows, ids, max_len)
+
+        monkeypatch.setattr(model, "greedy_decode_batch", chunks_2_and_4_fail)
+        result = evaluate(model, examples, max_decode_len=8)
+        assert calls == [16, 16, 2, 6]
+        assert [(e.index, e.type) for e in result.errors] == [
+            (i, "RuntimeError") for i in failing]
+        assert [e.message for e in result.errors if e.index in graph_rows] == ["boom 2"] * 16
+        kept = [i for i in range(len(examples)) if i not in failing]
+        monkeypatch.undo()
+        assert result.predictions == tuple(
+            tokenizer.detokenize(model.greedy_decode(examples[i].fused.rows,
+                                                     examples[i].fused.modality_ids, 8))
+            for i in kept)
 
     def test_fresh_model_collapses(self, vqa_setup):
         # an untrained decoder emits the same argmax path for every input,

@@ -1,10 +1,12 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse.errors import RecordParseError, ValidationError
 from modalfuse.scene_graph import (SceneGraph, linearize, parse_scene_graph,
-                                   serialize_scene_graph)
+                                   read_graph_manifest, serialize_scene_graph)
 
 
 class TestParse:
@@ -25,6 +27,13 @@ class TestParse:
     def test_malformed_with_line(self):
         with pytest.raises(RecordParseError, match="line 7"):
             parse_scene_graph("{broken", line=7)
+
+    def test_manifest_key_must_be_a_string(self):
+        lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',
+                 '{"key": ["v", 0], "objects": ["a", "b"], "relations": [[0, "on", 1]]}']
+        with pytest.raises(RecordParseError, match="line 2: graph manifest key") as e:
+            read_graph_manifest(io.StringIO("\n".join(lines)))
+        assert e.value.line == 2
 
     def test_self_loop_rejected_by_default(self):
         with pytest.raises(ValidationError):

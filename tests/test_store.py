@@ -62,6 +62,17 @@ class TestRoundtrip:
             assert records_equal(s.get(0), recs[0])
             assert records_equal(s.get(1), recs[1])
 
+    def test_rank_zero_kept(self, tmp_path):
+        rec = EmbeddingRecord("k", (("raw", np.float32(0.5).reshape(())),))
+        assert rec.arrays[0][1].shape == ()
+        path = tmp_path / "s.store"
+        write_store([rec], path)
+        # after the 16-byte header: u16 array count, u8 tag, u8 rank, payload
+        assert path.read_bytes()[16:24] == struct.pack("<HBBf", 1, 4, 0, 0.5)
+        with Store(path) as s:
+            back = s.get(0).arrays[0][1]
+        assert back.shape == () and back == np.float32(0.5)
+
     def test_duplicate_key_rejected(self, tmp_path):
         recs = [EmbeddingRecord("dup", ()), EmbeddingRecord("dup", ())]
         with pytest.raises(ValueError, match="dup"):
