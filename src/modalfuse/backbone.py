@@ -33,7 +33,6 @@ class ModelConfig:
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
     d_ff: int = 1024
-    vocab_size: int = tokenizer.VOCAB_SIZE
     max_target_len: int = 128
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.vocab_size < 4:
-            raise ConfigError("vocab_size must cover PAD, BOS, EOS and one symbol")
 
 
 class Parameter:
@@ -90,14 +87,16 @@ class Linear:
         return [self.W]
 
 
+_RMS_EPS = 1e-6
+
+
 class RMSNorm:
-    def __init__(self, d: int, name: str, eps: float = 1e-6):
+    def __init__(self, d: int, name: str):
         self.g = Parameter(np.ones(d), f"{name}/g")
-        self.eps = eps
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
+        r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
         self._cache = (x, r)
         return x * r * self.g.value
 
@@ -333,12 +332,12 @@ class Model:
         rng = np.random.default_rng(seed)
         c = config
         self.type_emb = Parameter(_init(rng, (len(MODALITIES), c.d_model)), "type_emb")
-        self.tok_emb = Parameter(_init(rng, (c.vocab_size, c.d_model)), "tok_emb")
+        self.tok_emb = Parameter(_init(rng, (tokenizer.VOCAB_SIZE, c.d_model)), "tok_emb")
         self.enc_blocks = [EncoderBlock(c, rng, f"enc{i}") for i in range(c.n_encoder_layers)]
         self.enc_norm = RMSNorm(c.d_model, "enc_norm")
         self.dec_blocks = [DecoderBlock(c, rng, f"dec{i}") for i in range(c.n_decoder_layers)]
         self.dec_norm = RMSNorm(c.d_model, "dec_norm")
-        self.lm_head = Linear(c.d_model, c.vocab_size, rng, "lm_head")
+        self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, rng, "lm_head")
         self.pos = sinusoidal_positions(c.max_target_len, c.d_model)
 
     # -- parameter plumbing -------------------------------------------------
@@ -438,6 +437,8 @@ class Model:
             max_len = self.config.max_target_len
         if max_len > self.config.max_target_len:
             raise ValueError("max_len exceeds max_target_len")
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 2:
             rows = rows[None]
@@ -469,9 +470,11 @@ class Model:
             max_len = self.config.max_target_len
         if max_len > self.config.max_target_len:
             raise ValueError("max_len exceeds max_target_len")
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         enc = self.encoder_forward(rows, modality_ids)
         b = enc.shape[0]
-        steps = max(max_len - 1, 0)   # positions run: BOS up to the last token but one
+        steps = max_len - 1   # positions run: BOS up to the last token but one
         out = [[tokenizer.BOS] for _ in range(b)]
         live = np.arange(b)
         caches = []
@@ -539,16 +542,16 @@ def cross_entropy_loss(logits, targets, pad_id: int = tokenizer.PAD) -> float:
     return cross_entropy_with_grad(logits, targets, pad_id)[0]
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Decoupled weight decay Adam with bias correction."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
@@ -559,15 +562,15 @@ class AdamW:
             if not np.all(np.isfinite(p.grad)):
                 raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.value
             p.value -= self.lr * update

@@ -25,7 +25,8 @@ from . import evaluation, objectives, segmentation, synthetic
 # save_checkpoint is unused here but stays importable as cli.save_checkpoint,
 # where the benchmark's call tracer patches it.
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
-from .errors import ModalfuseError, RecordParseError, ValidationError
+from .errors import (JSON_TYPE_NAMES, ModalfuseError, RecordParseError, ValidationError,
+                     check_fields, is_json_type, json_records)
 from .experts import Embedding, StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
@@ -49,10 +50,13 @@ _MODEL_FIELDS = {
     "dec-layers": "n_decoder_layers", "d-ff": "d_ff", "max-target-len": "max_target_len",
 }
 _MODEL_DEFAULTS = {flag: getattr(ModelConfig, name) for flag, name in _MODEL_FIELDS.items()}
-_TRAIN_DEFAULTS = {"batch-size": 16, "lr": 1e-4, "weight-decay": 0.0, "seed": 0,
-                   "stub-seed": 0, "checkpoint-every": 0}
+# flag -> TrainConfig field; the default training settings are TrainConfig's
+_TRAIN_FIELDS = {"steps": "steps", "batch-size": "batch_size", "lr": "lr",
+                 "weight-decay": "weight_decay", "seed": "seed",
+                 "checkpoint-every": "checkpoint_every"}
+_TRAIN_DEFAULTS = {**{flag: getattr(objectives.TrainConfig, name)
+                      for flag, name in _TRAIN_FIELDS.items()}, "stub-seed": 0}
 _CHOICES = {"objective": objectives.OBJECTIVES}
-_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}
 
 
 def _setting_type(default) -> type:
@@ -67,9 +71,8 @@ def _check_config_value(key: str, value, default, required: bool = False) -> Non
     """
     kind = _setting_type(default)
     nullable = kind is default and not required
-    if not ((value is None and nullable) or type(value) is kind
-            or (kind is float and type(value) is int)):
-        expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
+    if not ((value is None and nullable) or is_json_type(value, kind)):
+        expected = JSON_TYPE_NAMES[kind] + (" or null" if nullable else "")
         raise SystemExit(f"config key {key!r} must be {expected}, got {value!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise SystemExit(f"config key {key!r} must be one of {_CHOICES[key]}, got {value!r}")
@@ -115,7 +118,8 @@ def _model_config(cfg: dict) -> ModelConfig:
     return ModelConfig(**{name: cfg[flag] for flag, name in _MODEL_FIELDS.items()})
 
 
-def _loss_chart_svg(metrics: list[dict], width: int = 640, height: int = 360) -> str:
+def _loss_chart_svg(metrics: list[dict]) -> str:
+    width, height = 640, 360
     losses = [m["loss"] for m in metrics]
     if not losses:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>'
@@ -139,7 +143,8 @@ def _loss_chart_svg(metrics: list[dict], width: int = 640, height: int = 360) ->
 # segment
 # ---------------------------------------------------------------------------
 
-_SEGMENT_DEFAULTS = {"window": 15, "stride": int, "min-wpm": 30.0, "k-frames": 1}
+_SEGMENT_DEFAULTS = {"window": segmentation.DEFAULT_WINDOW, "stride": int,
+                     "min-wpm": segmentation.DEFAULT_MIN_WPM, "k-frames": 1}
 
 
 def cmd_segment(args, cfg: dict) -> int:
@@ -179,10 +184,7 @@ def cmd_encode_pack(args, cfg: dict) -> int:
         with open(cfg["segments"], encoding="utf-8") as f:
             for seg in segmentation.read_segments(f):
                 key = f"{seg.video_id}:{seg.word_start}"
-                if not seg.frame_times:
-                    raise ValidationError(f"segment {key!r} lists no frame times")
-                arrays = [("frame", encoders.encode_frame(seg.video_id, t).values)
-                          for t in seg.frame_times]
+                arrays = [("frame", row.values) for row in objectives.frame_rows(seg, encoders)]
                 arrays.append(("caption", encoders.encode_caption(seg.caption).values))
                 graph = graphs.get(key)
                 if graph is not None:
@@ -225,8 +227,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
 # pretrain / finetune
 # ---------------------------------------------------------------------------
 
-_PRETRAIN_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
-                      "objective": "split_half", "steps": 500}
+_PRETRAIN_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "objective": "split_half"}
 
 
 def cmd_pretrain(args, cfg: dict) -> int:
@@ -247,9 +248,7 @@ def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
     """Train, write the run's files, and return "; final loss X" ("" for 0 steps)."""
     ckpt = run_dir / "checkpoint.store"
     train_cfg = objectives.TrainConfig(
-        steps=cfg["steps"], batch_size=cfg["batch-size"], lr=cfg["lr"],
-        weight_decay=cfg["weight-decay"], seed=cfg["seed"],
-        checkpoint_every=cfg["checkpoint-every"], checkpoint_path=str(ckpt))
+        **{name: cfg[flag] for flag, name in _TRAIN_FIELDS.items()}, checkpoint_path=str(ckpt))
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as mf:
         metrics = objectives.train(examples, model, train_cfg, metrics_fp=mf)
     final_loss = metrics[-1]["loss"] if metrics else None
@@ -266,21 +265,18 @@ def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
     return "" if final_loss is None else f"; final loss {final_loss:.4f}"
 
 
+_VQA_FIELDS = {"image_key": str, "question": str, "answers": [str]}
+
+
 def _load_vqa_records(path: str) -> list[dict]:
     """The {image_key, question, answers, graph} records of a VQA JSONL file."""
     records = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad VQA record: {e}", line=lineno) from e
-            if not isinstance(rec, dict) or not {"image_key", "question", "answers"} <= rec.keys():
+        for lineno, rec in json_records(f, "VQA"):
+            if not _VQA_FIELDS.keys() <= rec.keys():
                 raise RecordParseError("VQA record needs 'image_key', 'question' and 'answers'",
                                        line=lineno)
+            check_fields(rec, _VQA_FIELDS, "VQA", lineno)
             if rec.get("graph") is not None:
                 rec["graph"] = scene_graph_from_dict(rec["graph"], line=lineno)
             records.append(rec)
@@ -321,7 +317,7 @@ def cmd_finetune(args, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 _EVAL_DEFAULTS = {"seed": 0, "stub-seed": 0, "graph": True, "yes-no-only": False,
-                  "max-decode-len": 16}
+                  "max-decode-len": evaluation.EVAL_DECODE_LEN}
 
 
 def cmd_eval(args, cfg: dict) -> int:
@@ -356,8 +352,8 @@ def cmd_eval(args, cfg: dict) -> int:
 
 _ABLATE_DEFAULTS = {
     **_MODEL_DEFAULTS,
+    **{flag: _TRAIN_DEFAULTS[flag] for flag in ("batch-size", "lr", "seed", "stub-seed")},
     "n-segments": 64, "n-vqa": 32, "pretrain-steps": 50, "finetune-steps": 50,
-    "batch-size": 16, "lr": 1e-4, "seed": 0, "stub-seed": 0,
 }
 
 
@@ -371,13 +367,11 @@ def cmd_ablate(args, cfg: dict) -> int:
     vqa_records = synthetic.make_mini_vqa(n_examples=cfg["n-vqa"], seed=cfg["seed"])
     image_store_path = run_dir / "images.store"
     synthetic.write_vqa_image_store(vqa_records, encoders, image_store_path)
-    grid = evaluation.default_ablation_grid(
-        pretrain_steps=cfg["pretrain-steps"], finetune_steps=cfg["finetune-steps"],
-        seed=cfg["seed"])
     with Store(image_store_path) as image_store:
-        rows = evaluation.run_ablation(grid, model_cfg, corpus, vqa_records,
-                                       image_store, encoders,
-                                       batch_size=cfg["batch-size"], lr=cfg["lr"])
+        rows = evaluation.run_ablation(
+            evaluation.default_ablation_grid(), model_cfg, corpus, vqa_records, image_store,
+            encoders, pretrain_steps=cfg["pretrain-steps"], finetune_steps=cfg["finetune-steps"],
+            seed=cfg["seed"], batch_size=cfg["batch-size"], lr=cfg["lr"])
     buf = io.StringIO()
     evaluation.write_ablation_table(rows, buf)
     atomic_write_text(run_dir / "ablation.tsv", buf.getvalue())
@@ -463,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         if rc == 0:
             _write_resolved(cfg)
         return rc
-    except (ModalfuseError, FileNotFoundError, ValueError) as e:
+    except (ModalfuseError, FileNotFoundError, ValueError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -14,11 +14,12 @@ model produces.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class CollapseReport:
     collapsed: bool
 
 
-def collapse_report(predictions: list[str], share_threshold: float = 0.5) -> CollapseReport:
+def collapse_report(predictions: list[str]) -> CollapseReport:
+    """Collapsed: one normalized answer is more than half the predictions."""
     if not predictions:
         raise ValueError("no predictions to analyze")
     counts = Counter(normalize_answer(p) for p in predictions)
@@ -95,7 +97,7 @@ def collapse_report(predictions: list[str], share_threshold: float = 0.5) -> Col
         histogram=dict(counts),
         entropy_nats=entropy,
         top_share=top_share,
-        collapsed=top_share > share_threshold,
+        collapsed=top_share > 0.5,
     )
 
 
@@ -124,6 +126,9 @@ class EvalResult:
 # memory: 64-token decodes at d=64 peaked about 2 MB higher in chunks of 32
 # than in chunks of 16.
 DECODE_CHUNK = 16
+
+# Decode length, BOS included, of ``modalfuse eval`` and the ablation harness
+EVAL_DECODE_LEN = 16
 
 
 def evaluate(model: Model, examples: list[VqaExample],
@@ -177,13 +182,17 @@ def evaluate(model: Model, examples: list[VqaExample],
 
 @dataclass(frozen=True)
 class AblationConfig:
-    label: str
+    """One grid row: whether to pretrain, feed the scene-graph row and keep
+    only the yes/no questions."""
     pretrain: bool
     include_graph: bool
     yes_no_only: bool
-    pretrain_steps: int = 100
-    finetune_steps: int = 100
-    seed: int = 0
+
+    @property
+    def label(self) -> str:
+        return "+".join(["pretrain" if self.pretrain else "scratch",
+                         "graph" if self.include_graph else "no-graph",
+                         "yes-no-only" if self.yes_no_only else "all-questions"])
 
 
 @dataclass(frozen=True)
@@ -194,78 +203,50 @@ class AblationRow:
     status: str = "ok"
 
 
-def default_ablation_grid(pretrain_steps: int = 100, finetune_steps: int = 100,
-                          seed: int = 0) -> list[AblationConfig]:
-    """{pretrain on/off} x {graph on/off} x {yes/no-only on/off}."""
-    grid = []
-    for pretrain in (False, True):
-        for graph in (True, False):
-            for yes_no in (False, True):
-                bits = [
-                    "pretrain" if pretrain else "scratch",
-                    "graph" if graph else "no-graph",
-                    "yes-no-only" if yes_no else "all-questions",
-                ]
-                grid.append(AblationConfig(
-                    label="+".join(bits),
-                    pretrain=pretrain,
-                    include_graph=graph,
-                    yes_no_only=yes_no,
-                    pretrain_steps=pretrain_steps,
-                    finetune_steps=finetune_steps,
-                    seed=seed,
-                ))
-    return grid
+def default_ablation_grid() -> list[AblationConfig]:
+    """{pretrain off/on} x {graph on/off} x {yes/no-only off/on}, in that
+    order, the first axis slowest."""
+    return [AblationConfig(*flags)
+            for flags in itertools.product((False, True), (True, False), (False, True))]
 
 
 def run_ablation(grid: list[AblationConfig], model_config: ModelConfig,
-                 corpus: list, vqa_records: list[dict], image_store,
-                 encoders, batch_size: int = 16, lr: float = 1e-4) -> list[AblationRow]:
+                 corpus: list, vqa_records: list[dict], image_store, encoders, *,
+                 pretrain_steps: int, finetune_steps: int, seed: int,
+                 batch_size: int = 16, lr: float = 1e-4) -> list[AblationRow]:
     """One row per config; each run is independent and fully seeded.
 
-    ``corpus`` is a list of (segment, graph) pairs for pretraining;
-    ``vqa_records`` are raw {image_key, question, answers, graph} dicts so
-    graph ablation can rebuild the fused inputs per config.
+    Each run starts from ``Model(model_config, seed=seed)``. A pretraining
+    run first trains ``pretrain_steps`` split-half steps, training seed
+    ``seed``, on ``corpus``, a list of (segment, graph) pairs. Every run then
+    finetunes ``finetune_steps`` steps, training seed ``seed + 1``, on
+    ``vqa_records``, raw {image_key, question, answers, graph} dicts rebuilt
+    per config, and is scored on the same examples. A run that raises gives
+    a row whose status names the error.
     """
+    def accuracy(cfg: AblationConfig) -> float:
+        model = Model(model_config, seed=seed)
+        if cfg.pretrain:
+            examples = [build_split_half_example(seg, encoders,
+                                                 graph=graph if cfg.include_graph else None,
+                                                 max_target_len=model_config.max_target_len)
+                        for seg, graph in corpus]
+            train(examples, model,
+                  TrainConfig(steps=pretrain_steps, batch_size=batch_size, lr=lr, seed=seed))
+        examples = vqa_examples(vqa_records, image_store, encoders, seed, cfg.include_graph,
+                                cfg.yes_no_only, model_config.max_target_len)
+        train(examples, model,
+              TrainConfig(steps=finetune_steps, batch_size=batch_size, lr=lr, seed=seed + 1))
+        return evaluate(model, examples, max_decode_len=EVAL_DECODE_LEN).mean_accuracy
+
     rows: list[AblationRow] = []
     for cfg in grid:
+        iterations = finetune_steps + (pretrain_steps if cfg.pretrain else 0)
         try:
-            rows.append(_run_one(cfg, model_config, corpus, vqa_records,
-                                 image_store, encoders, batch_size, lr))
+            rows.append(AblationRow(cfg.label, accuracy(cfg), iterations))
         except Exception as e:
-            rows.append(AblationRow(cfg.label, None,
-                                    cfg.finetune_steps
-                                    + (cfg.pretrain_steps if cfg.pretrain else 0),
-                                    status=f"failed: {e}"))
+            rows.append(AblationRow(cfg.label, None, iterations, status=f"failed: {e}"))
     return rows
-
-
-def _run_one(cfg: AblationConfig, model_config: ModelConfig, corpus,
-             vqa_records, image_store, encoders, batch_size, lr) -> AblationRow:
-    model = Model(model_config, seed=cfg.seed)
-    iterations = 0
-
-    if cfg.pretrain:
-        examples = [
-            build_split_half_example(seg, encoders,
-                                     graph=graph if cfg.include_graph else None,
-                                     max_target_len=model_config.max_target_len)
-            for seg, graph in corpus
-        ]
-        train(examples, model,
-              TrainConfig(steps=cfg.pretrain_steps, batch_size=batch_size,
-                          lr=lr, seed=cfg.seed))
-        iterations += cfg.pretrain_steps
-
-    examples = vqa_examples(vqa_records, image_store, encoders, cfg.seed, cfg.include_graph,
-                            cfg.yes_no_only, model_config.max_target_len)
-    train(examples, model,
-          TrainConfig(steps=cfg.finetune_steps, batch_size=batch_size,
-                      lr=lr, seed=cfg.seed + 1))
-    iterations += cfg.finetune_steps
-
-    result = evaluate(model, examples, max_decode_len=16)
-    return AblationRow(cfg.label, result.mean_accuracy, iterations)
 
 
 def write_ablation_table(rows: list[AblationRow], fp) -> None:

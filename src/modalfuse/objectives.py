@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tokenizer
-from .backbone import AdamW, Model, cross_entropy_loss, save_checkpoint
-from .errors import ConfigError
+from .backbone import AdamW, Model, ModelConfig, cross_entropy_loss, save_checkpoint
+from .errors import ConfigError, ValidationError
 from .experts import Embedding, FusedInput, fuse
 from .scene_graph import SceneGraph
-from .segmentation import Segment, sample_frame_times
+from .segmentation import Segment
 
 OBJECTIVES = ("full_caption", "split_half")
 
@@ -31,7 +31,6 @@ OBJECTIVES = ("full_caption", "split_half")
 class PretrainExample:
     fused: FusedInput
     target: np.ndarray        # token ids, PAD-padded to max_target_len; collate trims per batch
-    objective: str
     caption: str
     truncated: bool           # the target text was cut to fit max_target_len
 
@@ -40,11 +39,8 @@ class PretrainExample:
 class VqaExample:
     fused: FusedInput
     human_answers: tuple[str, ...]
-    chosen_target: str
-    target: np.ndarray
-    question: str
-    image_key: str
-    truncated: bool           # chosen_target was cut to fit max_target_len
+    target: np.ndarray        # one of the human answers, drawn by build_vqa_example's rng
+    truncated: bool           # the drawn answer was cut to fit max_target_len
 
 
 def split_caption(words: list[str]) -> tuple[list[str], list[str]]:
@@ -55,9 +51,12 @@ def split_caption(words: list[str]) -> tuple[list[str], list[str]]:
     return words[:cut], words[cut:]
 
 
-def _frame_rows(segment: Segment, encoders, k_frames: int) -> list[Embedding]:
-    times = segment.frame_times or sample_frame_times(segment, k_frames)
-    return [encoders.encode_frame(segment.video_id, t) for t in times[:k_frames]]
+def frame_rows(segment: Segment, encoders) -> list[Embedding]:
+    """One frame row per time in ``segment.frame_times``, in order."""
+    if not segment.frame_times:
+        key = f"{segment.video_id}:{segment.word_start}"
+        raise ValidationError(f"segment {key!r} lists no frame times")
+    return [encoders.encode_frame(segment.video_id, t) for t in segment.frame_times]
 
 
 def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
@@ -65,8 +64,8 @@ def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
 
 
 def build_pretrain_example(objective: str, frames: list[Embedding], caption: str,
-                           caption_row: Embedding | None, graph_row: Embedding | None,
-                           encoders, max_target_len: int = 128) -> PretrainExample:
+                           caption_row: Embedding | None, graph_row: Embedding | None, encoders,
+                           max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     """Apply ``objective`` to ready-made rows.
 
     ``caption_row`` is the encoded full caption; only "full_caption" reads it.
@@ -82,33 +81,30 @@ def build_pretrain_example(objective: str, frames: list[Embedding], caption: str
     return PretrainExample(
         fused=fuse(frames, text_row, graph_row),
         target=tokenizer.tokenize(target_text, max_target_len),
-        objective=objective,
         caption=caption,
         truncated=tokenizer.truncates(target_text, max_target_len),
     )
 
 
-def build_full_caption_example(segment: Segment, encoders, k_frames: int = 1,
-                               graph: SceneGraph | None = None,
-                               max_target_len: int = 128) -> PretrainExample:
+def build_full_caption_example(segment: Segment, encoders, graph: SceneGraph | None = None,
+                               max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     return build_pretrain_example(
-        "full_caption", _frame_rows(segment, encoders, k_frames), segment.caption,
+        "full_caption", frame_rows(segment, encoders), segment.caption,
         encoders.encode_caption(segment.caption), _graph_row(graph, encoders),
         encoders, max_target_len)
 
 
-def build_split_half_example(segment: Segment, encoders, k_frames: int = 1,
-                             graph: SceneGraph | None = None,
-                             max_target_len: int = 128) -> PretrainExample:
+def build_split_half_example(segment: Segment, encoders, graph: SceneGraph | None = None,
+                             max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     return build_pretrain_example(
-        "split_half", _frame_rows(segment, encoders, k_frames), segment.caption,
+        "split_half", frame_rows(segment, encoders), segment.caption,
         None, _graph_row(graph, encoders), encoders, max_target_len)
 
 
 def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
                       question: str, answers: list[str], rng: np.random.Generator,
                       encoders, include_graph: bool = True,
-                      max_target_len: int = 128) -> VqaExample:
+                      max_target_len: int = ModelConfig.max_target_len) -> VqaExample:
     """Image row + question row (+ graph row), target drawn from the answers."""
     if len(answers) != 10:
         raise ValueError(f"expected 10 human answers, got {len(answers)}")
@@ -120,10 +116,7 @@ def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
     return VqaExample(
         fused=fused,
         human_answers=tuple(answers),
-        chosen_target=chosen,
         target=tokenizer.tokenize(chosen, max_target_len),
-        question=question,
-        image_key=image_key,
         truncated=tokenizer.truncates(chosen, max_target_len),
     )
 
@@ -161,6 +154,8 @@ class TrainConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("steps", "checkpoint_every"):

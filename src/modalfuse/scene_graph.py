@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import RecordParseError, ValidationError
+from .errors import RecordParseError, ValidationError, json_records
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,19 @@ class SceneGraph:
 
 
 def scene_graph_from_dict(rec, line: int | None = None) -> SceneGraph:
-    """Build a graph from one decoded {"objects": [...], "relations": [[s, p, o], ...]}
-    record, coercing labels and predicates to str and indices to int."""
+    """Build a graph from one decoded {"objects": [str, ...], "relations":
+    [[int, str, int], ...]} record."""
     if not isinstance(rec, dict) or "objects" not in rec or "relations" not in rec:
         raise RecordParseError("scene-graph record needs 'objects' and 'relations'", line=line)
-    try:
-        return SceneGraph(
-            objects=tuple(str(o) for o in rec["objects"]),
-            relations=tuple((int(s), str(p), int(o)) for s, p, o in rec["relations"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise RecordParseError(f"malformed scene graph: {e}", line=line) from e
+    objects, relations = rec["objects"], rec["relations"]
+    if type(objects) is not list or any(type(o) is not str for o in objects):
+        raise RecordParseError(f"malformed scene graph: objects must be a list of strings, "
+                               f"got {objects!r}", line=line)
+    if type(relations) is not list or any(
+            type(r) is not list or [type(x) for x in r] != [int, str, int] for r in relations):
+        raise RecordParseError(f"malformed scene graph: relations must be [int, str, int] "
+                               f"triples, got {relations!r}", line=line)
+    return SceneGraph(objects, relations)
 
 
 def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
@@ -83,16 +85,9 @@ def linearize(graph: SceneGraph) -> str:
 def read_graph_manifest(fp) -> dict[str, SceneGraph]:
     """Read a line-delimited manifest of {"key": ..., "objects": ..., "relations": ...}."""
     graphs: dict[str, SceneGraph] = {}
-    for lineno, raw in enumerate(fp, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            rec = json.loads(raw)
-            key = rec["key"]
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise RecordParseError(f"bad graph manifest record: {e}", line=lineno) from e
-        if not isinstance(key, str):
+    for lineno, rec in json_records(fp, "graph manifest"):
+        key = rec.get("key")
+        if type(key) is not str:
             raise RecordParseError(f"graph manifest key must be a string, got {key!r}",
                                    line=lineno)
         graphs[key] = scene_graph_from_dict(rec, line=lineno)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, TextIO
 
-from .errors import RecordParseError, ValidationError
+from .errors import RecordParseError, ValidationError, check_fields, json_records
 
 DEFAULT_WINDOW = 15
 DEFAULT_MIN_WPM = 30.0
@@ -47,7 +47,6 @@ class TimedWord:
 @dataclass(frozen=True)
 class TimedTranscript:
     video_id: str
-    language: str
     words: tuple[TimedWord, ...]
 
     def __post_init__(self):
@@ -146,38 +145,43 @@ def with_frame_times(segment: Segment, k: int) -> Segment:
 # ---------------------------------------------------------------------------
 # Line-delimited IO.
 #
-# Transcript files: a header record {"video_id": ..., "lang": ...} followed by
-# one word record {"w": ..., "s": ..., "e": ...} per line. Several transcripts
-# may be concatenated in one file; each header starts a new one.
+# Transcript files: a header record {"video_id": str, "lang": any, ignored}
+# followed by one word record {"w": str, "s": number, "e": number} per line.
+# Several transcripts may be concatenated in one file; each header starts a
+# new one.
 # ---------------------------------------------------------------------------
 
+_WORD_FIELDS = {"w": str, "s": float, "e": float}
+_NUMBER = (int, float)
+_SEGMENT_FIELDS = {"video_id": str, "word_start": int, "word_end": int, "caption": str,
+                   "t_start": float, "t_end": float, "frame_times": [float]}
+
+
 def read_transcripts(fp: TextIO) -> Iterator[TimedTranscript]:
-    header = None
+    video_id = None
     words: list[TimedWord] = []
-    for lineno, raw in enumerate(fp, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(str(e), line=lineno) from e
+    for lineno, rec in json_records(fp, "transcript"):
         if "video_id" in rec:
-            if header is not None:
-                yield TimedTranscript(header["video_id"], header.get("lang", ""), tuple(words))
-            header = rec
+            check_fields(rec, {"video_id": str}, "transcript header", lineno)
+            if video_id is not None:
+                yield TimedTranscript(video_id, tuple(words))
+            video_id = rec["video_id"]
             words = []
         elif "w" in rec:
-            if header is None:
+            if video_id is None:
                 raise RecordParseError("word record before transcript header", line=lineno)
+            # inline type tests, as this runs per word; check_fields names the bad field
+            w, s, e = rec.get("w"), rec.get("s"), rec.get("e")
+            if type(w) is not str or type(s) not in _NUMBER or type(e) not in _NUMBER:
+                check_fields(rec, _WORD_FIELDS, "word", lineno)
             try:
-                words.append(TimedWord(rec["w"], float(rec["s"]), float(rec["e"])))
-            except (KeyError, TypeError, ValueError, ValidationError) as e:
+                words.append(TimedWord(w, float(s), float(e)))
+            except (ValidationError, OverflowError) as e:
                 raise RecordParseError(str(e), line=lineno) from e
         else:
-            raise RecordParseError(f"unrecognized record: {raw[:80]}", line=lineno)
-    if header is not None:
-        yield TimedTranscript(header["video_id"], header.get("lang", ""), tuple(words))
+            raise RecordParseError(f"unrecognized record: {str(rec)[:80]}", line=lineno)
+    if video_id is not None:
+        yield TimedTranscript(video_id, tuple(words))
 
 
 def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
@@ -201,20 +205,9 @@ def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
 
 
 def read_segments(fp: TextIO) -> Iterator[Segment]:
-    for lineno, raw in enumerate(fp, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            rec = json.loads(raw)
-            yield Segment(
-                video_id=rec["video_id"],
-                word_start=int(rec["word_start"]),
-                word_end=int(rec["word_end"]),
-                caption=rec["caption"],
-                t_start=float(rec["t_start"]),
-                t_end=float(rec["t_end"]),
-                frame_times=tuple(rec.get("frame_times", ())),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise RecordParseError(str(e), line=lineno) from e
+    """The segments of ``write_segments`` lines; "frame_times" may be absent."""
+    for lineno, rec in json_records(fp, "segment"):
+        rec.setdefault("frame_times", [])
+        check_fields(rec, _SEGMENT_FIELDS, "segment", lineno)
+        yield Segment(rec["video_id"], rec["word_start"], rec["word_end"], rec["caption"],
+                      float(rec["t_start"]), float(rec["t_end"]), tuple(rec["frame_times"]))

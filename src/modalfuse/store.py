@@ -102,7 +102,7 @@ def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...
             arr = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(dims).copy()
             pos += 4 * n
             arrays.append((ID_TO_TAG[tag_id], arr))
-    except (struct.error, KeyError) as e:
+    except (struct.error, KeyError, ValueError) as e:
         raise CorruptionError(f"record {where} is corrupt: {e}") from e
     if pos != end:
         raise CorruptionError(f"record {where}: {end - pos} trailing bytes")

@@ -37,6 +37,7 @@ _FILLER = ["the", "a", "near", "beside", "under", "over", "with", "and",
 # loss ordering becomes a race instead of a structural property.
 _SHORT_WORDS = ["dog", "cat", "fox", "owl", "ant", "bee", "elk", "ram",
                 "run", "sit", "eat", "fly", "dig", "hop", "nap", "paw"]
+_WORDS_PER_SEGMENT = 15
 
 
 def _words(rng: np.random.Generator, n: int) -> list[str]:
@@ -49,10 +50,9 @@ def _short_words(rng: np.random.Generator, n: int) -> list[str]:
 
 
 def make_leakage_corpus(n_segments: int = 256, variants_per_group: int = 8,
-                        words_per_segment: int = 15, seed: int = 0,
-                        ) -> list[tuple[Segment, SceneGraph]]:
-    """Segments in groups of ``variants_per_group`` sharing first half, frame
-    keys and graph; second halves differ within each group.
+                        seed: int = 0) -> list[tuple[Segment, SceneGraph]]:
+    """15-word segments in groups of ``variants_per_group`` sharing first
+    half, frame keys and graph; second halves differ within each group.
 
     With 8 variants per group the split-half objective faces an entropy floor
     of ln(8) nats spread over the second-half tokens, while the full-caption
@@ -60,7 +60,7 @@ def make_leakage_corpus(n_segments: int = 256, variants_per_group: int = 8,
     if n_segments % variants_per_group != 0:
         raise ValueError("n_segments must be a multiple of variants_per_group")
     rng = np.random.default_rng(seed)
-    first_len = -(-words_per_segment // 2)
+    first_len = -(-_WORDS_PER_SEGMENT // 2)
     out: list[tuple[Segment, SceneGraph]] = []
     for g in range(n_segments // variants_per_group):
         first = _short_words(rng, first_len)
@@ -72,14 +72,14 @@ def make_leakage_corpus(n_segments: int = 256, variants_per_group: int = 8,
         seconds: set[tuple[str, ...]] = set()
         for v in range(variants_per_group):
             while True:
-                second = tuple(_short_words(rng, words_per_segment - first_len))
+                second = tuple(_short_words(rng, _WORDS_PER_SEGMENT - first_len))
                 if second not in seconds:
                     seconds.add(second)
                     break
             seg = Segment(
                 video_id=f"vid{g:04d}",
                 word_start=0,
-                word_end=words_per_segment,
+                word_end=_WORDS_PER_SEGMENT,
                 caption=" ".join([*first, *second]),
                 t_start=0.0,
                 t_end=20.0,

@@ -201,7 +201,7 @@ def test_criterion_6_segmentation_properties():
     containment, and determinism (the full property suite lives in
     test_segmentation.py; this pins the headline contracts)."""
     words = tuple(TimedWord(f"w{i}", i * 1.0, i * 1.0 + 0.5) for i in range(47))
-    t = TimedTranscript("vid", "en", words)
+    t = TimedTranscript("vid", words)
 
     segs = segment_transcript(t, window=15)
     assert [s.word_start for s in segs] == [0, 15, 30]   # remainder dropped
@@ -213,7 +213,7 @@ def test_criterion_6_segmentation_properties():
     assert segment_transcript(t, window=15) == segment_transcript(t, window=15)
 
     # 15 words spanning exactly 30 s -> exactly 30 wpm -> kept (inclusive)
-    boundary = TimedTranscript("b", "en", tuple(
+    boundary = TimedTranscript("b", tuple(
         TimedWord(f"w{i}", i * (30.0 / 14), i * (30.0 / 14)) for i in range(15)))
     seg = segment_transcript(boundary, window=15)[0]
     assert word_density(seg) == pytest.approx(30.0)

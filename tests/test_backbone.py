@@ -54,15 +54,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(d_model=10, n_heads=3)
 
-    def test_vocab_floor(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=3)
-
     @pytest.mark.parametrize("field, value, match", [
         ("n_heads", "2", "n_heads must be an int"),
         ("d_model", 64.0, "d_model must be an int"),
         ("n_encoder_layers", True, "n_encoder_layers must be an int"),
-        ("vocab_size", np.int64(259), "vocab_size must be an int"),
         ("n_heads", 0, "n_heads must be >= 1"),
         ("d_model", 0, "d_model must be >= 1"),
         ("d_ff", 0, "d_ff must be >= 1"),
@@ -386,6 +381,14 @@ class TestGreedyDecodeBatch:
             m.greedy_decode_batch(rows, ids, too_long)
         assert str(batch.value) == str(single.value)
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_raises_like_greedy_decode(self, decode_setup, max_len):
+        m, rows, ids = decode_setup
+        with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
+            m.greedy_decode(rows[0], ids[0], max_len)
+        with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
+            m.greedy_decode_batch(rows, ids, max_len)
+
     def test_cached_step_logits_match_full_decoder(self, decode_setup, monkeypatch):
         m, rows, ids = decode_setup
         steps = []
@@ -402,7 +405,7 @@ class TestGreedyDecodeBatch:
         for t, logits in enumerate(steps):
             # the rows still decoding at step t, in index order
             live = [i for i, out in enumerate(decoded) if len(out) > t + 1]
-            assert logits.shape == (len(live), DECODE_CFG.vocab_size)
+            assert logits.shape == (len(live), tokenizer.VOCAB_SIZE)
             for j, i in enumerate(live):
                 enc = m.encoder_forward(rows[i:i + 1], ids[i:i + 1])
                 full = m.decoder_forward(decoded[i][None, :t + 1], enc)[0, -1]

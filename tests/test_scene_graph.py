@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,23 @@ class TestParse:
         lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',
                  '{"key": ["v", 0], "objects": ["a", "b"], "relations": [[0, "on", 1]]}']
         with pytest.raises(RecordParseError, match="line 2: graph manifest key") as e:
+            read_graph_manifest(io.StringIO("\n".join(lines)))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("graph, message", [
+        ({"objects": ["a", "b"], "relations": [[0.9, "on", 1]]}, "relations must be"),
+        ({"objects": ["a", "b"], "relations": [[True, "on", 1]]}, "relations must be"),
+        ({"objects": ["a", "b"], "relations": [[0, 5, 1]]}, "relations must be"),
+        ({"objects": ["a", "b"], "relations": [[0, "on", 1, 1]]}, "relations must be"),
+        ({"objects": [1, 2], "relations": []}, "objects must be a list of strings"),
+        ({"objects": "ab", "relations": []}, "objects must be a list of strings"),
+    ], ids=["float-index", "bool-index", "int-predicate", "four-items", "int-objects",
+            "string-objects"])
+    def test_mistyped_graph_record_rejected(self, graph, message):
+        lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',
+                 json.dumps({"key": "v:15", **graph})]
+        with pytest.raises(RecordParseError,
+                           match=f"line 2: malformed scene graph: {message}") as e:
             read_graph_manifest(io.StringIO("\n".join(lines)))
         assert e.value.line == 2
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ def make_transcript(n_words, wpm=45.0, video_id="v1"):
     words = tuple(
         TimedWord(f"w{i}", i * dt, i * dt + 0.8 * dt) for i in range(n_words)
     )
-    return TimedTranscript(video_id, "en", words)
+    return TimedTranscript(video_id, words)
 
 
 def make_segment(n_words=15, duration_s=30.0):
@@ -61,7 +62,7 @@ class TestSegmentTranscript:
     def test_unsorted_transcript_rejected(self):
         words = (TimedWord("b", 5.0, 6.0), TimedWord("a", 1.0, 2.0))
         with pytest.raises(ValidationError):
-            TimedTranscript("v", "en", words)
+            TimedTranscript("v", words)
 
     def test_caption_and_times(self):
         segs = segment_transcript(make_transcript(15), window=15)
@@ -172,6 +173,52 @@ class TestIO:
         src = io.StringIO('{"video_id": "v", "lang": "en"}\n{not json}\n')
         with pytest.raises(RecordParseError, match="line 2"):
             list(read_transcripts(src))
+
+    @pytest.mark.parametrize("line, message", [
+        ('5', "transcript record must be a JSON object, got 5"),
+        ('{"w": 5, "s": 0.0, "e": 0.5}', "word field 'w' must be a string, got 5"),
+        ('{"w": "a", "s": "0", "e": 0.5}', "word field 's' must be a number, got '0'"),
+        ('{"w": "a", "s": 0.0, "e": true}', "word field 'e' must be a number, got True"),
+        ('{"video_id": ["v"], "lang": "en"}',
+         "transcript header field 'video_id' must be a string, got ['v']"),
+        ('{"w": "a", "s": 1' + "0" * 400 + ', "e": 0.5}', "int too large to convert to float"),
+        ('{"w": "a", "s": 1' + "0" * 5000 + ', "e": 0.5}', "bad transcript record: Exceeds"),
+    ], ids=["not-an-object", "int-word", "string-start", "bool-end", "list-video-id",
+            "start-beyond-float", "start-beyond-int-digits"])
+    def test_mistyped_transcript_record_rejected(self, line, message):
+        src = io.StringIO('{"video_id": "v", "lang": "en"}\n\n' + line + "\n")
+        with pytest.raises(RecordParseError, match=re.escape(f"line 3: {message}")):
+            list(read_transcripts(src))
+
+    def test_transcript_language_is_ignored(self):
+        src = io.StringIO('{"video_id": "v", "lang": 7}\n{"w": "a", "s": 0, "e": 1}\n')
+        (t,) = read_transcripts(src)
+        assert t == TimedTranscript("v", (TimedWord("a", 0.0, 1.0),))
+
+    SEGMENT = {"video_id": "v", "word_start": 0, "word_end": 3, "caption": "a b c",
+               "t_start": 0, "t_end": 2.5, "frame_times": [1, 1.5], "wpm": 72.0}
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"frame_times": "ab"}, "segment field 'frame_times' must be a list of numbers"),
+        ({"frame_times": [1.0, None]}, "segment field 'frame_times' must be a list of numbers"),
+        ({"caption": 5}, "segment field 'caption' must be a string, got 5"),
+        ({"word_start": 2.7}, "segment field 'word_start' must be an int, got 2.7"),
+        ({"word_end": True}, "segment field 'word_end' must be an int, got True"),
+        ({"t_end": "2.5"}, "segment field 't_end' must be a number, got '2.5'"),
+        ({"video_id": None}, "segment field 'video_id' must be a string, got None"),
+        ({"t_start": 2 ** 1024}, "segment field 't_start' must be a number, got 1797"),
+        ({"frame_times": [1.0, 2 ** 1024]}, "segment field 'frame_times' must be a list of"),
+    ], ids=["string-frame-times", "null-frame-time", "int-caption", "float-word-start",
+            "bool-word-end", "string-t-end", "null-video-id", "t-start-beyond-float",
+            "frame-time-beyond-float"])
+    def test_mistyped_segment_record_rejected(self, edit, message):
+        src = io.StringIO(json.dumps(self.SEGMENT) + "\n" + json.dumps({**self.SEGMENT, **edit}))
+        with pytest.raises(RecordParseError, match=re.escape(f"line 2: {message}")):
+            list(read_segments(src))
+
+    def test_segment_ints_read_as_numbers(self):
+        (seg,) = read_segments(io.StringIO(json.dumps(self.SEGMENT)))
+        assert seg == Segment("v", 0, 3, "a b c", 0.0, 2.5, (1, 1.5))
 
     def test_segment_roundtrip(self):
         segs = [with_frame_times(make_segment(5, 10.0), 2)]

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalfuse.errors import CorruptionError, NotFoundError
@@ -415,6 +415,7 @@ def test_fuzz_footer_index_offset(fuzz_base, offset):
 
 
 @given(record=st.integers(0, len(FUZZ_KEYS) - 1), edits=flips)
+@example(record=0, edits=[(3, 4)])   # rank 2 -> 6: a zero dim beside dims numpy cannot hold
 @settings(max_examples=200, deadline=None)
 def test_fuzz_crc_valid_record(fuzz_base, record, edits):
     blob, entries, path = fuzz_base
