@@ -63,15 +63,11 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.value.shape})"
 
 
-def _init(rng: np.random.Generator, shape, scale: float = 0.02) -> np.ndarray:
-    return rng.normal(0.0, scale, size=shape)
-
-
 class Linear:
     """x @ W, no bias (T5-style projections)."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name: str):
-        self.W = Parameter(_init(rng, (d_in, d_out)), f"{name}/W")
+    def __init__(self, d_in: int, d_out: int, make, name: str):
+        self.W = make(f"{name}/W", (d_in, d_out))
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -83,16 +79,13 @@ class Linear:
         self.W.grad += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
         return dy @ self.W.value.T
 
-    def params(self):
-        return [self.W]
-
 
 _RMS_EPS = 1e-6
 
 
 class RMSNorm:
-    def __init__(self, d: int, name: str):
-        self.g = Parameter(np.ones(d), f"{name}/g")
+    def __init__(self, d: int, make, name: str):
+        self.g = make(f"{name}/g", (d,), ones=True)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -106,9 +99,6 @@ class RMSNorm:
         self.g.grad += np.sum(dy * x * r, axis=tuple(range(x.ndim - 1)))
         h = dy * self.g.value
         return h * r - x * (np.sum(h * x, axis=-1, keepdims=True) * (r * r * r) / n)
-
-    def params(self):
-        return [self.g]
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -149,9 +139,9 @@ def _gelu_grad(x, t):
 
 
 class FeedForward:
-    def __init__(self, d_model: int, d_ff: int, rng, name: str):
-        self.w_in = Linear(d_model, d_ff, rng, f"{name}/in")
-        self.w_out = Linear(d_ff, d_model, rng, f"{name}/out")
+    def __init__(self, d_model: int, d_ff: int, make, name: str):
+        self.w_in = Linear(d_model, d_ff, make, f"{name}/in")
+        self.w_out = Linear(d_ff, d_model, make, f"{name}/out")
         self._cache = None
 
     def forward(self, x):
@@ -164,9 +154,6 @@ class FeedForward:
         dh = self.w_out.backward(dy)
         dh *= _gelu_grad(*self._cache)
         return self.w_in.backward(dh)
-
-    def params(self):
-        return self.w_in.params() + self.w_out.params()
 
 
 def _attend(q, k, v, scale: float, causal: bool = False):
@@ -187,13 +174,13 @@ def _attend(q, k, v, scale: float, causal: bool = False):
 class MultiHeadAttention:
     """Scaled dot-product attention; optionally causal (requires Tq == Tk)."""
 
-    def __init__(self, d_model: int, n_heads: int, rng, name: str):
+    def __init__(self, d_model: int, n_heads: int, make, name: str):
         self.h = n_heads
         self.dh = d_model // n_heads
-        self.wq = Linear(d_model, d_model, rng, f"{name}/q")
-        self.wk = Linear(d_model, d_model, rng, f"{name}/k")
-        self.wv = Linear(d_model, d_model, rng, f"{name}/v")
-        self.wo = Linear(d_model, d_model, rng, f"{name}/o")
+        self.wq = Linear(d_model, d_model, make, f"{name}/q")
+        self.wk = Linear(d_model, d_model, make, f"{name}/k")
+        self.wv = Linear(d_model, d_model, make, f"{name}/v")
+        self.wo = Linear(d_model, d_model, make, f"{name}/o")
         self._cache = None
         self.last_weights = None   # [B, H, Tq, Tk], for inspection/tests
 
@@ -247,16 +234,13 @@ class MultiHeadAttention:
         d_xkv = self.wk.backward(self._merge(dk)) + self.wv.backward(self._merge(dv))
         return d_xq, d_xkv
 
-    def params(self):
-        return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
-
 
 class EncoderBlock:
-    def __init__(self, cfg: ModelConfig, rng, name: str):
-        self.norm1 = RMSNorm(cfg.d_model, f"{name}/norm1")
-        self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/attn")
-        self.norm2 = RMSNorm(cfg.d_model, f"{name}/norm2")
-        self.ff = FeedForward(cfg.d_model, cfg.d_ff, rng, f"{name}/ff")
+    def __init__(self, cfg: ModelConfig, make, name: str):
+        self.norm1 = RMSNorm(cfg.d_model, make, f"{name}/norm1")
+        self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, make, f"{name}/attn")
+        self.norm2 = RMSNorm(cfg.d_model, make, f"{name}/norm2")
+        self.ff = FeedForward(cfg.d_model, cfg.d_ff, make, f"{name}/ff")
 
     def forward(self, x):
         h = self.norm1.forward(x)
@@ -269,18 +253,15 @@ class EncoderBlock:
         dq, dkv = self.attn.backward(dx)
         return dx + self.norm1.backward(dq + dkv)
 
-    def params(self):
-        return self.norm1.params() + self.attn.params() + self.norm2.params() + self.ff.params()
-
 
 class DecoderBlock:
-    def __init__(self, cfg: ModelConfig, rng, name: str):
-        self.norm1 = RMSNorm(cfg.d_model, f"{name}/norm1")
-        self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/self")
-        self.norm2 = RMSNorm(cfg.d_model, f"{name}/norm2")
-        self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng, f"{name}/cross")
-        self.norm3 = RMSNorm(cfg.d_model, f"{name}/norm3")
-        self.ff = FeedForward(cfg.d_model, cfg.d_ff, rng, f"{name}/ff")
+    def __init__(self, cfg: ModelConfig, make, name: str):
+        self.norm1 = RMSNorm(cfg.d_model, make, f"{name}/norm1")
+        self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, make, f"{name}/self")
+        self.norm2 = RMSNorm(cfg.d_model, make, f"{name}/norm2")
+        self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, make, f"{name}/cross")
+        self.norm3 = RMSNorm(cfg.d_model, make, f"{name}/norm3")
+        self.ff = FeedForward(cfg.d_model, cfg.d_ff, make, f"{name}/ff")
 
     def forward(self, x, enc_hidden):
         h = self.norm1.forward(x)
@@ -309,10 +290,6 @@ class DecoderBlock:
         dq, dkv = self.self_attn.backward(dx)
         return dx + self.norm1.backward(dq + dkv), d_enc
 
-    def params(self):
-        return (self.norm1.params() + self.self_attn.params() + self.norm2.params()
-                + self.cross_attn.params() + self.norm3.params() + self.ff.params())
-
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     pos = np.arange(n)[:, None]
@@ -328,30 +305,36 @@ class Model:
     """The trainable backbone. One instance = one set of parameters."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
         rng = np.random.default_rng(seed)
-        c = config
-        self.type_emb = Parameter(_init(rng, (len(MODALITIES), c.d_model)), "type_emb")
-        self.tok_emb = Parameter(_init(rng, (tokenizer.VOCAB_SIZE, c.d_model)), "tok_emb")
-        self.enc_blocks = [EncoderBlock(c, rng, f"enc{i}") for i in range(c.n_encoder_layers)]
-        self.enc_norm = RMSNorm(c.d_model, "enc_norm")
-        self.dec_blocks = [DecoderBlock(c, rng, f"dec{i}") for i in range(c.n_decoder_layers)]
-        self.dec_norm = RMSNorm(c.d_model, "dec_norm")
-        self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, rng, "lm_head")
+        self._build(config, lambda name, shape, ones:
+                    np.ones(shape) if ones else rng.normal(0.0, 0.02, size=shape))
+
+    def _build(self, config: ModelConfig, value) -> None:
+        """Build the layers. Each layer constructor creates its parameters
+        through ``make(name, shape, ones=False)``, which takes the first value
+        from ``value(name, shape, ones)`` (``ones`` marks an RMSNorm gain) and
+        appends the parameter to the list ``params()`` returns."""
+        self.config = c = config
+        self._params = []
+
+        def make(name, shape, ones=False):
+            p = Parameter(value(name, shape, ones), name)
+            self._params.append(p)
+            return p
+
+        self.type_emb = make("type_emb", (len(MODALITIES), c.d_model))
+        self.tok_emb = make("tok_emb", (tokenizer.VOCAB_SIZE, c.d_model))
+        self.enc_blocks = [EncoderBlock(c, make, f"enc{i}") for i in range(c.n_encoder_layers)]
+        self.enc_norm = RMSNorm(c.d_model, make, "enc_norm")
+        self.dec_blocks = [DecoderBlock(c, make, f"dec{i}") for i in range(c.n_decoder_layers)]
+        self.dec_norm = RMSNorm(c.d_model, make, "dec_norm")
+        self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, make, "lm_head")
         self.pos = sinusoidal_positions(c.max_target_len, c.d_model)
 
     # -- parameter plumbing -------------------------------------------------
 
     def params(self) -> list[Parameter]:
-        out = [self.type_emb, self.tok_emb]
-        for b in self.enc_blocks:
-            out += b.params()
-        out += self.enc_norm.params()
-        for b in self.dec_blocks:
-            out += b.params()
-        out += self.dec_norm.params()
-        out += self.lm_head.params()
-        return out
+        return list(self._params)
 
     def zero_grad(self):
         for p in self.params():
@@ -431,14 +414,19 @@ class Model:
         self.backward(dlogits)
         return loss
 
-    def greedy_decode(self, rows, modality_ids, max_len: int | None = None) -> np.ndarray:
-        """Argmax decoding from BOS until EOS or max_len tokens (ties → lowest id)."""
+    def _decode_len(self, max_len: int | None) -> int:
+        """``max_len`` (default max_target_len), checked to lie in 1..max_target_len."""
         if max_len is None:
             max_len = self.config.max_target_len
         if max_len > self.config.max_target_len:
             raise ValueError("max_len exceeds max_target_len")
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
+        return max_len
+
+    def greedy_decode(self, rows, modality_ids, max_len: int | None = None) -> np.ndarray:
+        """Argmax decoding from BOS until EOS or max_len tokens (ties → lowest id)."""
+        max_len = self._decode_len(max_len)
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 2:
             rows = rows[None]
@@ -466,12 +454,7 @@ class Model:
         [B, H, max_len - 1, dh] cache, and runs only the newest position
         through the decoder at each step. Rows that emit EOS leave the batch.
         """
-        if max_len is None:
-            max_len = self.config.max_target_len
-        if max_len > self.config.max_target_len:
-            raise ValueError("max_len exceeds max_target_len")
-        if max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {max_len}")
+        max_len = self._decode_len(max_len)
         enc = self.encoder_forward(rows, modality_ids)
         b = enc.shape[0]
         steps = max_len - 1   # positions run: BOS up to the last token but one
@@ -648,12 +631,13 @@ def load_checkpoint(path) -> Model:
                 f"{path}: checkpoint config has unknown keys {sorted(set(cfg) - expected)}"
                 f" and lacks keys {sorted(expected - set(cfg))}"
             )
-        model = Model(ModelConfig(**cfg), seed=0)
-        for p in model.params():
-            arr = store.get_by_key(f"param:{p.name}").arrays[0][1]
-            if arr.shape != p.value.shape:
-                raise ConfigError(
-                    f"checkpoint shape {arr.shape} for {p.name} does not match {p.value.shape}"
-                )
-            p.value[...] = arr.astype(np.float64)
+
+        def stored(name, shape, ones):
+            arr = store.get_by_key(f"param:{name}").arrays[0][1]
+            if arr.shape != shape:
+                raise ConfigError(f"checkpoint shape {arr.shape} for {name} does not match {shape}")
+            return arr
+
+        model = Model.__new__(Model)   # the parameters come from the store: no random draws
+        model._build(ModelConfig(**cfg), stored)
     return model

@@ -25,8 +25,8 @@ from . import evaluation, objectives, segmentation, synthetic
 # save_checkpoint is unused here but stays importable as cli.save_checkpoint,
 # where the benchmark's call tracer patches it.
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
-from .errors import (JSON_TYPE_NAMES, ModalfuseError, RecordParseError, ValidationError,
-                     check_fields, is_json_type, json_records)
+from .errors import (JSON_TYPE_NAMES, STRICT_JSON, ModalfuseError, RecordParseError,
+                     ValidationError, check_fields, is_json_type, json_records)
 from .experts import Embedding, StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
@@ -86,7 +86,10 @@ def _resolve(args: argparse.Namespace, defaults: dict, paths: dict) -> dict:
     cfg = {key: None if isinstance(d, type) else d for key, d in settings.items()}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            file_cfg = json.load(f)
+            try:
+                file_cfg = STRICT_JSON.decode(f.read())
+            except ValueError as e:
+                raise SystemExit(f"config file {args.config}: {e}") from e
         if not isinstance(file_cfg, dict):
             raise SystemExit(f"config file {args.config} must hold a JSON object, "
                              f"got {type(file_cfg).__name__}")

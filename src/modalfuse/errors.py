@@ -41,17 +41,26 @@ class RecordParseError(ModalfuseError):
         super().__init__(message)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# json.loads accepts the NaN, Infinity and -Infinity literals, which JSON
+# lacks; this decoder raises ValueError on them instead
+STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
     """(1-based line number, record) for each non-blank line; a line that is
-    not a JSON object raises RecordParseError. ``what`` names the record kind
-    in messages."""
+    not a JSON object, or holds NaN or Infinity, raises RecordParseError.
+    ``what`` names the record kind in messages."""
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            rec = json.loads(raw)
-        except ValueError as e:       # JSONDecodeError, or an integer of too many digits
+            rec = STRICT_JSON.decode(raw)
+        except ValueError as e:   # JSONDecodeError, NaN or Infinity, or too many digits
             raise RecordParseError(f"bad {what} record: {e}", line=lineno) from e
         if type(rec) is not dict:
             raise RecordParseError(f"{what} record must be a JSON object, got {raw[:80]}",

@@ -163,6 +163,8 @@ def read_transcripts(fp: TextIO) -> Iterator[TimedTranscript]:
     for lineno, rec in json_records(fp, "transcript"):
         if "video_id" in rec:
             check_fields(rec, {"video_id": str}, "transcript header", lineno)
+            if not rec["video_id"]:
+                raise RecordParseError("video_id must be non-empty", line=lineno)
             if video_id is not None:
                 yield TimedTranscript(video_id, tuple(words))
             video_id = rec["video_id"]

@@ -9,7 +9,9 @@ from modalfuse import tokenizer
 from modalfuse.backbone import (AdamW, Model, ModelConfig, _gelu, _gelu_grad,
                                 cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
-from modalfuse.errors import ConfigError
+from modalfuse.cli import main
+from modalfuse.errors import ConfigError, NotFoundError
+from modalfuse.store import EmbeddingRecord, Store, write_store
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
                    n_decoder_layers=1, d_ff=32, max_target_len=16)
@@ -427,4 +429,46 @@ class TestCheckpoint:
         assert np.array_equal(logits_a, logits_b)
         # parameters are stored as float32 and come back exactly as stored
         for pa, pb in zip(m.params(), m2.params()):
+            assert np.array_equal(pb.value, pa.value.astype(np.float32))
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+        list of records."""
+        with Store(path) as s:
+            records = [s.get(i) for i in range(len(s))]
+        write_store(edit(records), path)
+
+    def test_wrong_shape_record_names_parameter(self, tmp_path):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        wrong = EmbeddingRecord("param:enc0/ff/in/W", (("raw", np.zeros((32, 16), np.float32)),))
+        self.rewrite(path, lambda recs: [wrong if r.key == wrong.key else r for r in recs])
+        with pytest.raises(ConfigError, match=r"\(32, 16\) for enc0/ff/in/W does not match"):
+            load_checkpoint(path)
+
+    def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        self.rewrite(path, lambda recs: [r for r in recs if r.key != "param:dec0/norm2/g"])
+        with pytest.raises(NotFoundError, match="dec0/norm2/g"):
+            load_checkpoint(path)
+        rc = main(["eval", "--checkpoint", str(path), "--vqa", "x", "--image-store", "y",
+                   "--out-dir", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "dec0/norm2/g" in capsys.readouterr().err
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        m = Model(TINY, seed=3)
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(m, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_checkpoint(path)
+        assert [p.name for p in loaded.params()] == [p.name for p in m.params()]
+        for pa, pb in zip(m.params(), loaded.params()):
+            assert pb.value.dtype == np.float64
             assert np.array_equal(pb.value, pa.value.astype(np.float32))

@@ -122,6 +122,27 @@ class TestSegment:
                      "--config", str(cfg)]) == 0
         assert '"min-wpm": 5,' in (tmp_path / "seg.jsonl.config.json").read_text()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_word_time_exits_nonzero(self, tmp_path, transcripts, capsys, literal):
+        lines = transcripts.read_text().splitlines()
+        word = json.loads(lines[3])
+        lines[3] = f'{{"w": "{word["w"]}", "s": {literal}, "e": {word["e"]}}}'
+        transcripts.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "seg.jsonl"
+        assert main(["segment", "--transcripts", str(transcripts), "--out", str(out)]) == 1
+        assert f"error: line 4: bad transcript record: {literal} is not a JSON number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_value_rejected(self, tmp_path, transcripts):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min-wpm": NaN}')
+        out = tmp_path / "seg.jsonl"
+        with pytest.raises(SystemExit, match="cfg.json: NaN is not a JSON number"):
+            main(["segment", "--transcripts", str(transcripts), "--out", str(out),
+                  "--config", str(cfg)])
+        assert not out.exists()
+
     def test_output_without_suffix(self, tmp_path, transcripts):
         out = tmp_path / "segments"
         assert main(["segment", "--transcripts", str(transcripts), "--out", str(out)]) == 0

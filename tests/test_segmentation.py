@@ -190,6 +190,20 @@ class TestIO:
         with pytest.raises(RecordParseError, match=re.escape(f"line 3: {message}")):
             list(read_transcripts(src))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, literal):
+        src = io.StringIO('{"video_id": "v"}\n{"w": "a", "s": 0, "e": 1}\n'
+                          '{"w": "b", "s": ' + literal + ', "e": 2}\n')
+        with pytest.raises(RecordParseError,
+                           match=f"line 3: bad transcript record: {literal} is not a JSON number"):
+            list(read_transcripts(src))
+
+    def test_empty_video_id_names_header_line(self):
+        src = io.StringIO('{"video_id": "v"}\n{"w": "a", "s": 0, "e": 1}\n'
+                          '{"video_id": ""}\n{"w": "b", "s": 0, "e": 1}\n')
+        with pytest.raises(RecordParseError, match="line 3: video_id must be non-empty"):
+            list(read_transcripts(src))
+
     def test_transcript_language_is_ignored(self):
         src = io.StringIO('{"video_id": "v", "lang": 7}\n{"w": "a", "s": 0, "e": 1}\n')
         (t,) = read_transcripts(src)
