@@ -8,8 +8,8 @@ transformer with sinusoidal absolute positions, cross-attention to the
 encoder output, and an LM head over the byte-level vocabulary. Blocks are
 pre-norm with RMS normalization.
 
-Everything runs in float64 numpy so analytic gradients can be validated
-against central finite differences to tight tolerance.
+The model computes in float32, its parameters' dtype; ``gradient_check``
+checks the gradients on a float64 copy against central finite differences.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ class ModelConfig:
 
 class Parameter:
     def __init__(self, value: np.ndarray, name: str):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.value = value
+        self.grad = np.zeros_like(value)
         self.name = name
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
@@ -107,10 +104,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def _gelu(x):
     """GELU (tanh approximation) of ``x`` and its tanh term, for _gelu_grad.
 
-    The cube is ``x * x * x``: on float64 ``x**3`` goes through ``pow``,
-    which costs about 50 times as much. Both GELU functions work in place on
-    one fresh array, which is faster and holds fewer hidden-sized
-    temporaries than the same formula written as one expression.
+    The cube is ``x * x * x``: ``x**3`` goes through ``pow``, which costs
+    about 50 times as much. Both GELU functions keep the dtype of ``x`` and
+    work in place on one fresh array, which is faster and holds fewer
+    hidden-sized temporaries than the same formula written as one expression.
     """
     t = x * x
     t *= x
@@ -164,7 +161,7 @@ def _attend(q, k, v, scale: float, causal: bool = False):
         tq, tk = scores.shape[-2:]
         if tq != tk:
             raise ValueError("causal attention needs square score matrix")
-        scores = scores + np.triu(np.full((tq, tk), -np.inf), k=1)
+        scores = scores + np.triu(np.full((tq, tk), -np.inf, scores.dtype), k=1)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -291,11 +288,11 @@ class DecoderBlock:
         return dx + self.norm1.backward(dq + dkv), d_enc
 
 
-def sinusoidal_positions(n: int, d: int) -> np.ndarray:
+def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
     pos = np.arange(n)[:, None]
     i = np.arange(d // 2)[None, :]
     angles = pos / np.power(10000.0, 2 * i / d)
-    enc = np.zeros((n, d))
+    enc = np.zeros((n, d), dtype)
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles[:, : d - d // 2])
     return enc
@@ -306,14 +303,14 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self._build(config, lambda name, shape, ones:
-                    np.ones(shape) if ones else rng.normal(0.0, 0.02, size=shape))
+        self._build(config, lambda name, shape, ones: (
+            np.ones(shape) if ones else rng.normal(0.0, 0.02, size=shape)).astype(np.float32))
 
-    def _build(self, config: ModelConfig, value) -> None:
-        """Build the layers. Each layer constructor creates its parameters
-        through ``make(name, shape, ones=False)``, which takes the first value
-        from ``value(name, shape, ones)`` (``ones`` marks an RMSNorm gain) and
-        appends the parameter to the list ``params()`` returns."""
+    def _build(self, config: ModelConfig, value) -> Model:
+        """Build the layers and return the model. Each layer constructor
+        creates its parameters through ``make(name, shape, ones=False)``,
+        which takes the first value from ``value(name, shape, ones)`` (``ones``
+        marks an RMSNorm gain) and appends it to the list ``params()`` returns."""
         self.config = c = config
         self._params = []
 
@@ -329,7 +326,8 @@ class Model:
         self.dec_blocks = [DecoderBlock(c, make, f"dec{i}") for i in range(c.n_decoder_layers)]
         self.dec_norm = RMSNorm(c.d_model, make, "dec_norm")
         self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, make, "lm_head")
-        self.pos = sinusoidal_positions(c.max_target_len, c.d_model)
+        self.pos = sinusoidal_positions(c.max_target_len, c.d_model, self.tok_emb.value.dtype)
+        return self
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -337,14 +335,14 @@ class Model:
         return list(self._params)
 
     def zero_grad(self):
-        for p in self.params():
-            p.zero_grad()
+        for p in self._params:
+            p.grad[...] = 0.0
 
     # -- forward ------------------------------------------------------------
 
     def encoder_forward(self, rows: np.ndarray, modality_ids: np.ndarray) -> np.ndarray:
         """rows: [B, m, d_model] fused embedding rows; modality_ids: [B, m]."""
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=self.type_emb.value.dtype)
         if rows.shape[-1] != self.config.d_model:
             raise ConfigError(
                 f"fused rows have dimension {rows.shape[-1]}, model expects {self.config.d_model}"
@@ -366,9 +364,7 @@ class Model:
 
     def decoder_forward(self, tokens: np.ndarray, enc_hidden: np.ndarray) -> np.ndarray:
         """tokens: [B, T] target-prefix ids; returns logits [B, T, vocab]."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        tokens = np.array(tokens, dtype=np.int64, ndmin=2)
         t = tokens.shape[1]
         if t > self.config.max_target_len:
             raise ValueError(
@@ -406,9 +402,7 @@ class Model:
 
         Gradients accumulate into the parameters; call zero_grad first.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.ndim == 1:
-            targets = targets[None, :]
+        targets = np.array(targets, dtype=np.int64, ndmin=2)
         logits = self.forward(rows, modality_ids, targets[:, :-1])
         loss, dlogits = cross_entropy_with_grad(logits, targets[:, 1:])
         self.backward(dlogits)
@@ -427,7 +421,7 @@ class Model:
     def greedy_decode(self, rows, modality_ids, max_len: int | None = None) -> np.ndarray:
         """Argmax decoding from BOS until EOS or max_len tokens (ties → lowest id)."""
         max_len = self._decode_len(max_len)
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim == 2:
             rows = rows[None]
             modality_ids = np.asarray(modality_ids)[None]
@@ -464,7 +458,7 @@ class Model:
         for block in self.dec_blocks:
             shape = (b, block.self_attn.h, steps, block.self_attn.dh)
             # np.empty: positions not reached yet are never written or paged in
-            caches.append([np.empty(shape), np.empty(shape), *block.cross_attn.keys_values(enc)])
+            caches.append([*np.empty((2, *shape), enc.dtype), *block.cross_attn.keys_values(enc)])
         last = np.full(b, tokenizer.BOS)
         for t in range(steps):
             x = self.tok_emb.value[last] + self.pos[t]
@@ -488,7 +482,7 @@ class Model:
 def _keep_rows(cache: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
     """A new self-attention cache holding the ``keep`` rows of ``cache``; only
     the first ``filled`` positions are copied."""
-    new = np.empty((int(keep.sum()),) + cache.shape[1:])
+    new = np.empty((int(keep.sum()),) + cache.shape[1:], cache.dtype)
     new[:, :, :filled] = cache[keep, :, :filled]
     return new
 
@@ -496,7 +490,7 @@ def _keep_rows(cache: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
 def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,
                             pad_id: int = tokenizer.PAD) -> tuple[float, np.ndarray]:
     """Mean NLL over non-PAD positions, plus d(loss)/d(logits)."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.shape[:-1] != targets.shape:
         raise ValueError(f"logits {logits.shape} do not match targets {targets.shape}")
@@ -559,11 +553,18 @@ class AdamW:
             p.value -= self.lr * update
 
 
+def _float64_copy(model: Model) -> Model:
+    """A copy of ``model`` whose parameters, and so its computation, are float64."""
+    values = {p.name: p.value.astype(np.float64) for p in model.params()}
+    return Model.__new__(Model)._build(model.config, lambda name, *_: values[name])
+
+
 def gradient_check(model: Model, rows, modality_ids, targets,
                    n_samples: int = 200, h: float = 1e-4, seed: int = 0,
                    floor: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference gradients.
 
+    Both are computed on a float64 copy of ``model``, which stays untouched.
     Samples coordinates uniformly across every parameter tensor so all layer
     types get exercised. The relative-error denominator is floored at
     ``floor``: central differences of an O(1) loss carry ~eps*L/h ≈ 1e-11
@@ -571,21 +572,17 @@ def gradient_check(model: Model, rows, modality_ids, targets,
     noise cannot be compared in purely relative terms. The default floor is
     five orders of magnitude above the noise.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim == 1:
-        targets = targets[None, :]
-    model.zero_grad()
+    targets = np.array(targets, dtype=np.int64, ndmin=2)
+    model = _float64_copy(model)
     base_params = model.params()
-    model.loss_and_grads(rows, modality_ids, targets)
-    analytic = [p.grad.copy() for p in base_params]
+    model.loss_and_grads(rows, modality_ids, targets)   # the analytic gradients
 
     def loss_only():
         logits = model.forward(rows, modality_ids, targets[:, :-1])
         return cross_entropy_loss(logits, targets[:, 1:])
 
     rng = np.random.default_rng(seed)
-    sizes = np.array([p.value.size for p in base_params])
-    cum = np.cumsum(sizes)
+    cum = np.cumsum([p.value.size for p in base_params])
     picks = rng.choice(int(cum[-1]), size=min(n_samples, int(cum[-1])), replace=False)
     max_rel = 0.0
     for flat_idx in picks:
@@ -599,7 +596,7 @@ def gradient_check(model: Model, rows, modality_ids, targets,
         lm = loss_only()
         p.value.flat[local] = orig
         fd = (lp - lm) / (2 * h)
-        an = analytic[pi].flat[local]
+        an = p.grad.flat[local]
         rel = abs(an - fd) / max(abs(an), abs(fd), floor)
         max_rel = max(max_rel, rel)
     return max_rel
@@ -615,9 +612,7 @@ def save_checkpoint(model: Model, path) -> None:
     cfg_bytes = json.dumps(asdict(model.config)).encode("utf-8")
     cfg_arr = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(np.float32)
     records = [EmbeddingRecord(_CONFIG_KEY, (("raw", cfg_arr),))]
-    for p in model.params():
-        records.append(EmbeddingRecord(f"param:{p.name}",
-                                       (("raw", p.value.astype(np.float32)),)))
+    records += [EmbeddingRecord(f"param:{p.name}", (("raw", p.value),)) for p in model.params()]
     write_store(records, path)
 
 
@@ -638,6 +633,5 @@ def load_checkpoint(path) -> Model:
                 raise ConfigError(f"checkpoint shape {arr.shape} for {name} does not match {shape}")
             return arr
 
-        model = Model.__new__(Model)   # the parameters come from the store: no random draws
-        model._build(ModelConfig(**cfg), stored)
-    return model
+        # the parameters come from the store: no random draws
+        return Model.__new__(Model)._build(ModelConfig(**cfg), stored)

@@ -45,14 +45,20 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# json.loads accepts the NaN, Infinity and -Infinity literals, which JSON
-# lacks; this decoder raises ValueError on them instead
-STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(text: str) -> float:
+    if abs(value := float(text)) > sys.float_info.max:
+        raise ValueError(f"{text} is beyond float range")
+    return value
+
+
+# json.loads accepts NaN, Infinity and -Infinity, which JSON lacks, and reads
+# a number beyond float range, 1e400, as infinity; this decoder raises ValueError
+STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
     """(1-based line number, record) for each non-blank line; a line that is
-    not a JSON object, or holds NaN or Infinity, raises RecordParseError.
+    not a JSON object, or holds a non-finite number, raises RecordParseError.
     ``what`` names the record kind in messages."""
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -60,7 +66,7 @@ def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
             continue
         try:
             rec = STRICT_JSON.decode(raw)
-        except ValueError as e:   # JSONDecodeError, NaN or Infinity, or too many digits
+        except ValueError as e:   # JSONDecodeError, a non-finite number, or too many digits
             raise RecordParseError(f"bad {what} record: {e}", line=lineno) from e
         if type(rec) is not dict:
             raise RecordParseError(f"{what} record must be a JSON object, got {raw[:80]}",

@@ -136,7 +136,7 @@ def collate(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ms = {e.fused.rows.shape[0] for e in examples}
     if len(ms) != 1:
         raise ValueError(f"cannot batch examples with differing row counts: {sorted(ms)}")
-    rows = np.stack([e.fused.rows for e in examples]).astype(np.float64)
+    rows = np.stack([e.fused.rows for e in examples])
     ids = np.stack([e.fused.modality_ids for e in examples])
     targets = np.stack([e.target for e in examples])
     width = int((targets != tokenizer.PAD).sum(axis=1).max())

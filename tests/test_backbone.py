@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse import tokenizer
-from modalfuse.backbone import (AdamW, Model, ModelConfig, _gelu, _gelu_grad,
-                                cross_entropy_loss, cross_entropy_with_grad,
+from modalfuse.backbone import (AdamW, Model, ModelConfig, _float64_copy, _gelu,
+                                _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, NotFoundError
@@ -393,6 +393,7 @@ class TestGreedyDecodeBatch:
 
     def test_cached_step_logits_match_full_decoder(self, decode_setup, monkeypatch):
         m, rows, ids = decode_setup
+        m = _float64_copy(m)   # the two paths round differently; in float64 to 1e-12
         steps = []
         head = m.lm_head.forward
 
@@ -414,6 +415,38 @@ class TestGreedyDecodeBatch:
                 assert np.max(np.abs(logits[j] - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+class TestDtypeFlow:
+    """The model computes in its parameters' float32: nothing upcasts."""
+
+    def test_training_step_stays_float32(self):
+        m = Model(TINY, seed=0)
+        rows, ids, targets = tiny_batch()   # float64 rows are cast on the way in
+        logits = m.forward(rows, ids, targets[:, :-1])
+        assert logits.dtype == np.float32
+        assert cross_entropy_with_grad(logits, targets[:, 1:])[1].dtype == np.float32
+        m.zero_grad()
+        m.loss_and_grads(rows, ids, targets)
+        opt = AdamW(m.params(), lr=1e-3, weight_decay=0.01)
+        opt.step()
+        for p, mom, var in zip(m.params(), opt.m, opt.v):
+            assert (p.value.dtype, p.grad.dtype, mom.dtype, var.dtype) == (np.float32,) * 4, p
+
+    def test_decode_caches_stay_float32(self, decode_setup, monkeypatch):
+        m, rows, ids = decode_setup
+        seen = []
+        for block in m.dec_blocks:
+            def recording_step(x, t, cache, step=block.step):
+                seen.extend(c.dtype for c in cache)
+                out = step(x, t, cache)
+                seen.append(out.dtype)
+                return out
+            monkeypatch.setattr(block, "step", recording_step)
+        decoded = m.greedy_decode_batch(rows, ids)
+        # rows left the batch, so _keep_rows built some of the caches
+        assert len({len(out) for out in decoded}) > 2
+        assert seen and set(seen) == {np.dtype(np.float32)}
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         m = Model(TINY, seed=0)
@@ -427,9 +460,9 @@ class TestCheckpoint:
         m3 = load_checkpoint(path)
         logits_b = m3.forward(rows, ids, targets[:, :-1])
         assert np.array_equal(logits_a, logits_b)
-        # parameters are stored as float32 and come back exactly as stored
+        # float32 parameters are stored as float32 and come back bitwise
         for pa, pb in zip(m.params(), m2.params()):
-            assert np.array_equal(pb.value, pa.value.astype(np.float32))
+            assert np.array_equal(pb.value, pa.value)
 
     @staticmethod
     def rewrite(path, edit):
@@ -470,5 +503,5 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert [p.name for p in loaded.params()] == [p.name for p in m.params()]
         for pa, pb in zip(m.params(), loaded.params()):
-            assert pb.value.dtype == np.float64
-            assert np.array_equal(pb.value, pa.value.astype(np.float32))
+            assert pb.value.dtype == np.float32
+            assert np.array_equal(pb.value, pa.value)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,21 @@ class TestSegment:
         with pytest.raises(SystemExit, match="cfg.json: NaN is not a JSON number"):
             main(["segment", "--transcripts", str(transcripts), "--out", str(out),
                   "--config", str(cfg)])
+        assert not out.exists()
+
+    def test_out_of_range_config_value_exits_one(self, tmp_path, transcripts):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min-wpm": 1e400}')
+        out = tmp_path / "seg.jsonl"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from modalfuse.cli import main; sys.exit(main())",
+             "segment", "--transcripts", str(transcripts), "--out", str(out),
+             "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert "cfg.json: 1e400 is beyond float range" in proc.stderr
         assert not out.exists()
 
     def test_output_without_suffix(self, tmp_path, transcripts):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from modalfuse import tokenizer
-from modalfuse.backbone import Model, ModelConfig, cross_entropy_loss
+from modalfuse.backbone import (Model, ModelConfig, _float64_copy, cross_entropy_loss,
+                                load_checkpoint, save_checkpoint)
 from modalfuse.errors import ConfigError, NotFoundError, ValidationError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (TrainConfig, build_full_caption_example,
@@ -240,13 +241,14 @@ class TestTrain:
     def test_metrics_tokens_and_grad_norm(self, encoders):
         """One step over the whole dataset: the batch is a permutation of it."""
         examples = self.make_examples(encoders)
-        metrics = train(examples, Model(SMALL, seed=0),
+        # in float64: pytest.approx of a float32 expected value compares in float32
+        metrics = train(examples, _float64_copy(Model(SMALL, seed=0)),
                         TrainConfig(steps=1, batch_size=len(examples), seed=5))
         assert metrics[0]["tokens"] == sum(
             int((e.target[1:] != tokenizer.PAD).sum()) for e in examples)
         order = np.random.default_rng([5, 0]).permutation(len(examples))
         rows, ids, targets = collate([examples[i] for i in order])
-        model = Model(SMALL, seed=0)
+        model = _float64_copy(Model(SMALL, seed=0))
         model.loss_and_grads(rows, ids, targets)
         expected = np.sqrt(sum((p.grad ** 2).sum() for p in model.params()))
         assert metrics[0]["grad_norm"] == pytest.approx(expected, rel=1e-12)
@@ -264,6 +266,16 @@ class TestTrain:
               TrainConfig(steps=2, batch_size=4, checkpoint_every=1,
                           checkpoint_path=str(ckpt)))
         assert ckpt.exists()
+
+    def test_reloaded_checkpoint_trains_bit_identically(self, encoders, tmp_path):
+        examples = self.make_examples(encoders)
+        model = Model(SMALL, seed=2)
+        save_checkpoint(model, tmp_path / "ckpt.store")
+        reloaded = load_checkpoint(tmp_path / "ckpt.store")
+        cfg = TrainConfig(steps=5, batch_size=4, lr=1e-3, seed=3)
+        runs = [train(examples, m, cfg) for m in (model, reloaded)]
+        assert [r["loss"] for r in runs[0]] == [r["loss"] for r in runs[1]]
+        assert [r["grad_norm"] for r in runs[0]] == [r["grad_norm"] for r in runs[1]]
 
     def test_collate_rejects_mixed_row_counts(self, encoders):
         seg = make_segment("a b c d")
@@ -306,9 +318,10 @@ class TestTrimmedBatch:
 
     def test_loss_and_grads_match_full_width(self, vqa_batch):
         rows, ids, targets = collate(vqa_batch)
-        trimmed = Model(SMALL, seed=0)
+        # in float64, where the two widths' rounding stays below 1e-12
+        trimmed = _float64_copy(Model(SMALL, seed=0))
         loss = trimmed.loss_and_grads(rows, ids, targets)
-        full = Model(SMALL, seed=0)
+        full = _float64_copy(Model(SMALL, seed=0))
         full_loss = full.loss_and_grads(rows, ids, self.full_width(vqa_batch))
         assert loss == pytest.approx(full_loss, rel=1e-12)
         # relative to each gradient's norm: single entries that nearly cancel
@@ -317,7 +330,7 @@ class TestTrimmedBatch:
             assert np.linalg.norm(p.grad - q.grad) <= 1e-12 * np.linalg.norm(q.grad)
 
     def test_corpus_loss_matches_full_width(self, vqa_batch):
-        model = Model(SMALL, seed=0)
+        model = _float64_copy(Model(SMALL, seed=0))
         total = n_tokens = 0
         for lo in (0, 2):
             batch = vqa_batch[lo:lo + 2]

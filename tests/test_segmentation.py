@@ -198,6 +198,13 @@ class TestIO:
                            match=f"line 3: bad transcript record: {literal} is not a JSON number"):
             list(read_transcripts(src))
 
+    def test_out_of_range_number_names_its_line(self):
+        src = io.StringIO('{"video_id": "v"}\n{"w": "a", "s": 0, "e": 1}\n'
+                          '{"w": "b", "s": 1, "e": 1e400}\n{"w": "c", "s": 2, "e": 3}\n')
+        with pytest.raises(RecordParseError,
+                           match="line 3: bad transcript record: 1e400 is beyond float range"):
+            list(read_transcripts(src))
+
     def test_empty_video_id_names_header_line(self):
         src = io.StringIO('{"video_id": "v"}\n{"w": "a", "s": 0, "e": 1}\n'
                           '{"video_id": ""}\n{"w": "b", "s": 0, "e": 1}\n')
