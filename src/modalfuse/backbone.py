@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -50,14 +50,14 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
+@dataclass(eq=False)
 class Parameter:
-    def __init__(self, value: np.ndarray, name: str):
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.value.shape})"
+    """A named parameter; ``value`` and ``grad`` are views set by ``Model._build``."""
+    name: str
+    shape: tuple
+    ones: bool   # an RMSNorm gain, initialised to 1
+    value: np.ndarray = field(default=None, repr=False)
+    grad: np.ndarray = field(default=None, repr=False)
 
 
 class Linear:
@@ -303,21 +303,21 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self._build(config, lambda name, shape, ones: (
-            np.ones(shape) if ones else rng.normal(0.0, 0.02, size=shape)).astype(np.float32))
+        self._build(config, np.float32)
+        for p in self._params:
+            p.value[...] = 1.0 if p.ones else rng.normal(0.0, 0.02, size=p.shape)
 
-    def _build(self, config: ModelConfig, value) -> Model:
-        """Build the layers and return the model. Each layer constructor
-        creates its parameters through ``make(name, shape, ones=False)``,
-        which takes the first value from ``value(name, shape, ones)`` (``ones``
-        marks an RMSNorm gain) and appends it to the list ``params()`` returns."""
+    def _build(self, config: ModelConfig, dtype) -> Model:
+        """Build the layers and return the model. Layers declare parameters with
+        ``make(name, shape, ones=False)``; their values and gradients are views,
+        in ``params()`` order, into a flat ``value`` buffer, which the caller
+        fills, and a zeroed flat ``grad`` buffer, both of ``dtype``."""
         self.config = c = config
         self._params = []
 
         def make(name, shape, ones=False):
-            p = Parameter(value(name, shape, ones), name)
-            self._params.append(p)
-            return p
+            self._params.append(Parameter(name, shape, ones))
+            return self._params[-1]
 
         self.type_emb = make("type_emb", (len(MODALITIES), c.d_model))
         self.tok_emb = make("tok_emb", (tokenizer.VOCAB_SIZE, c.d_model))
@@ -326,7 +326,11 @@ class Model:
         self.dec_blocks = [DecoderBlock(c, make, f"dec{i}") for i in range(c.n_decoder_layers)]
         self.dec_norm = RMSNorm(c.d_model, make, "dec_norm")
         self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, make, "lm_head")
-        self.pos = sinusoidal_positions(c.max_target_len, c.d_model, self.tok_emb.value.dtype)
+        self.pos = sinusoidal_positions(c.max_target_len, c.d_model, dtype)
+        ends = np.cumsum([math.prod(p.shape) for p in self._params])
+        self.value, self.grad = np.empty(ends[-1], dtype), np.zeros(ends[-1], dtype)
+        for p, lo, hi in zip(self._params, [0, *ends], ends):
+            p.value, p.grad = self.value[lo:hi].reshape(p.shape), self.grad[lo:hi].reshape(p.shape)
         return self
 
     # -- parameter plumbing -------------------------------------------------
@@ -335,8 +339,7 @@ class Model:
         return list(self._params)
 
     def zero_grad(self):
-        for p in self._params:
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
     # -- forward ------------------------------------------------------------
 
@@ -520,43 +523,44 @@ def cross_entropy_loss(logits, targets, pad_id: int = tokenizer.PAD) -> float:
 
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_BLOCK = 1 << 16   # elements per AdamW update block: temporaries stay small
 
 
 class AdamW:
-    """Decoupled weight decay Adam with bias correction."""
+    """Decoupled weight decay Adam with bias correction on ``model.value``."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-4,
-                 weight_decay: float = 0.0):
-        self.params = list(params)
+    def __init__(self, model: Model, lr: float = 1e-4, weight_decay: float = 0.0):
+        self.model = model
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m, self.v = np.zeros_like(model.value), np.zeros_like(model.value)
 
     def step(self):
-        for p in self.params:
+        for p in self.model.params():
             if not np.all(np.isfinite(p.grad)):
                 raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        value, grad = self.model.value, self.model.grad
+        for b in [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]:
+            p, g, m, v = value[b], grad[b], self.m[b], self.v[b]
             m *= _BETA1
             m += (1.0 - _BETA1) * g
             v *= _BETA2
             v += (1.0 - _BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             if self.weight_decay:
-                update = update + self.weight_decay * p.value
-            p.value -= self.lr * update
+                update += self.weight_decay * p
+            p -= self.lr * update
 
 
 def _float64_copy(model: Model) -> Model:
     """A copy of ``model`` whose parameters, and so its computation, are float64."""
-    values = {p.name: p.value.astype(np.float64) for p in model.params()}
-    return Model.__new__(Model)._build(model.config, lambda name, *_: values[name])
+    copy = Model.__new__(Model)._build(model.config, np.float64)
+    copy.value[...] = model.value
+    return copy
 
 
 def gradient_check(model: Model, rows, modality_ids, targets,
@@ -565,8 +569,8 @@ def gradient_check(model: Model, rows, modality_ids, targets,
     """Max relative error between analytic and central-difference gradients.
 
     Both are computed on a float64 copy of ``model``, which stays untouched.
-    Samples coordinates uniformly across every parameter tensor so all layer
-    types get exercised. The relative-error denominator is floored at
+    Samples coordinates uniformly across the flat parameter buffer so all
+    layer types get exercised. The relative-error denominator is floored at
     ``floor``: central differences of an O(1) loss carry ~eps*L/h ≈ 1e-11
     absolute roundoff, so coordinates whose true gradient sits below that
     noise cannot be compared in purely relative terms. The default floor is
@@ -574,7 +578,6 @@ def gradient_check(model: Model, rows, modality_ids, targets,
     """
     targets = np.array(targets, dtype=np.int64, ndmin=2)
     model = _float64_copy(model)
-    base_params = model.params()
     model.loss_and_grads(rows, modality_ids, targets)   # the analytic gradients
 
     def loss_only():
@@ -582,21 +585,16 @@ def gradient_check(model: Model, rows, modality_ids, targets,
         return cross_entropy_loss(logits, targets[:, 1:])
 
     rng = np.random.default_rng(seed)
-    cum = np.cumsum([p.value.size for p in base_params])
-    picks = rng.choice(int(cum[-1]), size=min(n_samples, int(cum[-1])), replace=False)
     max_rel = 0.0
-    for flat_idx in picks:
-        pi = int(np.searchsorted(cum, flat_idx, side="right"))
-        local = int(flat_idx - (cum[pi - 1] if pi else 0))
-        p = base_params[pi]
-        orig = p.value.flat[local]
-        p.value.flat[local] = orig + h
+    for i in rng.choice(model.value.size, size=min(n_samples, model.value.size), replace=False):
+        orig = model.value[i]
+        model.value[i] = orig + h
         lp = loss_only()
-        p.value.flat[local] = orig - h
+        model.value[i] = orig - h
         lm = loss_only()
-        p.value.flat[local] = orig
+        model.value[i] = orig
         fd = (lp - lm) / (2 * h)
-        an = p.grad.flat[local]
+        an = model.grad[i]
         rel = abs(an - fd) / max(abs(an), abs(fd), floor)
         max_rel = max(max_rel, rel)
     return max_rel
@@ -627,11 +625,12 @@ def load_checkpoint(path) -> Model:
                 f" and lacks keys {sorted(expected - set(cfg))}"
             )
 
-        def stored(name, shape, ones):
-            arr = store.get_by_key(f"param:{name}").arrays[0][1]
-            if arr.shape != shape:
-                raise ConfigError(f"checkpoint shape {arr.shape} for {name} does not match {shape}")
-            return arr
-
         # the parameters come from the store: no random draws
-        return Model.__new__(Model)._build(ModelConfig(**cfg), stored)
+        model = Model.__new__(Model)._build(ModelConfig(**cfg), np.float32)
+        for p in model.params():
+            arr = store.get_by_key(f"param:{p.name}").arrays[0][1]
+            if arr.shape != p.shape:
+                raise ConfigError(
+                    f"checkpoint shape {arr.shape} for {p.name} does not match {p.shape}")
+            p.value[...] = arr
+        return model

@@ -154,8 +154,9 @@ class TrainConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.lr):
-            raise ConfigError(f"lr must be finite, got {self.lr}")
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("steps", "checkpoint_every"):
@@ -176,7 +177,7 @@ def train(examples: list, model: Model, cfg: TrainConfig,
     """
     if not examples:
         raise ValueError("empty dataset")
-    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model, lr=cfg.lr, weight_decay=cfg.weight_decay)
     metrics: list[dict] = []
     examples_seen = 0
     epoch = 0
@@ -199,7 +200,7 @@ def train(examples: list, model: Model, cfg: TrainConfig,
             "lr": cfg.lr,
             "examples_seen": examples_seen,
             "tokens": int((targets[:, 1:] != tokenizer.PAD).sum()),
-            "grad_norm": math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in opt.params)),
+            "grad_norm": math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in model.params())),
             "wall_ms": (time.monotonic() - t0) * 1000.0,
         }
         if not math.isfinite(loss):

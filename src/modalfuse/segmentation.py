@@ -121,8 +121,8 @@ def word_density(segment: Segment) -> float:
 
 def filter_segments(segments: Iterable[Segment], min_wpm: float = DEFAULT_MIN_WPM) -> list[Segment]:
     """Keep segments whose density is >= min_wpm (inclusive), preserving order."""
-    if min_wpm <= 0:
-        raise ValueError(f"min_wpm must be positive, got {min_wpm}")
+    if not 0 < min_wpm < math.inf:
+        raise ValueError(f"min_wpm must be positive and finite, got {min_wpm}")
     return [s for s in segments if word_density(s) >= min_wpm]
 
 

@@ -76,7 +76,7 @@ def test_criterion_2_overfit_and_exact_decode():
     targets = np.stack([tokenizer.tokenize(t, 16) for t in texts])
 
     model = Model(cfg, seed=0)
-    opt = AdamW(model.params(), lr=1e-3)
+    opt = AdamW(model, lr=1e-3)
     loss = np.inf
     steps = 0
     for steps in range(1, 2001):

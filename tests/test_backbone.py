@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse import tokenizer
+from modalfuse import backbone, tokenizer
 from modalfuse.backbone import (AdamW, Model, ModelConfig, _float64_copy, _gelu,
                                 _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
@@ -238,7 +238,7 @@ class TestGradients:
         m = Model(TINY, seed=0)
         rows, ids, _ = tiny_batch(b=1)
         target = np.array([[tokenizer.BOS, 97, tokenizer.EOS, tokenizer.PAD]])
-        opt = AdamW(m.params(), lr=1e-2)
+        opt = AdamW(m, lr=1e-2)
         for _ in range(300):
             m.zero_grad()
             loss = m.loss_and_grads(rows, ids, target)
@@ -289,21 +289,34 @@ class TestAdamW:
 
     def test_nonfinite_grad_refused(self):
         m = Model(TINY, seed=0)
-        opt = AdamW(m.params())
-        m.params()[0].grad[0] = np.nan
-        with pytest.raises(FloatingPointError):
+        opt = AdamW(m)
+        p = m.params()[5]
+        p.grad[0] = np.nan
+        before = m.value.copy()
+        with pytest.raises(FloatingPointError, match=f"non-finite gradient for {p.name}"):
             opt.step()
+        assert np.array_equal(m.value, before)   # nothing updates before the check
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
-    def test_optimizer_matches_functional(self):
+    def test_optimizer_matches_functional(self, monkeypatch):
+        # a small odd block size, so that blocks straddle parameter boundaries
+        monkeypatch.setattr(backbone, "_ADAM_BLOCK", 37)
         m = Model(TINY, seed=0)
-        p0 = m.params()[0]
-        p0.grad[...] = 0.5
-        expected, _, _ = adamw_step(p0.value.copy(), p0.grad.copy(),
-                                    np.zeros_like(p0.value), np.zeros_like(p0.value),
-                                    t=1, lr=1e-4, weight_decay=0.01)
-        opt = AdamW([p0], lr=1e-4, weight_decay=0.01)
-        opt.step()
-        assert np.allclose(p0.value, expected, atol=1e-12)
+        sizes = [p.value.size for p in m.params()]
+        assert any(np.cumsum(sizes) % 37 != 0)
+        expected = [(p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value))
+                    for p in m.params()]
+        opt = AdamW(m, lr=1e-3, weight_decay=0.01)
+        rng = np.random.default_rng(0)
+        for t in range(1, 4):
+            m.grad[...] = rng.normal(size=m.grad.size)
+            expected = [adamw_step(value, p.grad.copy(), mom, var, t=t, lr=1e-3,
+                                   weight_decay=0.01)
+                        for p, (value, mom, var) in zip(m.params(), expected)]
+            opt.step()
+            for p, (value, _, _) in zip(m.params(), expected):
+                assert value.dtype == np.float32
+                assert np.array_equal(p.value, value), p.name
 
 
 class TestGreedyDecode:
@@ -325,7 +338,7 @@ class TestGreedyDecode:
         m = Model(TINY, seed=1)
         rows, ids, _ = tiny_batch(b=1)
         target = tokenizer.tokenize("yes", 8)[None]
-        opt = AdamW(m.params(), lr=1e-2)
+        opt = AdamW(m, lr=1e-2)
         for _ in range(200):
             m.zero_grad()
             loss = m.loss_and_grads(rows, ids, target)
@@ -351,7 +364,7 @@ def decode_setup():
              "z", "qq", "hello world", "3"]
     targets = np.stack([tokenizer.tokenize(s, DECODE_CFG.max_target_len) for s in texts])
     m = Model(DECODE_CFG, seed=1)
-    opt = AdamW(m.params(), lr=3e-3)
+    opt = AdamW(m, lr=3e-3)
     for _ in range(50):
         m.zero_grad()
         m.loss_and_grads(rows, ids, targets)
@@ -426,10 +439,13 @@ class TestDtypeFlow:
         assert cross_entropy_with_grad(logits, targets[:, 1:])[1].dtype == np.float32
         m.zero_grad()
         m.loss_and_grads(rows, ids, targets)
-        opt = AdamW(m.params(), lr=1e-3, weight_decay=0.01)
+        opt = AdamW(m, lr=1e-3, weight_decay=0.01)
         opt.step()
-        for p, mom, var in zip(m.params(), opt.m, opt.v):
-            assert (p.value.dtype, p.grad.dtype, mom.dtype, var.dtype) == (np.float32,) * 4, p
+        buffers = (m.value, m.grad, opt.m, opt.v)
+        assert [b.dtype for b in buffers] == [np.float32] * 4
+        assert len({b.shape for b in buffers}) == 1
+        for p in m.params():
+            assert (p.value.dtype, p.grad.dtype) == (np.float32, np.float32), p
 
     def test_decode_caches_stay_float32(self, decode_setup, monkeypatch):
         m, rows, ids = decode_setup
@@ -445,6 +461,48 @@ class TestDtypeFlow:
         # rows left the batch, so _keep_rows built some of the caches
         assert len({len(out) for out in decoded}) > 2
         assert seen and set(seen) == {np.dtype(np.float32)}
+
+
+class TestFlatBuffers:
+    """Every parameter's value and gradient are views into the model's two
+    flat buffers, which they tile once, in ``params()`` order."""
+
+    @staticmethod
+    def check_layout(m):
+        params = m.params()
+        assert m.value.ndim == m.grad.ndim == 1
+        assert sum(p.value.size for p in params) == m.value.size == m.grad.size
+        for p in params:
+            assert np.shares_memory(p.value, m.value) and np.shares_memory(p.grad, m.grad)
+            assert p.value.shape == p.grad.shape == p.shape
+        saved = m.value.copy()
+        for buf, of in ((m.value, lambda p: p.value), (m.grad, lambda p: p.grad)):
+            buf[...] = np.arange(buf.size)
+            assert np.array_equal(np.concatenate([of(p).ravel() for p in params]),
+                                  np.arange(buf.size))
+        m.value[...] = saved
+
+    def test_new_model(self):
+        self.check_layout(Model(TINY, seed=0))
+
+    def test_loaded_checkpoint(self, tmp_path):
+        save_checkpoint(Model(TINY, seed=0), tmp_path / "ckpt.store")
+        self.check_layout(load_checkpoint(tmp_path / "ckpt.store"))
+
+    def test_float64_copy(self):
+        m = Model(TINY, seed=0)
+        copy = _float64_copy(m)
+        assert copy.value.dtype == copy.grad.dtype == np.float64
+        assert np.array_equal(copy.value, m.value) and not np.shares_memory(copy.value, m.value)
+        self.check_layout(copy)
+
+    def test_zero_grad_clears_every_parameter(self):
+        m = Model(TINY, seed=0)
+        m.zero_grad()
+        m.loss_and_grads(*tiny_batch())
+        assert all(p.grad.any() for p in (m.type_emb, m.tok_emb, m.lm_head.W))
+        m.zero_grad()
+        assert all(not p.grad.any() for p in m.params())
 
 
 class TestCheckpoint:

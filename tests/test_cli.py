@@ -100,6 +100,15 @@ class TestSegment:
         assert out.read_text() == ""
         assert "dropped 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_min_wpm_exits_nonzero(self, tmp_path, transcripts, capsys, value):
+        out = tmp_path / "seg.jsonl"
+        assert main(["segment", "--transcripts", str(transcripts), "--out", str(out),
+                     "--min-wpm", value]) == 1
+        assert f"error: min_wpm must be positive and finite, got {float(value)}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_merged_and_flag_wins(self, tmp_path, transcripts):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window": 10, "min-wpm": 5.0}))
@@ -458,6 +467,8 @@ class TestTrainingPipeline:
         ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
         ("--lr", "nan", "lr must be finite, got nan"),
+        ("--weight-decay", "nan", "weight_decay must be finite, got nan"),
+        ("--weight-decay", "inf", "weight_decay must be finite, got inf"),
     ])
     def test_bad_train_setting_exits_nonzero(self, tmp_path, stage_argv, capsys, flag, value,
                                              message):

@@ -201,6 +201,8 @@ class TestTrain:
         ("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1"),
         ("lr", float("nan"), "lr must be finite, got nan"),
         ("lr", float("inf"), "lr must be finite, got inf"),
+        ("weight_decay", float("nan"), "weight_decay must be finite, got nan"),
+        ("weight_decay", float("-inf"), "weight_decay must be finite, got -inf"),
     ])
     def test_config_ranges(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

@@ -126,6 +126,11 @@ class TestFilterSegments:
         with pytest.raises(ValueError):
             filter_segments([], min_wpm=0.0)
 
+    @pytest.mark.parametrize("min_wpm", [math.nan, math.inf])
+    def test_non_finite_threshold(self, min_wpm):
+        with pytest.raises(ValueError, match=f"min_wpm must be positive and finite, got {min_wpm}"):
+            filter_segments([make_segment(15, 10.0)], min_wpm=min_wpm)
+
     def test_infinite_density_always_passes(self):
         assert filter_segments([make_segment(15, 0.0)], min_wpm=1e9)
 
