@@ -61,20 +61,21 @@ class Parameter:
 
 
 class Linear:
-    """x @ W, no bias (T5-style projections)."""
+    """x @ W, no bias (T5-style projections), as one 2-D GEMM over all leading
+    rows: a stacked matmul calls BLAS, which repacks W, once per batch entry."""
 
     def __init__(self, d_in: int, d_out: int, make, name: str):
         self.W = make(f"{name}/W", (d_in, d_out))
-        self._x = None
+        self._x = None   # the input's rows, [N, d_in]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.W.value
+        self._x = x.reshape(-1, x.shape[-1])
+        return (self._x @ self.W.value).reshape(*x.shape[:-1], self.W.shape[1])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        self.W.grad += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-        return dy @ self.W.value.T
+        rows = dy.reshape(-1, dy.shape[-1])
+        self.W.grad += self._x.T @ rows
+        return (rows @ self.W.value.T).reshape(*dy.shape[:-1], self.W.shape[0])
 
 
 _RMS_EPS = 1e-6
@@ -537,13 +538,15 @@ class AdamW:
         self.m, self.v = np.zeros_like(model.value), np.zeros_like(model.value)
 
     def step(self):
-        for p in self.model.params():
-            if not np.all(np.isfinite(p.grad)):
-                raise FloatingPointError(f"non-finite gradient for {p.name}")
+        # min and max are non-finite exactly when some element is (NaN
+        # propagates), and unlike isfinite(grad) they build no grad-sized array
+        value, grad = self.model.value, self.model.grad
+        if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+            bad = next(p for p in self.model.params() if not np.isfinite(p.grad).all())
+            raise FloatingPointError(f"non-finite gradient for {bad.name}")
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        value, grad = self.model.value, self.model.grad
         for b in [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]:
             p, g, m, v = value[b], grad[b], self.m[b], self.v[b]
             m *= _BETA1

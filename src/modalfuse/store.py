@@ -99,7 +99,8 @@ def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...
             n = math.prod(dims)
             if pos + 4 * n > end:
                 raise CorruptionError(f"record {where}: shape {dims} overruns the record")
-            arr = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(dims).copy()
+            # a read-only view: the record's arrays share the blob, uncopied
+            arr = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(dims)
             pos += 4 * n
             arrays.append((ID_TO_TAG[tag_id], arr))
     except (struct.error, KeyError, ValueError) as e:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse import backbone, tokenizer
-from modalfuse.backbone import (AdamW, Model, ModelConfig, _float64_copy, _gelu,
-                                _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
+from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _float64_copy,
+                                _gelu, _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, NotFoundError
@@ -75,6 +75,52 @@ class TestConfig:
                           d_ff=32, max_target_len=16)
         rows, ids, targets = tiny_batch()
         assert math.isfinite(Model(cfg).loss_and_grads(rows, ids, targets))
+
+
+def make_linear(d_in, d_out, seed=1):
+    """A float32 Linear with its own random W and zeroed gradient."""
+    rng = np.random.default_rng(seed)
+
+    def make(name, shape, ones=False):
+        return Parameter(name, shape, ones, rng.normal(size=shape).astype(np.float32),
+                         np.zeros(shape, np.float32))
+
+    return Linear(d_in, d_out, make, "lin")
+
+
+class TestLinear:
+    def test_batched_rows_match_flattened_rows_bitwise(self):
+        # a shape at which numpy's stacked matmul, one BLAS call per batch
+        # entry, gave dx other bits than one GEMM over all 40 rows (OpenBLAS)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 5, 96)).astype(np.float32)
+        dy = rng.normal(size=(8, 5, 80)).astype(np.float32)
+        batched, flat = make_linear(96, 80), make_linear(96, 80)
+        y, dx = batched.forward(x), batched.backward(dy)
+        y_flat, dx_flat = flat.forward(x.reshape(40, 96)), flat.backward(dy.reshape(40, 80))
+        assert y.shape == (8, 5, 80) and dx.shape == (8, 5, 96)
+        assert np.array_equal(y.reshape(40, 80), y_flat)
+        assert np.array_equal(dx.reshape(40, 96), dx_flat)
+        assert np.array_equal(batched.W.grad, flat.W.grad)
+
+    def test_backward_accumulates_into_grad(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 3, 16)).astype(np.float32)
+        dy = rng.normal(size=(2, 3, 8)).astype(np.float32)
+        lin = make_linear(16, 8)
+        lin.forward(x)
+        lin.backward(dy)
+        once = lin.W.grad.copy()
+        lin.backward(dy)
+        assert np.array_equal(lin.W.grad, 2 * once)
+
+    def test_2d_input_keeps_shape_and_dtype(self):
+        x = np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32)
+        lin = make_linear(16, 8)
+        y = lin.forward(x)
+        dx = lin.backward(np.ones_like(y))
+        assert y.shape == (5, 8) and y.dtype == np.float32
+        assert dx.shape == (5, 16) and dx.dtype == np.float32
 
 
 class TestEncoder:
@@ -288,15 +334,16 @@ class TestAdamW:
         assert p[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
 
     def test_nonfinite_grad_refused(self):
-        m = Model(TINY, seed=0)
-        opt = AdamW(m)
-        p = m.params()[5]
-        p.grad[0] = np.nan
-        before = m.value.copy()
-        with pytest.raises(FloatingPointError, match=f"non-finite gradient for {p.name}"):
-            opt.step()
-        assert np.array_equal(m.value, before)   # nothing updates before the check
-        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        for bad in (np.nan, np.inf, -np.inf):
+            m = Model(TINY, seed=0)
+            opt = AdamW(m)
+            p = m.params()[5]
+            p.grad[0] = bad
+            before = m.value.copy()
+            with pytest.raises(FloatingPointError, match=f"non-finite gradient for {p.name}"):
+                opt.step()
+            assert np.array_equal(m.value, before)   # nothing updates before the check
+            assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
     def test_optimizer_matches_functional(self, monkeypatch):
         # a small odd block size, so that blocks straddle parameter boundaries

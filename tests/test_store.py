@@ -129,6 +129,15 @@ class TestGet:
             with pytest.raises(NotFoundError):
                 s.get_by_key("nope")
 
+    def test_get_returns_read_only_arrays(self, tmp_path):
+        # the arrays are views of the bytes read, not copies
+        rng = np.random.default_rng(2)
+        path = tmp_path / "s.store"
+        write_store([rand_record(rng, "k")], path)
+        with Store(path) as s:
+            for rec in (s.get(0), s.get_by_key("k")):
+                assert all(not arr.flags.writeable for _, arr in rec.arrays)
+
 
 HEADER = FOOTER = 16
 

@@ -21,12 +21,16 @@ def load_tracing():
 
 def test_tracer_installs_and_restores_every_target():
     tracing = load_tracing()
-    forward, main = backbone.Linear.forward, cli.main
+    forward, backward = backbone.Linear.forward, backbone.Linear.backward
+    main = cli.main
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        assert backbone.Linear.forward is not forward and cli.main is not main
+        assert backbone.Linear.forward is not forward
+        assert backbone.Linear.backward is not backward
+        assert cli.main is not main
     finally:
         tracer.uninstall()
     assert backbone.Linear.forward is forward
+    assert backbone.Linear.backward is backward
     assert cli.main is main
