@@ -535,7 +535,9 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m, self.v = np.zeros_like(model.value), np.zeros_like(model.value)
+        # np.zeros takes already-zeroed pages, where zeros_like writes every zero
+        self.m = np.zeros(model.value.shape, model.value.dtype)
+        self.v = np.zeros(model.value.shape, model.value.dtype)
 
     def step(self):
         # min and max are non-finite exactly when some element is (NaN

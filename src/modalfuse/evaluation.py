@@ -122,33 +122,47 @@ class EvalResult:
         return len(self.errors)
 
 
-# Examples decoded together. Larger chunks decode faster but hold more
-# memory: 64-token decodes at d=64 peaked about 2 MB higher in chunks of 32
-# than in chunks of 16.
-DECODE_CHUNK = 16
+# Decoder cache bytes one decode chunk may hold. A decode step's fixed costs
+# (weight reads, per-step numpy dispatch) shrink per example as the chunk
+# grows, while the cache grows with it; this keeps a d=768, 128-token decode
+# at about 20 examples per chunk.
+_DECODE_CACHE_BYTES = 32 << 20
 
 # Decode length, BOS included, of ``modalfuse eval`` and the ablation harness
 EVAL_DECODE_LEN = 16
+
+
+def _decode_chunk(config: ModelConfig, max_len: int, n_rows: int, itemsize: int) -> int:
+    """Examples per ``greedy_decode_batch`` call whose decoder caches fit in
+    ``_DECODE_CACHE_BYTES``: per decoder layer, one example holds keys and
+    values over ``max_len - 1`` decoded positions and ``n_rows`` encoder rows.
+    A decoder with no layers holds no cache and decodes a group in one chunk."""
+    per_example = config.n_decoder_layers * 2 * ((max_len - 1) + n_rows) \
+        * config.d_model * itemsize
+    return max(1, _DECODE_CACHE_BYTES // max(1, per_example))
 
 
 def evaluate(model: Model, examples: list[VqaExample],
              max_decode_len: int | None = None) -> EvalResult:
     """Greedy-decode every example, score it, and aggregate.
 
-    Examples with the same row shape are decoded together, DECODE_CHUNK at a
-    time, with ``Model.greedy_decode_batch``. A chunk whose decode raises
-    records that error against each of its examples, which are left out of
-    the scores; the evaluation fails only when no example decodes.
+    Examples with the same row shape are decoded together with
+    ``Model.greedy_decode_batch``, in the largest chunks whose decoder caches
+    fit in ``_DECODE_CACHE_BYTES`` (``_decode_chunk``). A chunk whose decode
+    raises records that error against each of its examples, which are left
+    out of the scores; the evaluation fails only when no example decodes.
     Predictions and scores keep the order of ``examples``.
     """
     groups: dict[tuple, list[int]] = {}
     for i, ex in enumerate(examples):
         groups.setdefault(ex.fused.rows.shape, []).append(i)
+    max_len = model.config.max_target_len if max_decode_len is None else max_decode_len
     decoded: dict[int, str] = {}
     errors: list[ExampleError] = []
-    for group in groups.values():
-        for lo in range(0, len(group), DECODE_CHUNK):
-            chunk = group[lo:lo + DECODE_CHUNK]
+    for shape, group in groups.items():
+        size = _decode_chunk(model.config, max_len, shape[0], model.value.itemsize)
+        for lo in range(0, len(group), size):
+            chunk = group[lo:lo + size]
             try:
                 rows = np.stack([examples[i].fused.rows for i in chunk])
                 ids = np.stack([examples[i].fused.modality_ids for i in chunk])

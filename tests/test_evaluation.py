@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse import tokenizer
+from modalfuse import evaluation, tokenizer
 from modalfuse.backbone import Model, ModelConfig
-from modalfuse.evaluation import (DECODE_CHUNK, AblationRow, collapse_report,
-                                  default_ablation_grid, evaluate, is_yes_no,
-                                  normalize_answer, run_ablation, vqa_accuracy,
-                                  write_ablation_table)
+from modalfuse.evaluation import (AblationRow, collapse_report, default_ablation_grid,
+                                  evaluate, is_yes_no, normalize_answer, run_ablation,
+                                  vqa_accuracy, write_ablation_table)
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import TrainConfig, build_vqa_example, train
 from modalfuse.store import Store
@@ -116,6 +115,12 @@ class TestCollapseReport:
         assert not collapse_report(preds).collapsed
 
 
+def _cache_bytes(config: ModelConfig, max_len: int, n_rows: int) -> int:
+    """Float32 decoder cache of one example: per decoder layer, keys and
+    values over max_len - 1 decoded positions and n_rows encoder rows."""
+    return config.n_decoder_layers * 2 * (max_len - 1 + n_rows) * config.d_model * 4
+
+
 @pytest.fixture(scope="module")
 def vqa_setup(tmp_path_factory):
     encoders = StubEncoders(d=D, seed=0)
@@ -135,9 +140,9 @@ def vqa_setup(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def mixed_setup(tmp_path_factory):
-    """40 examples, 34 with a graph row (3 rows, so 3 decode chunks) and 6
-    without (2 rows), interleaved, and a model trained briefly on the graph
-    examples so decodes differ in length and text."""
+    """40 examples, 34 with a graph row (3 rows) and 6 without (2 rows),
+    interleaved, and a model trained briefly on the graph examples so decodes
+    differ in length and text."""
     encoders = StubEncoders(d=D, seed=0)
     records = make_mini_vqa(40, seed=1)
     path = tmp_path_factory.mktemp("mixed") / "img.store"
@@ -196,8 +201,10 @@ class TestEvaluate:
     def test_failed_chunks_recorded_per_example(self, mixed_setup, monkeypatch):
         model, examples = mixed_setup
         graph_rows = [i for i, e in enumerate(examples) if e.fused.rows.shape[0] == 3]
+        # a budget of 16 graph examples' caches; the 6 without a graph fit in one chunk
+        monkeypatch.setattr(evaluation, "_DECODE_CACHE_BYTES", 16 * _cache_bytes(SMALL, 8, 3))
         # calls: graph chunks of 16, 16 and 2 examples, then the 6 without a graph
-        failing = sorted(graph_rows[DECODE_CHUNK:2 * DECODE_CHUNK]
+        failing = sorted(graph_rows[16:32]
                          + [i for i in range(len(examples)) if i not in graph_rows])
         real = model.greedy_decode_batch
         calls = []
@@ -220,6 +227,37 @@ class TestEvaluate:
             tokenizer.detokenize(model.greedy_decode(examples[i].fused.rows,
                                                      examples[i].fused.modality_ids, 8))
             for i in kept)
+
+    @pytest.mark.parametrize("max_len", [16, 128])
+    def test_chunk_cache_fits_budget(self, max_len):
+        # the d=768 default shape, float32, a graph example's 3 rows
+        config = ModelConfig()
+        chunk = evaluation._decode_chunk(config, max_len, 3, 4)
+        per_example = _cache_bytes(config, max_len, 3)
+        assert chunk * per_example <= evaluation._DECODE_CACHE_BYTES
+        assert (chunk + 1) * per_example > evaluation._DECODE_CACHE_BYTES
+
+    @pytest.mark.parametrize("budget_examples,calls", [(10, [10, 10, 10, 4]), (0, [1] * 34)])
+    def test_small_budget_splits_chunks(self, mixed_setup, monkeypatch, budget_examples, calls):
+        model, examples = mixed_setup
+        graph = [e for e in examples if e.fused.rows.shape[0] == 3]
+        monkeypatch.setattr(evaluation, "_DECODE_CACHE_BYTES",
+                            budget_examples * _cache_bytes(SMALL, 8, 3))
+        real = model.greedy_decode_batch
+        seen = []
+
+        def spy(rows, ids, max_len=None):
+            seen.append(len(rows))
+            return real(rows, ids, max_len)
+
+        monkeypatch.setattr(model, "greedy_decode_batch", spy)
+        result = evaluate(model, graph, max_decode_len=8)
+        monkeypatch.undo()
+        assert seen == calls
+        assert result.errors == ()
+        assert result.predictions == tuple(
+            tokenizer.detokenize(model.greedy_decode(e.fused.rows, e.fused.modality_ids, 8))
+            for e in graph)
 
     def test_fresh_model_collapses(self, vqa_setup):
         # an untrained decoder emits the same argmax path for every input,
