@@ -439,6 +439,16 @@ class Model:
                 break
         return np.array(out, dtype=np.int64)
 
+    def decode_cache_bytes(self, n_rows: int, max_len: int | None = None) -> int:
+        """Bytes of the decoder caches ``greedy_decode_batch`` holds per example
+        of ``n_rows`` encoder rows: per decoder layer, self-attention keys and
+        values over ``max_len - 1`` positions and cross-attention keys and
+        values over the ``n_rows`` rows. ``max_len`` is resolved and checked as
+        ``greedy_decode_batch`` does."""
+        steps = self._decode_len(max_len) - 1
+        c = self.config
+        return c.n_decoder_layers * 2 * (steps + n_rows) * c.d_model * self.value.itemsize
+
     def greedy_decode_batch(self, rows, modality_ids,
                             max_len: int | None = None) -> list[np.ndarray]:
         """Greedy decoding of a batch: rows [B, m, d_model], modality_ids [B, m].

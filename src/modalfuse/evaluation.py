@@ -132,14 +132,11 @@ _DECODE_CACHE_BYTES = 32 << 20
 EVAL_DECODE_LEN = 16
 
 
-def _decode_chunk(config: ModelConfig, max_len: int, n_rows: int, itemsize: int) -> int:
+def _decode_chunk(model: Model, n_rows: int, max_len: int | None) -> int:
     """Examples per ``greedy_decode_batch`` call whose decoder caches fit in
-    ``_DECODE_CACHE_BYTES``: per decoder layer, one example holds keys and
-    values over ``max_len - 1`` decoded positions and ``n_rows`` encoder rows.
-    A decoder with no layers holds no cache and decodes a group in one chunk."""
-    per_example = config.n_decoder_layers * 2 * ((max_len - 1) + n_rows) \
-        * config.d_model * itemsize
-    return max(1, _DECODE_CACHE_BYTES // max(1, per_example))
+    ``_DECODE_CACHE_BYTES``. A decoder with no layers holds no cache and
+    decodes a group in one chunk."""
+    return max(1, _DECODE_CACHE_BYTES // max(1, model.decode_cache_bytes(n_rows, max_len)))
 
 
 def evaluate(model: Model, examples: list[VqaExample],
@@ -156,11 +153,10 @@ def evaluate(model: Model, examples: list[VqaExample],
     groups: dict[tuple, list[int]] = {}
     for i, ex in enumerate(examples):
         groups.setdefault(ex.fused.rows.shape, []).append(i)
-    max_len = model.config.max_target_len if max_decode_len is None else max_decode_len
     decoded: dict[int, str] = {}
     errors: list[ExampleError] = []
     for shape, group in groups.items():
-        size = _decode_chunk(model.config, max_len, shape[0], model.value.itemsize)
+        size = _decode_chunk(model, shape[0], max_decode_len)
         for lo in range(0, len(group), size):
             chunk = group[lo:lo + size]
             try:

@@ -76,19 +76,16 @@ class StoreSummary:
     file_bytes: int
 
 
-def _encode_arrays(record: EmbeddingRecord) -> list[bytes | np.ndarray]:
-    """The record's bytes as parts to write in order: the array count, each
-    array's header and payload, and the CRC32 of all before it. Payloads are
-    byte views of the arrays, so no payload is copied before the write."""
-    parts = [struct.pack("<H", len(record.arrays))]
+def _encode_arrays(record: EmbeddingRecord) -> bytearray:
+    """The record's bytes: the array count, each array's header and payload,
+    and the CRC32 of all before it. Each payload is copied once, straight
+    from the array's buffer."""
+    out = bytearray(struct.pack("<H", len(record.arrays)))
     for tag, arr in record.arrays:
-        parts.append(struct.pack(f"<BB{arr.ndim}I", TAG_TO_ID[tag], arr.ndim, *arr.shape))
-        parts.append(arr.reshape(-1).view(np.uint8))
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    parts.append(_CRC.pack(crc))
-    return parts
+        out += struct.pack(f"<BB{arr.ndim}I", TAG_TO_ID[tag], arr.ndim, *arr.shape)
+        out += memoryview(arr)
+    out += _CRC.pack(zlib.crc32(out))
+    return out
 
 
 def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...]:
@@ -156,10 +153,9 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
             key_bytes = record.key.encode("utf-8")
             if len(key_bytes) > 0xFFFF:
                 raise ValueError(f"key too long: {len(key_bytes)} bytes")
-            parts = _encode_arrays(record)
-            length = sum(len(part) for part in parts)
-            index += _INDEX_ENTRY.pack(f.tell(), length, len(key_bytes)) + key_bytes
-            f.writelines(parts)
+            blob = _encode_arrays(record)
+            index += _INDEX_ENTRY.pack(f.tell(), len(blob), len(key_bytes)) + key_bytes
+            f.write(blob)
 
         index_offset = f.tell()
         f.write(index)

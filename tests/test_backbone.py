@@ -451,6 +451,22 @@ class TestGreedyDecodeBatch:
         with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
             m.greedy_decode_batch(rows, ids, max_len)
 
+    @pytest.mark.parametrize("max_len", [2, 5, None])
+    def test_decode_cache_bytes_matches_caches(self, decode_setup, monkeypatch, max_len):
+        # the caches each decoder layer holds at the first step, before any
+        # row leaves the batch
+        m, rows, ids = decode_setup
+        held = []
+        for block in m.dec_blocks:
+            def recording_step(x, t, cache, step=block.step):
+                if t == 0:
+                    held.append(sum(c.nbytes for c in cache))
+                return step(x, t, cache)
+            monkeypatch.setattr(block, "step", recording_step)
+        m.greedy_decode_batch(rows, ids, max_len)
+        assert len(held) == DECODE_CFG.n_decoder_layers
+        assert sum(held) == len(rows) * m.decode_cache_bytes(rows.shape[1], max_len)
+
     def test_cached_step_logits_match_full_decoder(self, decode_setup, monkeypatch):
         m, rows, ids = decode_setup
         m = _float64_copy(m)   # the two paths round differently; in float64 to 1e-12

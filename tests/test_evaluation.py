@@ -115,12 +115,6 @@ class TestCollapseReport:
         assert not collapse_report(preds).collapsed
 
 
-def _cache_bytes(config: ModelConfig, max_len: int, n_rows: int) -> int:
-    """Float32 decoder cache of one example: per decoder layer, keys and
-    values over max_len - 1 decoded positions and n_rows encoder rows."""
-    return config.n_decoder_layers * 2 * (max_len - 1 + n_rows) * config.d_model * 4
-
-
 @pytest.fixture(scope="module")
 def vqa_setup(tmp_path_factory):
     encoders = StubEncoders(d=D, seed=0)
@@ -202,7 +196,7 @@ class TestEvaluate:
         model, examples = mixed_setup
         graph_rows = [i for i, e in enumerate(examples) if e.fused.rows.shape[0] == 3]
         # a budget of 16 graph examples' caches; the 6 without a graph fit in one chunk
-        monkeypatch.setattr(evaluation, "_DECODE_CACHE_BYTES", 16 * _cache_bytes(SMALL, 8, 3))
+        monkeypatch.setattr(evaluation, "_DECODE_CACHE_BYTES", 16 * model.decode_cache_bytes(3, 8))
         # calls: graph chunks of 16, 16 and 2 examples, then the 6 without a graph
         failing = sorted(graph_rows[16:32]
                          + [i for i in range(len(examples)) if i not in graph_rows])
@@ -228,12 +222,15 @@ class TestEvaluate:
                                                      examples[i].fused.modality_ids, 8))
             for i in kept)
 
-    @pytest.mark.parametrize("max_len", [16, 128])
-    def test_chunk_cache_fits_budget(self, max_len):
-        # the d=768 default shape, float32, a graph example's 3 rows
-        config = ModelConfig()
-        chunk = evaluation._decode_chunk(config, max_len, 3, 4)
-        per_example = _cache_bytes(config, max_len, 3)
+    @pytest.mark.parametrize("max_len,chunk", [(16, 151), (128, 21)])
+    def test_chunk_cache_fits_budget(self, max_len, chunk):
+        # the d=768 default decoder in float32 and a graph example's 3 rows;
+        # the encoder and feed-forward widths hold no decode cache, so they are
+        # cut to keep the model small
+        model = Model(ModelConfig(n_encoder_layers=0, d_ff=1), seed=0)
+        per_example = model.decode_cache_bytes(3, max_len)
+        assert per_example == 2 * 2 * (max_len - 1 + 3) * 768 * 4
+        assert evaluation._decode_chunk(model, 3, max_len) == chunk
         assert chunk * per_example <= evaluation._DECODE_CACHE_BYTES
         assert (chunk + 1) * per_example > evaluation._DECODE_CACHE_BYTES
 
@@ -242,7 +239,7 @@ class TestEvaluate:
         model, examples = mixed_setup
         graph = [e for e in examples if e.fused.rows.shape[0] == 3]
         monkeypatch.setattr(evaluation, "_DECODE_CACHE_BYTES",
-                            budget_examples * _cache_bytes(SMALL, 8, 3))
+                            budget_examples * model.decode_cache_bytes(3, 8))
         real = model.greedy_decode_batch
         seen = []
 
