@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -173,6 +174,18 @@ def cmd_segment(args, cfg: dict) -> int:
 # the store's rows feed a model of the default width
 _ENCODE_DEFAULTS = {"d": _MODEL_DEFAULTS["d-model"], "seed": 0}
 
+# Segments encoded as one list per modality. A list pays a fixed cost per
+# 8 bytes of its longest payload (``experts.hash_many``), spread over the
+# segments; its rows are live until their records are written.
+_ENCODE_CHUNK = 256
+
+
+def _chunks(items, n: int):
+    """Lists of up to ``n`` consecutive items."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, n)):
+        yield chunk
+
 
 def cmd_encode_pack(args, cfg: dict) -> int:
     encoders = StubEncoders(d=cfg["d"], seed=cfg["seed"])
@@ -185,19 +198,26 @@ def cmd_encode_pack(args, cfg: dict) -> int:
     def records():
         nonlocal missing_graphs
         with open(cfg["segments"], encoding="utf-8") as f:
-            for seg in segmentation.read_segments(f):
-                key = f"{seg.video_id}:{seg.word_start}"
-                arrays = [("frame", row.values) for row in objectives.frame_rows(seg, encoders)]
-                arrays.append(("caption", encoders.encode_caption(seg.caption).values))
-                graph = graphs.get(key)
-                if graph is not None:
-                    arrays.append(("scene_graph", encoders.encode_graph(graph).values))
-                else:
-                    missing_graphs += 1
-                caption_bytes = np.frombuffer(seg.caption.encode("utf-8"),
-                                              dtype=np.uint8).astype(np.float32)
-                arrays.append(("raw", caption_bytes))
-                yield EmbeddingRecord(key, tuple(arrays))
+            segments = ((seg, objectives.segment_frames(seg))
+                        for seg in segmentation.read_segments(f))
+            for chunk in _chunks(segments, _ENCODE_CHUNK):
+                keys = [f"{seg.video_id}:{seg.word_start}" for seg, _ in chunk]
+                frame_rows = iter(encoders.encode_frames(
+                    [frame for _, frames in chunk for frame in frames]))
+                caption_rows = encoders.encode_captions([seg.caption for seg, _ in chunk])
+                graph_rows = iter(encoders.encode_graphs(
+                    [graphs[key] for key in keys if key in graphs]))
+                for (seg, frames), key, caption_row in zip(chunk, keys, caption_rows):
+                    arrays = [("frame", next(frame_rows)) for _ in frames]
+                    arrays.append(("caption", caption_row))
+                    if key in graphs:
+                        arrays.append(("scene_graph", next(graph_rows)))
+                    else:
+                        missing_graphs += 1
+                    caption_bytes = np.frombuffer(seg.caption.encode("utf-8"),
+                                                  dtype=np.uint8).astype(np.float32)
+                    arrays.append(("raw", caption_bytes))
+                    yield EmbeddingRecord(key, tuple(arrays))
 
     summary = write_store(records(), cfg["out"])
     print(f"packed {summary.count} records into {summary.path} "
@@ -207,22 +227,33 @@ def cmd_encode_pack(args, cfg: dict) -> int:
 
 def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
                          max_target_len: int) -> list[objectives.PretrainExample]:
-    """One example per encode-pack record; split_half skips one-word captions."""
+    """One example per encode-pack record; split_half skips one-word captions
+    and encodes the first halves of the rest as lists."""
+    def read():
+        for i in range(len(store)):
+            rec = store.get(i)
+            frames = [Embedding(arr.reshape(-1), "frame")
+                      for tag, arr in rec.arrays if tag == "frame"]
+            rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
+            if "caption" not in rows or "raw" not in rows:
+                raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
+            caption = bytes(rows["raw"].astype(np.uint8)).decode("utf-8")
+            if objective == "split_half" and len(caption.split(" ")) < 2:
+                continue
+            yield frames, caption, rows
+
     out = []
-    for i in range(len(store)):
-        rec = store.get(i)
-        frames = [Embedding(arr.reshape(-1), "frame") for tag, arr in rec.arrays if tag == "frame"]
-        rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
-        if "caption" not in rows or "raw" not in rows:
-            raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
-        caption = bytes(rows["raw"].astype(np.uint8)).decode("utf-8")
-        if objective == "split_half" and len(caption.split(" ")) < 2:
-            continue
-        graph = rows.get("scene_graph")
-        out.append(objectives.build_pretrain_example(
-            objective, frames, caption, Embedding(rows["caption"], "caption"),
-            None if graph is None else Embedding(graph, "scene_graph"),
-            encoders, max_target_len))
+    for chunk in _chunks(read(), _ENCODE_CHUNK):
+        if objective == "split_half":
+            text_rows = encoders.encode_captions(
+                [objectives.caption_halves(caption)[0] for _, caption, _ in chunk])
+        else:
+            text_rows = [rows["caption"] for _, _, rows in chunk]
+        for (frames, caption, rows), text_row in zip(chunk, text_rows):
+            graph = rows.get("scene_graph")
+            out.append(objectives.build_pretrain_example(
+                objective, frames, caption, Embedding(text_row, "caption"),
+                None if graph is None else Embedding(graph, "scene_graph"), max_target_len))
     return out
 
 
@@ -460,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         if rc == 0:
             _write_resolved(cfg)
         return rc
-    except (ModalfuseError, FileNotFoundError, ValueError, FloatingPointError) as e:
+    except (ModalfuseError, OSError, ValueError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

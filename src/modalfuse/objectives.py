@@ -51,12 +51,23 @@ def split_caption(words: list[str]) -> tuple[list[str], list[str]]:
     return words[:cut], words[cut:]
 
 
-def frame_rows(segment: Segment, encoders) -> list[Embedding]:
-    """One frame row per time in ``segment.frame_times``, in order."""
+def caption_halves(caption: str) -> tuple[str, str]:
+    """The two halves of ``split_caption`` over the caption's words, as text."""
+    first, second = split_caption(caption.split(" "))
+    return " ".join(first), " ".join(second)
+
+
+def segment_frames(segment: Segment) -> list[tuple[str, float]]:
+    """(video_id, time) of each frame row, in ``segment.frame_times`` order."""
     if not segment.frame_times:
         key = f"{segment.video_id}:{segment.word_start}"
         raise ValidationError(f"segment {key!r} lists no frame times")
-    return [encoders.encode_frame(segment.video_id, t) for t in segment.frame_times]
+    return [(segment.video_id, t) for t in segment.frame_times]
+
+
+def frame_rows(segment: Segment, encoders) -> list[Embedding]:
+    """One frame row per time in ``segment.frame_times``, in order."""
+    return [encoders.encode_frame(video_id, t) for video_id, t in segment_frames(segment)]
 
 
 def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
@@ -64,18 +75,17 @@ def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
 
 
 def build_pretrain_example(objective: str, frames: list[Embedding], caption: str,
-                           caption_row: Embedding | None, graph_row: Embedding | None, encoders,
+                           text_row: Embedding, graph_row: Embedding | None,
                            max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     """Apply ``objective`` to ready-made rows.
 
-    ``caption_row`` is the encoded full caption; only "full_caption" reads it.
-    "split_half" encodes the first half of ``caption`` with ``encoders``.
+    ``text_row`` is the encoded text the encoder sees: the whole caption for
+    "full_caption", its first ``caption_halves`` half for "split_half".
     """
     if objective == "full_caption":
-        text_row, target_text = caption_row, caption
+        target_text = caption
     elif objective == "split_half":
-        first, second = split_caption(caption.split(" "))
-        text_row, target_text = encoders.encode_caption(" ".join(first)), " ".join(second)
+        target_text = caption_halves(caption)[1]
     else:
         raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     return PretrainExample(
@@ -90,15 +100,15 @@ def build_full_caption_example(segment: Segment, encoders, graph: SceneGraph | N
                                max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     return build_pretrain_example(
         "full_caption", frame_rows(segment, encoders), segment.caption,
-        encoders.encode_caption(segment.caption), _graph_row(graph, encoders),
-        encoders, max_target_len)
+        encoders.encode_caption(segment.caption), _graph_row(graph, encoders), max_target_len)
 
 
 def build_split_half_example(segment: Segment, encoders, graph: SceneGraph | None = None,
                              max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
     return build_pretrain_example(
         "split_half", frame_rows(segment, encoders), segment.caption,
-        None, _graph_row(graph, encoders), encoders, max_target_len)
+        encoders.encode_caption(caption_halves(segment.caption)[0]),
+        _graph_row(graph, encoders), max_target_len)
 
 
 def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
@@ -106,12 +116,21 @@ def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
                       encoders, include_graph: bool = True,
                       max_target_len: int = ModelConfig.max_target_len) -> VqaExample:
     """Image row + question row (+ graph row), target drawn from the answers."""
+    return vqa_example_from_rows(
+        image_store, image_key, encoders.encode_question(question),
+        _graph_row(graph if include_graph else None, encoders), answers, rng, max_target_len)
+
+
+def vqa_example_from_rows(image_store, image_key: str, question_row: Embedding,
+                          graph_row: Embedding | None, answers: list[str],
+                          rng: np.random.Generator,
+                          max_target_len: int = ModelConfig.max_target_len) -> VqaExample:
+    """``build_vqa_example`` with the question and graph already encoded."""
     if len(answers) != 10:
         raise ValueError(f"expected 10 human answers, got {len(answers)}")
     record = image_store.get_by_key(image_key)   # raises NotFoundError if absent
     image = Embedding(record.arrays[0][1].reshape(-1), "frame")
-    graph_emb = _graph_row(graph if include_graph else None, encoders)
-    fused = fuse([image], encoders.encode_question(question), graph_emb)
+    fused = fuse([image], question_row, graph_row)
     chosen = answers[int(rng.integers(len(answers)))]
     return VqaExample(
         fused=fused,

@@ -140,8 +140,6 @@ def make_mini_vqa(n_examples: int = 64, seed: int = 0) -> list[dict]:
 
 def write_vqa_image_store(records: list[dict], encoders: StubEncoders, path):
     """Stub image embeddings keyed by image_key, one store record each."""
-    def gen():
-        for rec in records:
-            emb = encoders.encode_frame(rec["image_key"], 0.0)
-            yield EmbeddingRecord(rec["image_key"], (("frame", emb.values),))
-    return write_store(gen(), path)
+    rows = encoders.encode_frames([(rec["image_key"], 0.0) for rec in records])
+    return write_store((EmbeddingRecord(rec["image_key"], (("frame", row),))
+                        for rec, row in zip(records, rows)), path)

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalfuse import objectives
+from modalfuse import cli, objectives
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError
 from modalfuse.experts import StubEncoders
-from modalfuse.scene_graph import serialize_scene_graph
+from modalfuse.scene_graph import SceneGraph, serialize_scene_graph
 from modalfuse.segmentation import read_segments
 from modalfuse.store import EmbeddingRecord, Store, write_store
 from modalfuse.synthetic import (make_mini_vqa, make_transcript_words,
@@ -183,6 +183,16 @@ class TestSegment:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["transcripts", "out"])
+    def test_directory_path_is_error_exit(self, tmp_path, transcripts, capsys, flag):
+        paths = {"transcripts": str(transcripts), "out": str(tmp_path / "o.jsonl")}
+        (tmp_path / "dir").mkdir()
+        paths[flag] = str(tmp_path / "dir")
+        rc = main(["segment", "--transcripts", paths["transcripts"], "--out", paths["out"]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "transcripts.jsonl"]
+
 
 class TestEncodePack:
     def test_pack_and_inspect(self, tmp_path, transcripts, capsys):
@@ -247,6 +257,36 @@ class TestEncodePack:
             assert len(s) == 4
             for i in range(len(s)):
                 assert [t for t, _ in s.get(i).arrays].count("frame") == 3
+
+    def test_rows_equal_single_encodes_across_chunks(self, tmp_path, transcripts, monkeypatch):
+        """Chunks of 3 split the 4 segments, 3 frames each, two with a graph."""
+        monkeypatch.setattr(cli, "_ENCODE_CHUNK", 3)
+        segs = tmp_path / "segments.jsonl"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs),
+              "--k-frames", "3"])
+        with open(segs, encoding="utf-8") as f:
+            segments = {f"{s.video_id}:{s.word_start}": s for s in read_segments(f)}
+        keys = list(segments)
+        graph = SceneGraph(("dog", "cat"), ((0, "chasing", 1),))
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text("".join(json.dumps({"key": key, **json.loads(
+            serialize_scene_graph(graph))}) + "\n" for key in (keys[1], keys[3])))
+        store_path = tmp_path / "emb.store"
+        assert main(["encode-pack", "--segments", str(segs), "--graphs", str(graphs),
+                     "--out", str(store_path), "--d", "32", "--seed", "5"]) == 0
+        enc = StubEncoders(d=32, seed=5)
+        with Store(store_path) as store:
+            assert len(store) == len(keys) == 4
+            for key, seg in segments.items():
+                expect = [("frame", enc.encode_frame(seg.video_id, t).values)
+                          for t in seg.frame_times]
+                expect.append(("caption", enc.encode_caption(seg.caption).values))
+                if key in (keys[1], keys[3]):
+                    expect.append(("scene_graph", enc.encode_graph(graph).values))
+                expect.append(("raw", np.frombuffer(seg.caption.encode("utf-8"),
+                                                    dtype=np.uint8).astype(np.float32)))
+                assert [(tag, arr.tobytes()) for tag, arr in store.get_by_key(key).arrays] \
+                    == [(tag, arr.tobytes()) for tag, arr in expect]
 
     def test_segment_without_frame_times_rejected(self, tmp_path, transcripts, capsys):
         segs = tmp_path / "segments.jsonl"
@@ -341,7 +381,9 @@ class TestTrainingPipeline:
     @pytest.mark.parametrize("objective", ["full_caption", "split_half"])
     def test_pretrain_examples_follow_the_objective(self, tmp_path, packed, monkeypatch,
                                                     objective):
-        """The store was packed with --seed 0; pretrain reads it with --stub-seed 1."""
+        """The store was packed with --seed 0; pretrain reads it with --stub-seed 1,
+        encoding first halves in chunks of 3 of the 4 records."""
+        monkeypatch.setattr(cli, "_ENCODE_CHUNK", 3)
         seen = []
         real_train = objectives.train
 
@@ -517,8 +559,10 @@ class TestTrainingPipeline:
         (lambda rec: {**rec, "graph": {"objects": ["dog", "cat"],
                                        "relations": [["first", "on", "second"]]}},
          "malformed scene graph"),
+        (lambda rec: {**rec, "question": "is it a \ud800"},
+         "bad VQA record: '\\ud800' is a lone surrogate"),
     ], ids=["invalid-json", "no-image-key", "no-question", "no-answers",
-            "graph-without-relations", "string-relation-indices"])
+            "graph-without-relations", "string-relation-indices", "lone-surrogate-question"])
     @pytest.mark.parametrize("command", ["finetune", "eval"])
     def test_malformed_vqa_record_exits_nonzero(self, tmp_path, stage_argv, capsys, command,
                                                 edit, message):

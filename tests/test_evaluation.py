@@ -132,6 +132,24 @@ def vqa_setup(tmp_path_factory):
     store.close()
 
 
+@pytest.mark.parametrize("include_graph", [True, False])
+def test_vqa_examples_equal_single_builds(vqa_setup, include_graph):
+    """List-encoded questions and graphs, answers drawn in record order."""
+    records, store, _, encoders = vqa_setup
+    records = [{**r, "graph": None} if i % 3 == 1 else r for i, r in enumerate(records)]
+    rng = np.random.default_rng(4)
+    expect = [build_vqa_example(store, r["image_key"], r["graph"], r["question"], r["answers"],
+                                rng, encoders, include_graph=include_graph, max_target_len=32)
+              for r in records]
+    got = evaluation.vqa_examples(records, store, encoders, seed=4, include_graph=include_graph,
+                                  yes_no_only=False, max_target_len=32)
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.fused.modalities == e.fused.modalities
+        assert g.fused.rows.tobytes() == e.fused.rows.tobytes()
+        assert g.human_answers == e.human_answers and np.array_equal(g.target, e.target)
+
+
 @pytest.fixture(scope="module")
 def mixed_setup(tmp_path_factory):
     """40 examples, 34 with a graph row (3 rows) and 6 without (2 rows),

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalfuse.errors import ConfigError
-from modalfuse.experts import (Embedding, StubEncoders, fuse, hash_bytes,
+from modalfuse.experts import (Embedding, StubEncoders, fuse, hash_bytes, hash_many,
                                l2_normalize, stub_encode_frame, stub_encode_text)
+from modalfuse.scene_graph import SceneGraph
 
 
 class TestStubText:
@@ -64,6 +68,12 @@ class TestStubFrame:
         a = stub_encode_frame("vid1", 1.0, 64)
         b = stub_encode_frame("vid2", 1.0, 64)
         assert not np.array_equal(a.values, b.values)
+
+    def test_half_bucket_rounds_to_even(self):
+        # 0.125 s and 0.375 s are exact halves of a 10 ms bucket
+        for half, even in ((0.125, 0.12), (0.375, 0.38)):
+            assert np.array_equal(stub_encode_frame("vid", half, 64).values,
+                                  stub_encode_frame("vid", even, 64).values)
 
 
 class TestL2Normalize:
@@ -127,3 +137,83 @@ class TestHash:
 
     def test_length_sensitivity(self):
         assert hash_bytes(b"a") != hash_bytes(b"a\x00")
+
+
+# Hashes and vectors as the scalar stubs gave them before the list path
+# existed. Every store, checkpoint and seeded result depends on them, so a
+# change to the hash or the expansion must show here.
+PINNED_HASHES = [
+    (b"", 0, 12035550249420947055),
+    (b"a", 0, 10443419574614846231),
+    (b"abcdefgh", 0, 18089155871505213322),
+    (b"abcdefghi", 0, 14566769619556341339),
+    ("h\u00e9llo w\u00f6rld \u2713".encode("utf-8"), 0, 2800731209447450752),
+    (b"", 7, 13309476754707697221),
+    (b"abcdefghi", 7, 18040997079340505285),
+]
+
+PINNED_VECTORS = [   # (encode, sha256 of the float32 bytes)
+    (lambda: stub_encode_text("", 64),
+     "e93257fd6906f913b872245b3bf0ff5870ba092252420ae27b7cef66523f810e"),
+    (lambda: stub_encode_text("a dog chases a cat", 64),
+     "7b0deec008009e380afa460033cd824622aabccda35d9d6dc86dda403ddb6df4"),
+    (lambda: stub_encode_text("a dog chases a cat", 768),
+     "30bfa2ab8c30004f77eca8284129f877a0be721f389c3f42b0a73ef6f06cea87"),
+    (lambda: stub_encode_text("is there a dog", 768, seed=3, modality="question"),
+     "3b68e251d217ab41d1d7b32cc3cd0ce7452ea6e24334a9eb034bd186ca65636d"),
+    (lambda: stub_encode_frame("vid000", 1.5, 64),
+     "41cf68a79186bb680ea8cbdadae94977317512bc73775cfab3c5031d197eba33"),
+    (lambda: stub_encode_frame("vid000", 1.5, 768),
+     "16855f31b95f36401cdab27e391765322d505db0a9b154cc6cc117b8f0a4c90b"),
+    (lambda: stub_encode_frame("img0003", 0.0, 64, seed=5),
+     "574749b05ddbaa78cc16f294d3fd6e3bac7fe25849ac772d72a75b7b62da7458"),
+]
+
+
+class TestPinned:
+    @pytest.mark.parametrize("payload, seed, expected", PINNED_HASHES)
+    def test_hash_bytes(self, payload, seed, expected):
+        assert hash_bytes(payload, seed) == expected
+
+    def test_hash_many(self):
+        for seed in (0, 7):
+            payloads = [p for p, s, _ in PINNED_HASHES if s == seed]
+            assert hash_many(payloads, seed).tolist() == [
+                h for _, s, h in PINNED_HASHES if s == seed]
+
+    @pytest.mark.parametrize("encode, digest", PINNED_VECTORS)
+    def test_vector(self, encode, digest):
+        assert hashlib.sha256(encode().values.tobytes()).hexdigest() == digest
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=30)
+GRAPHS = [SceneGraph(("dog", "cat"), ((0, "chasing", 1),)), SceneGraph((), ()),
+          SceneGraph(("tree",), ())]
+
+
+class TestListEncode:
+    @given(st.lists(st.binary(max_size=40), max_size=12),
+           st.integers(-(2 ** 63), 2 ** 64 - 1))
+    def test_hash_many_equals_hash_bytes(self, payloads, seed):
+        hashes = hash_many(payloads, seed)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [hash_bytes(p, seed) for p in payloads]
+
+    @settings(max_examples=40, deadline=None)
+    @given(texts=st.lists(TEXT, max_size=6),
+           frames=st.lists(st.tuples(TEXT, st.floats(-1e6, 1e6)), max_size=6),
+           graphs=st.lists(st.sampled_from(GRAPHS), max_size=4),
+           d=st.integers(1, 80), seed=st.integers(0, 2 ** 32))
+    def test_list_rows_equal_single_rows(self, texts, frames, graphs, d, seed):
+        enc = StubEncoders(d=d, seed=seed)
+        for rows, singles in (
+                (enc.encode_captions(texts), [enc.encode_caption(t) for t in texts]),
+                (enc.encode_questions(texts), [enc.encode_question(t) for t in texts]),
+                (enc.encode_frames(frames), [enc.encode_frame(v, t) for v, t in frames]),
+                (enc.encode_graphs(graphs), [enc.encode_graph(g) for g in graphs])):
+            assert rows.dtype == np.float32 and rows.shape == (len(singles), d)
+            assert all(row.tobytes() == e.values.tobytes() for row, e in zip(rows, singles))
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            StubEncoders(d=0).encode_captions(["x"])

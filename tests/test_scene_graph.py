@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,13 @@ class TestParse:
         with pytest.raises(RecordParseError, match="line 2: graph manifest key") as e:
             read_graph_manifest(io.StringIO("\n".join(lines)))
         assert e.value.line == 2
+
+    def test_manifest_lone_surrogate_names_its_line(self):
+        lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',
+                 '{"key": "v:15", "objects": ["a", "b\\ud83d"], "relations": []}']
+        with pytest.raises(RecordParseError, match=re.escape(
+                "line 2: bad graph manifest record: '\\ud83d' is a lone surrogate")):
+            read_graph_manifest(io.StringIO("\n".join(lines)))
 
     @pytest.mark.parametrize("graph, message", [
         ({"objects": ["a", "b"], "relations": [[0.9, "on", 1]]}, "relations must be"),

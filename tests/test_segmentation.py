@@ -188,8 +188,10 @@ class TestIO:
          "transcript header field 'video_id' must be a string, got ['v']"),
         ('{"w": "a", "s": 1' + "0" * 400 + ', "e": 0.5}', "int too large to convert to float"),
         ('{"w": "a", "s": 1' + "0" * 5000 + ', "e": 0.5}', "bad transcript record: Exceeds"),
+        ('{"w": "a\\ud800", "s": 0.0, "e": 0.5}',
+         "bad transcript record: '\\ud800' is a lone surrogate"),
     ], ids=["not-an-object", "int-word", "string-start", "bool-end", "list-video-id",
-            "start-beyond-float", "start-beyond-int-digits"])
+            "start-beyond-float", "start-beyond-int-digits", "lone-surrogate-word"])
     def test_mistyped_transcript_record_rejected(self, line, message):
         src = io.StringIO('{"video_id": "v", "lang": "en"}\n\n' + line + "\n")
         with pytest.raises(RecordParseError, match=re.escape(f"line 3: {message}")):
@@ -234,9 +236,10 @@ class TestIO:
         ({"video_id": None}, "segment field 'video_id' must be a string, got None"),
         ({"t_start": 2 ** 1024}, "segment field 't_start' must be a number, got 1797"),
         ({"frame_times": [1.0, 2 ** 1024]}, "segment field 'frame_times' must be a list of"),
+        ({"caption": "a \udc80 c"}, "bad segment record: '\\udc80' is a lone surrogate"),
     ], ids=["string-frame-times", "null-frame-time", "int-caption", "float-word-start",
             "bool-word-end", "string-t-end", "null-video-id", "t-start-beyond-float",
-            "frame-time-beyond-float"])
+            "frame-time-beyond-float", "lone-surrogate-caption"])
     def test_mistyped_segment_record_rejected(self, edit, message):
         src = io.StringIO(json.dumps(self.SEGMENT) + "\n" + json.dumps({**self.SEGMENT, **edit}))
         with pytest.raises(RecordParseError, match=re.escape(f"line 2: {message}")):
