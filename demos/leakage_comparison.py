@@ -14,8 +14,7 @@ pretraining signal if you care about transfer rather than memorization.
 
 from modalfuse.backbone import Model, ModelConfig
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import (TrainConfig, build_full_caption_example,
-                                  build_split_half_example, corpus_loss, train)
+from modalfuse.objectives import TrainConfig, corpus_loss, pretrain_examples, train
 from modalfuse.synthetic import make_leakage_corpus
 
 D = 64
@@ -35,10 +34,9 @@ def main():
     print(f"{len(corpus)} segments in {n_groups} groups "
           f"({len(corpus) // n_groups} continuations per shared first half)\n")
 
-    for name, build in (("full_caption (leaky)", build_full_caption_example),
-                        ("split_half (no leak)", build_split_half_example)):
-        examples = [build(seg, enc, graph=g, max_target_len=64)
-                    for seg, g in corpus]
+    for objective, name in (("full_caption", "full_caption (leaky)"),
+                            ("split_half", "split_half (no leak)")):
+        examples = pretrain_examples(objective, corpus, enc, max_target_len=64)
         model = Model(cfg, seed=0)
         print(f"training {name} for {STEPS} steps ...")
         train(examples, model, TrainConfig(steps=STEPS, batch_size=16, lr=3e-3))

@@ -11,11 +11,10 @@ from .errors import (ConfigError, CorruptionError, ModalfuseError, NotFoundError
                      RecordParseError, ValidationError)
 from .evaluation import (EvalResult, collapse_report, evaluate, is_yes_no,
                          normalize_answer, run_ablation, vqa_accuracy)
-from .experts import (Embedding, FusedInput, StubEncoders, fuse, l2_normalize,
-                      stub_encode_frame, stub_encode_text)
-from .objectives import (PretrainExample, TrainConfig, VqaExample,
-                         build_full_caption_example, build_pretrain_example,
-                         build_split_half_example, build_vqa_example, corpus_loss, train)
+from .experts import Embedding, StubEncoders, l2_normalize
+from .objectives import (FusedInput, PretrainExample, TrainConfig, VqaExample,
+                         build_split_half_example, build_vqa_example, corpus_loss,
+                         fused_input, pretrain_examples, train, vqa_examples)
 from .synthetic import make_leakage_corpus, make_mini_vqa
 from .scene_graph import SceneGraph, linearize, parse_scene_graph
 from .segmentation import (Segment, TimedTranscript, TimedWord, filter_segments,

@@ -28,7 +28,7 @@ from . import evaluation, objectives, segmentation, synthetic
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
 from .errors import (JSON_TYPE_NAMES, STRICT_JSON, ModalfuseError, RecordParseError,
                      ValidationError, check_fields, is_json_type, json_records)
-from .experts import Embedding, StubEncoders
+from .experts import StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
 
@@ -154,7 +154,7 @@ _SEGMENT_DEFAULTS = {"window": segmentation.DEFAULT_WINDOW, "stride": int,
 def cmd_segment(args, cfg: dict) -> int:
     kept = dropped = 0
     buf = io.StringIO()
-    with open(cfg["transcripts"], encoding="utf-8") as f:
+    with open(cfg["transcripts"], "rb") as f:
         for transcript in segmentation.read_transcripts(f):
             segs = segmentation.segment_transcript(
                 transcript, window=cfg["window"], stride=cfg["stride"])
@@ -191,29 +191,24 @@ def cmd_encode_pack(args, cfg: dict) -> int:
     encoders = StubEncoders(d=cfg["d"], seed=cfg["seed"])
     graphs = {}
     if cfg["graphs"]:
-        with open(cfg["graphs"], encoding="utf-8") as f:
+        with open(cfg["graphs"], "rb") as f:
             graphs = read_graph_manifest(f)
     missing_graphs = 0
 
     def records():
         nonlocal missing_graphs
-        with open(cfg["segments"], encoding="utf-8") as f:
-            segments = ((seg, objectives.segment_frames(seg))
-                        for seg in segmentation.read_segments(f))
-            for chunk in _chunks(segments, _ENCODE_CHUNK):
-                keys = [f"{seg.video_id}:{seg.word_start}" for seg, _ in chunk]
-                frame_rows = iter(encoders.encode_frames(
-                    [frame for _, frames in chunk for frame in frames]))
-                caption_rows = encoders.encode_captions([seg.caption for seg, _ in chunk])
-                graph_rows = iter(encoders.encode_graphs(
-                    [graphs[key] for key in keys if key in graphs]))
-                for (seg, frames), key, caption_row in zip(chunk, keys, caption_rows):
-                    arrays = [("frame", next(frame_rows)) for _ in frames]
+        with open(cfg["segments"], "rb") as f:
+            for chunk in _chunks(segmentation.read_segments(f), _ENCODE_CHUNK):
+                keys = [f"{seg.video_id}:{seg.word_start}" for seg in chunk]
+                corpus = [(seg, graphs.get(key)) for seg, key in zip(chunk, keys)]
+                rows = objectives.corpus_rows(corpus, [seg.caption for seg in chunk], encoders)
+                for seg, key, (frame_rows, caption_row, graph_row) in zip(chunk, keys, rows):
+                    arrays = [("frame", row) for row in frame_rows]
                     arrays.append(("caption", caption_row))
-                    if key in graphs:
-                        arrays.append(("scene_graph", next(graph_rows)))
-                    else:
+                    if graph_row is None:
                         missing_graphs += 1
+                    else:
+                        arrays.append(("scene_graph", graph_row))
                     caption_bytes = np.frombuffer(seg.caption.encode("utf-8"),
                                                   dtype=np.uint8).astype(np.float32)
                     arrays.append(("raw", caption_bytes))
@@ -232,8 +227,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
     def read():
         for i in range(len(store)):
             rec = store.get(i)
-            frames = [Embedding(arr.reshape(-1), "frame")
-                      for tag, arr in rec.arrays if tag == "frame"]
+            frames = [arr.reshape(-1) for tag, arr in rec.arrays if tag == "frame"]
             rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
             if "caption" not in rows or "raw" not in rows:
                 raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
@@ -246,14 +240,12 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
     for chunk in _chunks(read(), _ENCODE_CHUNK):
         if objective == "split_half":
             text_rows = encoders.encode_captions(
-                [objectives.caption_halves(caption)[0] for _, caption, _ in chunk])
+                [objectives.objective_texts(objective, caption)[0] for _, caption, _ in chunk])
         else:
             text_rows = [rows["caption"] for _, _, rows in chunk]
         for (frames, caption, rows), text_row in zip(chunk, text_rows):
-            graph = rows.get("scene_graph")
-            out.append(objectives.build_pretrain_example(
-                objective, frames, caption, Embedding(text_row, "caption"),
-                None if graph is None else Embedding(graph, "scene_graph"), max_target_len))
+            fused = objectives.fused_input(frames, text_row, "caption", rows.get("scene_graph"))
+            out.append(objectives.pretrain_example(objective, caption, fused, max_target_len))
     return out
 
 
@@ -305,7 +297,7 @@ _VQA_FIELDS = {"image_key": str, "question": str, "answers": [str]}
 def _load_vqa_records(path: str) -> list[dict]:
     """The {image_key, question, answers, graph} records of a VQA JSONL file."""
     records = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, rec in json_records(f, "VQA"):
             if not _VQA_FIELDS.keys() <= rec.keys():
                 raise RecordParseError("VQA record needs 'image_key', 'question' and 'answers'",
@@ -322,9 +314,10 @@ def _vqa_examples(cfg: dict, model_cfg: ModelConfig) -> list[objectives.VqaExamp
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
     records = _load_vqa_records(cfg["vqa"])
     with Store(cfg["image-store"]) as image_store:
-        return evaluation.vqa_examples(
-            records, image_store, encoders, seed=cfg["seed"], include_graph=cfg["graph"],
-            yes_no_only=cfg["yes-no-only"], max_target_len=model_cfg.max_target_len)
+        examples = objectives.vqa_examples(records, image_store, encoders,
+                                           np.random.default_rng(cfg["seed"]), cfg["graph"],
+                                           model_cfg.max_target_len)
+    return evaluation.yes_no_examples(examples) if cfg["yes-no-only"] else examples
 
 
 _FINETUNE_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
@@ -355,9 +348,6 @@ _EVAL_DEFAULTS = {"seed": 0, "stub-seed": 0, "graph": True, "yes-no-only": False
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    if not Path(cfg["checkpoint"]).exists():
-        print(f"checkpoint not found: {cfg['checkpoint']}", file=sys.stderr)
-        return 1
     model = load_checkpoint(cfg["checkpoint"])
     examples = _vqa_examples(cfg, model.config)
     result = evaluation.evaluate(model, examples, max_decode_len=cfg["max-decode-len"])

@@ -56,16 +56,16 @@ def _finite_float(text: str) -> float:
 STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
-def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, record) for each non-blank line; a line that is
-    not a JSON object, holds a non-finite number or a string with a lone
-    surrogate, raises RecordParseError. ``what`` names the record kind in
-    messages."""
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+def json_records(lines: Iterable[str | bytes], what: str) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, record) for each non-blank line of text or UTF-8
+    bytes; a line that is not UTF-8 or not a JSON object, holds a non-finite
+    number or a string with a lone surrogate, raises RecordParseError.
+    ``what`` names the record kind in messages."""
+    for lineno, line in enumerate(lines, start=1):
         try:
+            raw = (line.decode("utf-8") if type(line) is bytes else line).strip()
+            if not raw:
+                continue
             rec = STRICT_JSON.decode(raw)
             # only a \u escape puts a surrogate in decoded text; UTF-8 has none
             if "\\u" in raw:
@@ -73,7 +73,7 @@ def json_records(lines: Iterable[str], what: str) -> Iterator[tuple[int, dict]]:
         except UnicodeEncodeError as e:
             raise RecordParseError(f"bad {what} record: {e.object[e.start]!r} is a lone "
                                    "surrogate, not a character", line=lineno) from e
-        except ValueError as e:   # JSONDecodeError, a non-finite number, or too many digits
+        except ValueError as e:   # not UTF-8, JSONDecodeError, a non-finite number, too many digits
             raise RecordParseError(f"bad {what} record: {e}", line=lineno) from e
         if type(rec) is not dict:
             raise RecordParseError(f"{what} record must be a JSON object, got {raw[:80]}",

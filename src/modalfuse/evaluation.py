@@ -26,11 +26,10 @@ import numpy as np
 from . import tokenizer
 from .backbone import Model, ModelConfig
 from .errors import ValidationError
-from .experts import Embedding
 # build_vqa_example is unused here but stays importable as
 # evaluation.build_vqa_example, where the benchmark's call tracer patches it.
-from .objectives import (TrainConfig, VqaExample, build_split_half_example,  # noqa: F401
-                         build_vqa_example, train, vqa_example_from_rows)
+from .objectives import (TrainConfig, VqaExample, build_vqa_example,  # noqa: F401
+                         pretrain_examples, train, vqa_examples)
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -59,30 +58,14 @@ def is_yes_no(example: VqaExample) -> bool:
     return all(normalize_answer(a) in ("yes", "no") for a in example.human_answers)
 
 
-def vqa_examples(records: list[dict], image_store, encoders, seed: int,
-                 include_graph: bool, yes_no_only: bool,
-                 max_target_len: int) -> list[VqaExample]:
-    """One example per {image_key, question, answers, graph} record, targets
-    drawn by ``default_rng(seed)`` in record order; ``yes_no_only`` keeps the
-    yes/no questions. Questions and graphs are encoded as two lists.
-    """
-    rng = np.random.default_rng(seed)
-    graphs = [r.get("graph") if include_graph else None for r in records]
-    question_rows = encoders.encode_questions([r["question"] for r in records])
-    graph_rows = iter(encoders.encode_graphs([g for g in graphs if g is not None]))
-    examples = [
-        vqa_example_from_rows(
-            image_store, r["image_key"], Embedding(question_row, "question"),
-            None if graph is None else Embedding(next(graph_rows), "scene_graph"),
-            r["answers"], rng, max_target_len)
-        for r, question_row, graph in zip(records, question_rows, graphs)
-    ]
-    if yes_no_only:
-        examples = [e for e in examples if is_yes_no(e)]
-        if not examples:
-            raise ValidationError(f"yes-no-only: the question set ({len(records)} questions) "
-                                  "has no yes/no questions")
-    return examples
+def yes_no_examples(examples: list[VqaExample]) -> list[VqaExample]:
+    """The examples whose human answers are all yes or no; ValidationError if
+    there are none."""
+    kept = [e for e in examples if is_yes_no(e)]
+    if not kept:
+        raise ValidationError(f"yes-no-only: the question set ({len(examples)} questions) "
+                              "has no yes/no questions")
+    return kept
 
 
 @dataclass(frozen=True)
@@ -245,14 +228,15 @@ def run_ablation(grid: list[AblationConfig], model_config: ModelConfig,
     def accuracy(cfg: AblationConfig) -> float:
         model = Model(model_config, seed=seed)
         if cfg.pretrain:
-            examples = [build_split_half_example(seg, encoders,
-                                                 graph=graph if cfg.include_graph else None,
-                                                 max_target_len=model_config.max_target_len)
-                        for seg, graph in corpus]
+            pairs = [(seg, graph if cfg.include_graph else None) for seg, graph in corpus]
+            examples = pretrain_examples("split_half", pairs, encoders,
+                                         model_config.max_target_len)
             train(examples, model,
                   TrainConfig(steps=pretrain_steps, batch_size=batch_size, lr=lr, seed=seed))
-        examples = vqa_examples(vqa_records, image_store, encoders, seed, cfg.include_graph,
-                                cfg.yes_no_only, model_config.max_target_len)
+        examples = vqa_examples(vqa_records, image_store, encoders, np.random.default_rng(seed),
+                                cfg.include_graph, model_config.max_target_len)
+        if cfg.yes_no_only:
+            examples = yes_no_examples(examples)
         train(examples, model,
               TrainConfig(steps=finetune_steps, batch_size=batch_size, lr=lr, seed=seed + 1))
         return evaluate(model, examples, max_decode_len=EVAL_DECODE_LEN).mean_accuracy

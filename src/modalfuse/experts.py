@@ -10,11 +10,13 @@ A frame's payload is its video id and its time in 10 ms buckets, taken with
 payload + seed gives bitwise-identical vectors on every platform numpy
 supports.
 
-Each modality encodes one payload (``StubEncoders.encode_caption``) or a list
-of them (``StubEncoders.encode_captions``), with bitwise-equal rows. A list
-hashes every payload at once with numpy (``hash_many``) and draws every row
-from one generator, re-keyed per row; a single payload keeps the scalar
-``hash_bytes``, which is faster for one.
+Each modality encodes a list of payloads (``StubEncoders.encode_captions``)
+into (n, d) rows: ``hash_many`` keys them and one generator, re-keyed per
+row, draws them. The single-payload methods (``StubEncoders.encode_caption``)
+are one-row calls of the list methods. ``hash_many`` takes the scalar
+``hash_bytes`` per payload for a list shorter than ``_FOLD_MIN`` and folds the
+hash over every payload at once with numpy for a longer one; the fold's fixed
+cost outweighs the per-payload cost below that length.
 """
 
 from __future__ import annotations
@@ -62,10 +64,17 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+# Lists of fewer payloads than this are hashed one payload at a time
+_FOLD_MIN = 16
+
+
 def hash_many(payloads: Sequence[bytes], seed: int = 0) -> np.ndarray:
-    """``hash_bytes`` of every payload, as uint64, folded over all of them at
-    once: each payload is read as zero-padded little-endian 8-byte chunks,
-    and its hash stops taking chunks after its last one."""
+    """``hash_bytes`` of every payload, as uint64. A list of ``_FOLD_MIN`` or
+    more is folded over all of them at once: each payload is read as
+    zero-padded little-endian 8-byte chunks, and its hash stops taking chunks
+    after its last one."""
+    if len(payloads) < _FOLD_MIN:
+        return np.array([hash_bytes(p, seed) for p in payloads], dtype=np.uint64)
     lengths = np.fromiter(map(len, payloads), dtype=np.uint64, count=len(payloads))
     width = -(-int(lengths.max(initial=0)) // 8)
     chunks = np.frombuffer(b"".join(p.ljust(8 * width, b"\0") for p in payloads), dtype="<u8")
@@ -77,22 +86,9 @@ def hash_many(payloads: Sequence[bytes], seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Embedding:
+    """What a single-payload encode method returns; ``_unit_rows`` checked it."""
     values: np.ndarray   # float32, shape (d,)
-    modality: str
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ConfigError(f"unknown modality {self.modality!r}")
-        v = np.asarray(self.values, dtype=np.float32)
-        if v.ndim != 1:
-            raise ConfigError(f"embedding must be 1-D, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ConfigError("embedding has non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+    modality: str        # one of MODALITIES
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -108,21 +104,21 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return x.astype(v.dtype)
 
 
-def _unit_rows(keys: Sequence[int], d: int) -> np.ndarray:
-    """One float32 row per key: d standard normals from Philox keyed by it,
-    scaled to unit length by ``l2_normalize``."""
+def _unit_rows(payloads: Sequence[bytes], d: int, seed: int) -> np.ndarray:
+    """One float32 row per payload: d standard normals from Philox keyed by
+    the payload's hash, scaled to unit length by ``l2_normalize``."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rows = np.empty((len(keys), d), dtype=np.float32)
-    if not keys:
+    rows = np.empty((len(payloads), d), dtype=np.float32)
+    if not payloads:
         return rows
+    keys = hash_many(payloads, seed).tolist()
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
     # A fresh generator's state: counter 0, an empty buffer, no spare 32-bit
     # word. Set with another key, it gives the stream a new Philox(key=key)
-    # gives, for a fifth of the cost of building one. A one-row call, the
-    # single-payload path, skips reading it.
-    fresh = bitgen.state if len(keys) > 1 else None
+    # gives, for a fifth of the cost of building one.
+    fresh = bitgen.state
     for i, key in enumerate(keys):
         if i:
             fresh["state"]["key"][0] = key
@@ -134,68 +130,10 @@ def _unit_rows(keys: Sequence[int], d: int) -> np.ndarray:
     return rows
 
 
-def _text_rows(texts: Sequence[str], d: int, seed: int) -> np.ndarray:
-    return _unit_rows(hash_many([t.encode("utf-8") for t in texts], seed).tolist(), d)
-
-
 def _frame_payload(video_id: str, time_s: float) -> bytes:
     """The video id and the time in 10 ms buckets; ``round`` takes an exact
     half bucket to the even one."""
     return f"{video_id}\x1f{round(time_s * 100)}".encode("utf-8")
-
-
-def stub_encode_text(text: str, d: int = DEFAULT_DIM, seed: int = 0,
-                     modality: str = "caption") -> Embedding:
-    key = hash_bytes(text.encode("utf-8"), seed=seed)
-    return Embedding(_unit_rows([key], d)[0], modality)
-
-
-def stub_encode_frame(video_id: str, time_s: float, d: int = DEFAULT_DIM,
-                      seed: int = 0) -> Embedding:
-    """Frame stub keyed on (video_id, time quantized to 10 ms buckets)."""
-    key = hash_bytes(_frame_payload(video_id, time_s), seed=seed)
-    return Embedding(_unit_rows([key], d)[0], "frame")
-
-
-@dataclass(frozen=True)
-class FusedInput:
-    """Stacked modality rows: (frame rows..., caption-or-question row, graph row).
-
-    Ablated modalities are removed entirely, never zero-filled, so row count
-    varies: k frames + 2 when everything is present.
-    """
-    rows: np.ndarray          # float32, shape (m, d)
-    modalities: tuple[str, ...]
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float32)
-        if rows.ndim != 2 or rows.shape[0] != len(self.modalities):
-            raise ConfigError(
-                f"rows shape {rows.shape} inconsistent with {len(self.modalities)} modality tags"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "modalities", tuple(self.modalities))
-
-    @property
-    def modality_ids(self) -> np.ndarray:
-        return np.array([MODALITY_IDS[m] for m in self.modalities], dtype=np.int64)
-
-
-def fuse(frames: list[Embedding], text: Embedding | None,
-         graph: Embedding | None = None) -> FusedInput:
-    """Stack present modality rows in canonical order. Pass None to ablate."""
-    parts: list[Embedding] = list(frames)
-    if text is not None:
-        parts.append(text)
-    if graph is not None:
-        parts.append(graph)
-    if not parts:
-        raise ValueError("all modalities ablated; nothing to fuse")
-    dims = {p.dim for p in parts}
-    if len(dims) != 1:
-        raise ConfigError(f"mixed embedding dimensions: {sorted(dims)}")
-    rows = np.stack([p.values for p in parts])
-    return FusedInput(rows, tuple(p.modality for p in parts))
 
 
 @dataclass
@@ -204,31 +142,32 @@ class StubEncoders:
     d: int = DEFAULT_DIM
     seed: int = 0
 
-    def encode_caption(self, text: str) -> Embedding:
-        return stub_encode_text(text, self.d, self.seed, modality="caption")
-
-    def encode_question(self, text: str) -> Embedding:
-        return stub_encode_text(text, self.d, self.seed, modality="question")
-
-    def encode_graph(self, graph: SceneGraph) -> Embedding:
-        return stub_encode_text(linearize(graph), self.d, self.seed, modality="scene_graph")
-
-    def encode_frame(self, video_id: str, time_s: float) -> Embedding:
-        return stub_encode_frame(video_id, time_s, self.d, self.seed)
-
-    # One method per modality for a list of payloads: the (n, d) float32
-    # rows of the single-payload method's vectors, bitwise equal to them.
+    # One method per modality for a list of payloads: (n, d) float32 rows.
 
     def encode_captions(self, texts: Sequence[str]) -> np.ndarray:
-        return _text_rows(texts, self.d, self.seed)
+        return _unit_rows([t.encode("utf-8") for t in texts], self.d, self.seed)
 
-    def encode_questions(self, texts: Sequence[str]) -> np.ndarray:
-        return _text_rows(texts, self.d, self.seed)
+    encode_questions = encode_captions
 
     def encode_graphs(self, graphs: Sequence[SceneGraph]) -> np.ndarray:
-        return _text_rows([linearize(g) for g in graphs], self.d, self.seed)
+        return self.encode_captions([linearize(g) for g in graphs])
 
     def encode_frames(self, frames: Sequence[tuple[str, float]]) -> np.ndarray:
         """One row per (video_id, time_s) pair."""
         payloads = [_frame_payload(video_id, time_s) for video_id, time_s in frames]
-        return _unit_rows(hash_many(payloads, self.seed).tolist(), self.d)
+        return _unit_rows(payloads, self.d, self.seed)
+
+    # One payload: a one-row call of the list method, as an Embedding
+
+    def encode_caption(self, text: str) -> Embedding:
+        return Embedding(self.encode_captions([text])[0], "caption")
+
+    def encode_question(self, text: str) -> Embedding:
+        return Embedding(self.encode_questions([text])[0], "question")
+
+    def encode_graph(self, graph: SceneGraph) -> Embedding:
+        return Embedding(self.encode_graphs([graph])[0], "scene_graph")
+
+    def encode_frame(self, video_id: str, time_s: float) -> Embedding:
+        """Frame stub keyed on (video_id, time quantized to 10 ms buckets)."""
+        return Embedding(self.encode_frames([(video_id, time_s)])[0], "frame")

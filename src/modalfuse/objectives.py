@@ -1,11 +1,16 @@
-"""Training-example construction for the two pretraining objectives and the
-question-answering finetune, plus the teacher-forced training loop.
+"""Fusion of expert rows into encoder inputs, training-example construction
+for the two pretraining objectives and the question-answering finetune, plus
+the teacher-forced training loop.
 
 Objective "full_caption": the caption embedding goes in as an encoder row and
 the same caption text is the decoder target. The target is therefore fully
 determined by the input (the leaky variant). Objective "split_half": the
 encoder sees only the first ceil(n/2) words; the decoder predicts the rest,
 so nothing about the target leaks through the caption row.
+
+Examples are built from lists (``pretrain_examples``, ``vqa_examples``), which
+encode each modality as one list; every example's rows are stacked by
+``fused_input``. The one-example builders are one-row calls of the lists.
 """
 
 from __future__ import annotations
@@ -14,17 +19,56 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import tokenizer
 from .backbone import AdamW, Model, ModelConfig, cross_entropy_loss, save_checkpoint
 from .errors import ConfigError, ValidationError
-from .experts import Embedding, FusedInput, fuse
+from .experts import MODALITY_IDS
 from .scene_graph import SceneGraph
 from .segmentation import Segment
 
 OBJECTIVES = ("full_caption", "split_half")
+
+
+@dataclass(frozen=True)
+class FusedInput:
+    """Stacked modality rows: (frame rows..., caption-or-question row, graph row).
+
+    Ablated modalities are removed entirely, never zero-filled, so row count
+    varies: k frames + 2 when everything is present.
+    """
+    rows: np.ndarray          # float32, shape (m, d)
+    modalities: tuple[str, ...]
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.float32)
+        if rows.ndim != 2 or rows.shape[0] != len(self.modalities):
+            raise ConfigError(
+                f"rows shape {rows.shape} inconsistent with {len(self.modalities)} modality tags"
+            )
+        if not np.isfinite(rows).all():
+            raise ConfigError("embedding has non-finite entries")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "modalities", tuple(self.modalities))
+
+    @property
+    def modality_ids(self) -> np.ndarray:
+        return np.array([MODALITY_IDS[m] for m in self.modalities], dtype=np.int64)
+
+
+def fused_input(frames, text: np.ndarray, text_modality: str,
+                graph: np.ndarray | None) -> FusedInput:
+    """Stack the frame rows, the text row and the graph row (None to ablate
+    it) in canonical order; every row must have the same dimension."""
+    parts = [*frames, text] if graph is None else [*frames, text, graph]
+    dims = {len(p) for p in parts}
+    if len(dims) != 1:
+        raise ConfigError(f"mixed embedding dimensions: {sorted(dims)}")
+    tags = ("frame",) * len(frames) + (text_modality,) + ("scene_graph",) * (graph is not None)
+    return FusedInput(np.stack(parts), tags)
 
 
 @dataclass(frozen=True)
@@ -39,7 +83,7 @@ class PretrainExample:
 class VqaExample:
     fused: FusedInput
     human_answers: tuple[str, ...]
-    target: np.ndarray        # one of the human answers, drawn by build_vqa_example's rng
+    target: np.ndarray        # one of the human answers, drawn by vqa_examples' rng
     truncated: bool           # the drawn answer was cut to fit max_target_len
 
 
@@ -51,10 +95,15 @@ def split_caption(words: list[str]) -> tuple[list[str], list[str]]:
     return words[:cut], words[cut:]
 
 
-def caption_halves(caption: str) -> tuple[str, str]:
-    """The two halves of ``split_caption`` over the caption's words, as text."""
-    first, second = split_caption(caption.split(" "))
-    return " ".join(first), " ".join(second)
+def objective_texts(objective: str, caption: str) -> tuple[str, str]:
+    """(text the encoder sees, target text): the whole caption twice for
+    "full_caption", the two ``split_caption`` halves for "split_half"."""
+    if objective == "full_caption":
+        return caption, caption
+    if objective == "split_half":
+        first, second = split_caption(caption.split(" "))
+        return " ".join(first), " ".join(second)
+    raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
 def segment_frames(segment: Segment) -> list[tuple[str, float]]:
@@ -65,50 +114,77 @@ def segment_frames(segment: Segment) -> list[tuple[str, float]]:
     return [(segment.video_id, t) for t in segment.frame_times]
 
 
-def frame_rows(segment: Segment, encoders) -> list[Embedding]:
-    """One frame row per time in ``segment.frame_times``, in order."""
-    return [encoders.encode_frame(video_id, t) for video_id, t in segment_frames(segment)]
-
-
-def _graph_row(graph: SceneGraph | None, encoders) -> Embedding | None:
-    return None if graph is None else encoders.encode_graph(graph)
-
-
-def build_pretrain_example(objective: str, frames: list[Embedding], caption: str,
-                           text_row: Embedding, graph_row: Embedding | None,
-                           max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
-    """Apply ``objective`` to ready-made rows.
-
-    ``text_row`` is the encoded text the encoder sees: the whole caption for
-    "full_caption", its first ``caption_halves`` half for "split_half".
-    """
-    if objective == "full_caption":
-        target_text = caption
-    elif objective == "split_half":
-        target_text = caption_halves(caption)[1]
-    else:
-        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+def pretrain_example(objective: str, caption: str, fused: FusedInput,
+                     max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
+    """``objective``'s target for ``caption`` beside the fused rows; the text
+    row among them is the encoded first ``objective_texts`` text."""
+    target_text = objective_texts(objective, caption)[1]
     return PretrainExample(
-        fused=fuse(frames, text_row, graph_row),
+        fused=fused,
         target=tokenizer.tokenize(target_text, max_target_len),
         caption=caption,
         truncated=tokenizer.truncates(target_text, max_target_len),
     )
 
 
-def build_full_caption_example(segment: Segment, encoders, graph: SceneGraph | None = None,
-                               max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
-    return build_pretrain_example(
-        "full_caption", frame_rows(segment, encoders), segment.caption,
-        encoders.encode_caption(segment.caption), _graph_row(graph, encoders), max_target_len)
+def corpus_rows(corpus: list[tuple[Segment, SceneGraph | None]], texts: list[str], encoders
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(frame rows, text row, graph row or None) of each (segment, graph or
+    None) pair, ``texts`` holding each pair's caption text; every modality is
+    encoded as one list."""
+    frames = [segment_frames(seg) for seg, _ in corpus]
+    frame_rows = encoders.encode_frames([f for fs in frames for f in fs])
+    text_rows = encoders.encode_captions(texts)
+    graph_rows = iter(encoders.encode_graphs([g for _, g in corpus if g is not None]))
+    lo = 0
+    for (_, graph), fs, text_row in zip(corpus, frames, text_rows):
+        yield frame_rows[lo:lo + len(fs)], text_row, None if graph is None else next(graph_rows)
+        lo += len(fs)
+
+
+def pretrain_examples(objective: str, corpus: list[tuple[Segment, SceneGraph | None]],
+                      encoders, max_target_len: int = ModelConfig.max_target_len
+                      ) -> list[PretrainExample]:
+    """One example per (segment, graph or None) pair: a frame row per frame
+    time, the row of the text the encoder sees, and the graph row."""
+    texts = [objective_texts(objective, seg.caption)[0] for seg, _ in corpus]
+    rows = corpus_rows(corpus, texts, encoders)
+    return [pretrain_example(objective, seg.caption,
+                             fused_input(frames, text, "caption", graph), max_target_len)
+            for (seg, _), (frames, text, graph) in zip(corpus, rows)]
 
 
 def build_split_half_example(segment: Segment, encoders, graph: SceneGraph | None = None,
                              max_target_len: int = ModelConfig.max_target_len) -> PretrainExample:
-    return build_pretrain_example(
-        "split_half", frame_rows(segment, encoders), segment.caption,
-        encoders.encode_caption(caption_halves(segment.caption)[0]),
-        _graph_row(graph, encoders), max_target_len)
+    return pretrain_examples("split_half", [(segment, graph)], encoders, max_target_len)[0]
+
+
+def vqa_examples(records: list[dict], image_store, encoders, rng: np.random.Generator,
+                 include_graph: bool = True,
+                 max_target_len: int = ModelConfig.max_target_len) -> list[VqaExample]:
+    """One example per {image_key, question, answers, graph} record: the image
+    row, the question row and, with ``include_graph``, the graph row when the
+    record has one. Each target is drawn from the answers by ``rng``, in
+    record order."""
+    graphs = [r.get("graph") if include_graph else None for r in records]
+    question_rows = encoders.encode_questions([r["question"] for r in records])
+    graph_rows = iter(encoders.encode_graphs([g for g in graphs if g is not None]))
+    out = []
+    for r, question_row, graph in zip(records, question_rows, graphs):
+        answers = r["answers"]
+        if len(answers) != 10:
+            raise ValueError(f"expected 10 human answers, got {len(answers)}")
+        image = image_store.get_by_key(r["image_key"])   # raises NotFoundError if absent
+        fused = fused_input([image.arrays[0][1].reshape(-1)], question_row, "question",
+                            None if graph is None else next(graph_rows))
+        chosen = answers[int(rng.integers(len(answers)))]
+        out.append(VqaExample(
+            fused=fused,
+            human_answers=tuple(answers),
+            target=tokenizer.tokenize(chosen, max_target_len),
+            truncated=tokenizer.truncates(chosen, max_target_len),
+        ))
+    return out
 
 
 def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
@@ -116,28 +192,8 @@ def build_vqa_example(image_store, image_key: str, graph: SceneGraph | None,
                       encoders, include_graph: bool = True,
                       max_target_len: int = ModelConfig.max_target_len) -> VqaExample:
     """Image row + question row (+ graph row), target drawn from the answers."""
-    return vqa_example_from_rows(
-        image_store, image_key, encoders.encode_question(question),
-        _graph_row(graph if include_graph else None, encoders), answers, rng, max_target_len)
-
-
-def vqa_example_from_rows(image_store, image_key: str, question_row: Embedding,
-                          graph_row: Embedding | None, answers: list[str],
-                          rng: np.random.Generator,
-                          max_target_len: int = ModelConfig.max_target_len) -> VqaExample:
-    """``build_vqa_example`` with the question and graph already encoded."""
-    if len(answers) != 10:
-        raise ValueError(f"expected 10 human answers, got {len(answers)}")
-    record = image_store.get_by_key(image_key)   # raises NotFoundError if absent
-    image = Embedding(record.arrays[0][1].reshape(-1), "frame")
-    fused = fuse([image], question_row, graph_row)
-    chosen = answers[int(rng.integers(len(answers)))]
-    return VqaExample(
-        fused=fused,
-        human_answers=tuple(answers),
-        target=tokenizer.tokenize(chosen, max_target_len),
-        truncated=tokenizer.truncates(chosen, max_target_len),
-    )
+    record = {"image_key": image_key, "question": question, "answers": answers, "graph": graph}
+    return vqa_examples([record], image_store, encoders, rng, include_graph, max_target_len)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ _SEGMENT_FIELDS = {"video_id": str, "word_start": int, "word_end": int, "caption
                    "t_start": float, "t_end": float, "frame_times": [float]}
 
 
-def read_transcripts(fp: TextIO) -> Iterator[TimedTranscript]:
+def read_transcripts(fp: Iterable[str | bytes]) -> Iterator[TimedTranscript]:
     video_id = None
     words: list[TimedWord] = []
     for lineno, rec in json_records(fp, "transcript"):
@@ -206,7 +206,7 @@ def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
     return n
 
 
-def read_segments(fp: TextIO) -> Iterator[Segment]:
+def read_segments(fp: Iterable[str | bytes]) -> Iterator[Segment]:
     """The segments of ``write_segments`` lines; "frame_times" may be absent."""
     for lineno, rec in json_records(fp, "segment"):
         rec.setdefault("frame_times", [])

@@ -20,9 +20,8 @@ from modalfuse.cli import main
 from modalfuse.evaluation import (evaluate, is_yes_no, normalize_answer,
                                   vqa_accuracy)
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import (TrainConfig, build_full_caption_example,
-                                  build_split_half_example, build_vqa_example,
-                                  collate, corpus_loss, train)
+from modalfuse.objectives import (TrainConfig, build_vqa_example, collate, corpus_loss,
+                                  pretrain_examples, train)
 from modalfuse.segmentation import (TimedTranscript, TimedWord, filter_segments,
                                     sample_frame_times, segment_transcript,
                                     word_density)
@@ -112,10 +111,8 @@ def test_criterion_3_leakage_ordering():
     results = {}
     for seed in (0, 1, 2):
         finals = {}
-        for name, build in (("full_caption", build_full_caption_example),
-                            ("split_half", build_split_half_example)):
-            examples = [build(seg, enc, graph=g, max_target_len=64)
-                        for seg, g in corpus]
+        for name in ("full_caption", "split_half"):
+            examples = pretrain_examples(name, corpus, enc, max_target_len=64)
             model = Model(cfg, seed=seed)
             train(examples, model,
                   TrainConfig(steps=500, batch_size=16, lr=3e-3, seed=seed))

@@ -457,11 +457,26 @@ class TestTrainingPipeline:
         assert "n_heads must be >= 1" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["eval", "--checkpoint", str(tmp_path / "no.store"),
+        missing = tmp_path / "no.store"
+        rc = main(["eval", "--checkpoint", str(missing),
                    "--vqa", "x", "--image-store", "y",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("objective, message", [
+        ("split_half", "error: mixed embedding dimensions: [16, 32]"),
+        ("full_caption", "error: fused rows have dimension 32, model expects 16"),
+    ])
+    def test_store_dimension_differs_from_model(self, tmp_path, packed, capsys, objective,
+                                                message):
+        """The store holds d=32 rows; split_half encodes its first halves at
+        --d-model 16 and full_caption feeds the stored rows as they are."""
+        rc = main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
+                   "--objective", objective, "--steps", "1", *TINY_MODEL, "--d-model", "16"])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("command", ["finetune", "eval"])
     def test_yes_no_only_without_yes_no_questions(self, tmp_path, capsys, command):
@@ -574,6 +589,44 @@ class TestTrainingPipeline:
         assert main(stage_argv[command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and message in err
+
+
+class TestNonUtf8Input:
+    """Each JSONL reader names the line and record kind of bytes that are not
+    UTF-8, here an encoded surrogate, with the byte's position in that line."""
+
+    @staticmethod
+    def run_with_bad_line_3(path, argv, what, capsys):
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 3
+        lines[2] = b'{"x": "\xed\xa0\x80"}\n'
+        path.write_bytes(b"".join(lines))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: line 3: bad {what} record: 'utf-8' codec can't decode byte 0xed "
+            "in position 7")
+
+    def test_transcripts(self, stage_argv, transcripts, capsys):
+        self.run_with_bad_line_3(transcripts, stage_argv["segment"], "transcript", capsys)
+
+    def test_segments(self, tmp_path, stage_argv, capsys):
+        segs = tmp_path / "segments.jsonl"
+        argv = ["encode-pack", "--segments", str(segs), "--out", str(tmp_path / "e.store")]
+        self.run_with_bad_line_3(segs, argv, "segment", capsys)
+
+    def test_graph_manifest(self, tmp_path, stage_argv, capsys):
+        segs = tmp_path / "segments.jsonl"
+        with open(segs, encoding="utf-8") as f:
+            keys = [f"{s.video_id}:{s.word_start}" for s in read_segments(f)]
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text("".join(json.dumps({"key": key, "objects": ["dog"], "relations": []})
+                                  + "\n" for key in keys))
+        argv = ["encode-pack", "--segments", str(segs), "--graphs", str(graphs),
+                "--out", str(tmp_path / "e.store")]
+        self.run_with_bad_line_3(graphs, argv, "graph manifest", capsys)
+
+    def test_vqa(self, tmp_path, stage_argv, capsys):
+        self.run_with_bad_line_3(tmp_path / "vqa.jsonl", stage_argv["finetune"], "VQA", capsys)
 
 
 class TestAblate:

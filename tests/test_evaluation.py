@@ -13,7 +13,7 @@ from modalfuse.evaluation import (AblationRow, collapse_report, default_ablation
                                   evaluate, is_yes_no, normalize_answer, run_ablation,
                                   vqa_accuracy, write_ablation_table)
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import TrainConfig, build_vqa_example, train
+from modalfuse.objectives import TrainConfig, build_vqa_example, train, vqa_examples
 from modalfuse.store import Store
 from modalfuse.synthetic import (make_leakage_corpus, make_mini_vqa,
                                  write_vqa_image_store)
@@ -141,8 +141,8 @@ def test_vqa_examples_equal_single_builds(vqa_setup, include_graph):
     expect = [build_vqa_example(store, r["image_key"], r["graph"], r["question"], r["answers"],
                                 rng, encoders, include_graph=include_graph, max_target_len=32)
               for r in records]
-    got = evaluation.vqa_examples(records, store, encoders, seed=4, include_graph=include_graph,
-                                  yes_no_only=False, max_target_len=32)
+    got = vqa_examples(records, store, encoders, np.random.default_rng(4),
+                       include_graph=include_graph, max_target_len=32)
     assert len(got) == len(expect)
     for g, e in zip(got, expect):
         assert g.fused.modalities == e.fused.modalities

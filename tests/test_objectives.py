@@ -9,9 +9,9 @@ from modalfuse.backbone import (Model, ModelConfig, _float64_copy, cross_entropy
                                 load_checkpoint, save_checkpoint)
 from modalfuse.errors import ConfigError, NotFoundError, ValidationError
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import (TrainConfig, build_full_caption_example,
-                                  build_split_half_example, build_vqa_example,
-                                  collate, corpus_loss, split_caption, train)
+from modalfuse.objectives import (OBJECTIVES, TrainConfig, build_split_half_example,
+                                  build_vqa_example, collate, corpus_loss, pretrain_examples,
+                                  split_caption, train)
 from modalfuse.scene_graph import SceneGraph
 from modalfuse.segmentation import Segment, with_frame_times
 from modalfuse.synthetic import make_leakage_corpus, make_mini_vqa, \
@@ -37,6 +37,11 @@ def make_segment(caption, video_id="v1"):
 GRAPH = SceneGraph(("dog", "grass"), ((0, "on", 1),))
 
 
+def full_caption_example(segment, encoders, graph=None,
+                         max_target_len=ModelConfig.max_target_len):
+    return pretrain_examples("full_caption", [(segment, graph)], encoders, max_target_len)[0]
+
+
 class TestSplitCaption:
     def test_fifteen_words(self):
         words = [f"w{i}" for i in range(15)]
@@ -60,7 +65,7 @@ class TestSplitCaption:
 class TestFullCaptionExample:
     def test_canonical_shape(self, encoders):
         seg = make_segment(" ".join(f"w{i}" for i in range(15)))
-        ex = build_full_caption_example(seg, encoders, graph=GRAPH, max_target_len=128)
+        ex = full_caption_example(seg, encoders, graph=GRAPH, max_target_len=128)
         assert ex.fused.rows.shape == (3, D)
         n_bytes = len(seg.caption.encode())
         toks = ex.target
@@ -69,19 +74,19 @@ class TestFullCaptionExample:
 
     def test_graph_ablated(self, encoders):
         seg = make_segment("a b c")
-        ex = build_full_caption_example(seg, encoders, graph=None)
+        ex = full_caption_example(seg, encoders, graph=None)
         assert ex.fused.rows.shape == (2, D)
 
     def test_deterministic(self, encoders):
         seg = make_segment("a b c")
-        a = build_full_caption_example(seg, encoders, graph=GRAPH)
-        b = build_full_caption_example(seg, encoders, graph=GRAPH)
+        a = full_caption_example(seg, encoders, graph=GRAPH)
+        b = full_caption_example(seg, encoders, graph=GRAPH)
         assert np.array_equal(a.fused.rows, b.fused.rows)
         assert np.array_equal(a.target, b.target)
 
     def test_caption_row_matches_target_text(self, encoders):
         seg = make_segment("hello world")
-        ex = build_full_caption_example(seg, encoders)
+        ex = full_caption_example(seg, encoders)
         expected = encoders.encode_caption("hello world").values
         assert np.array_equal(ex.fused.rows[1], expected)
         assert tokenizer.detokenize(ex.target) == "hello world"
@@ -92,17 +97,17 @@ class TestFrameRows:
 
     def test_every_frame_time_becomes_a_row(self, encoders):
         seg = with_frame_times(Segment("v1", 0, 3, "a b c", 0.0, 20.0), 3)
-        for build in (build_full_caption_example, build_split_half_example):
-            ex = build(seg, encoders, graph=GRAPH)
+        for objective in OBJECTIVES:
+            ex = pretrain_examples(objective, [(seg, GRAPH)], encoders)[0]
             assert ex.fused.rows.shape == (5, D)
             for row, t in zip(ex.fused.rows, seg.frame_times):
                 assert np.array_equal(row, encoders.encode_frame("v1", t).values)
 
     def test_segment_without_frame_times_rejected(self, encoders):
         seg = Segment("v1", 4, 7, "a b c", 0.0, 20.0)
-        for build in (build_full_caption_example, build_split_half_example):
+        for objective in OBJECTIVES:
             with pytest.raises(ValidationError, match="'v1:4' lists no frame times"):
-                build(seg, encoders)
+                pretrain_examples(objective, [(seg, None)], encoders)
 
 
 class TestSplitHalfExample:
@@ -129,6 +134,35 @@ class TestSplitHalfExample:
         target_words = tokenizer.detokenize(ex.target).split(" ")
         all_words = caption.split(" ")
         assert all_words[-len(target_words):] == target_words
+
+
+class TestPretrainExamples:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_list_equals_one_row_builds(self, encoders, objective):
+        """Frame counts of 1 to 3 and graphs on every other segment."""
+        corpus = [(with_frame_times(Segment(f"v{i}", 0, 3, f"a b{i} c", 0.0, 20.0), 1 + i % 3),
+                   GRAPH if i % 2 else None) for i in range(7)]
+        got = pretrain_examples(objective, corpus, encoders, 32)
+        expect = [pretrain_examples(objective, [pair], encoders, 32)[0] for pair in corpus]
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert g.fused.modalities == e.fused.modalities
+            assert g.fused.rows.tobytes() == e.fused.rows.tobytes()
+            assert g.caption == e.caption and np.array_equal(g.target, e.target)
+
+    def test_split_half_is_the_one_row_builder(self, encoders):
+        seg = make_segment("a b c d")
+        got = build_split_half_example(seg, encoders, graph=GRAPH, max_target_len=32)
+        expect = pretrain_examples("split_half", [(seg, GRAPH)], encoders, 32)[0]
+        assert got.fused.rows.tobytes() == expect.fused.rows.tobytes()
+        assert np.array_equal(got.target, expect.target)
+
+    def test_unknown_objective_rejected(self, encoders):
+        with pytest.raises(ConfigError, match="objective must be one of"):
+            pretrain_examples("whole_caption", [(make_segment("a b"), None)], encoders)
+
+    def test_empty_corpus(self, encoders):
+        assert pretrain_examples("split_half", [], encoders) == []
 
 
 class TestVqaExample:
@@ -182,7 +216,7 @@ class TestVqaExample:
 class TestTrain:
     def make_examples(self, encoders, n=8):
         corpus = make_leakage_corpus(n_segments=n, variants_per_group=2, seed=0)
-        return [build_full_caption_example(s, encoders, graph=g, max_target_len=32)
+        return [full_caption_example(s, encoders, graph=g, max_target_len=32)
                 for s, g in corpus]
 
     def test_zero_steps(self, encoders):
@@ -281,8 +315,8 @@ class TestTrain:
 
     def test_collate_rejects_mixed_row_counts(self, encoders):
         seg = make_segment("a b c d")
-        with_graph = build_full_caption_example(seg, encoders, graph=GRAPH)
-        without = build_full_caption_example(seg, encoders, graph=None)
+        with_graph = full_caption_example(seg, encoders, graph=GRAPH)
+        without = full_caption_example(seg, encoders, graph=None)
         with pytest.raises(ValueError):
             collate([with_graph, without])
 
