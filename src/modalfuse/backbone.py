@@ -87,16 +87,17 @@ class RMSNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
+        r = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + _RMS_EPS)
         self._cache = (x, r)
         return x * r * self.g.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, r = self._cache
-        n = x.shape[-1]
-        self.g.grad += np.sum(dy * x * r, axis=tuple(range(x.ndim - 1)))
-        h = dy * self.g.value
-        return h * r - x * (np.sum(h * x, axis=-1, keepdims=True) * (r * r * r) / n)
+        t = dy * x
+        self.g.grad += np.sum(np.multiply(t, r, out=t), axis=tuple(range(x.ndim - 1)))
+        h = np.multiply(dy, self.g.value, out=np.empty_like(x))   # dy can be a scalar 0.0
+        s = np.sum(np.multiply(h, x, out=t), axis=-1, keepdims=True) * (r * r * r) / x.shape[-1]
+        return np.subtract(np.multiply(h, r, out=h), np.multiply(x, s, out=t), out=h)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -163,7 +164,8 @@ def _attend(q, k, v, scale: float, causal: bool = False):
         if tq != tk:
             raise ValueError("causal attention needs square score matrix")
         scores = scores + np.triu(np.full((tq, tk), -np.inf, scores.dtype), k=1)
-    scores -= scores.max(axis=-1, keepdims=True)
+    # max is exact; over a transposed copy numpy takes it in whole rows, 3-7x faster
+    scores -= np.moveaxis(scores, -1, 0).copy().max(axis=0)[..., None]
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights @ v, weights
@@ -225,9 +227,10 @@ class MultiHeadAttention:
         dctx = self._split(self.wo.backward(dy))
         dw = dctx @ v.transpose(0, 1, 3, 2)
         dv = weights.transpose(0, 1, 3, 2) @ dctx
-        ds = weights * (dw - np.sum(dw * weights, axis=-1, keepdims=True))
-        dq = (ds @ k) * scale
-        dk = (ds.transpose(0, 1, 3, 2) @ q) * scale
+        dw -= np.sum(dw * weights, axis=-1, keepdims=True)
+        dw *= weights   # in place: dw is now the score gradient
+        dq = (dw @ k) * scale
+        dk = (dw.transpose(0, 1, 3, 2) @ q) * scale
         d_xq = self.wq.backward(self._merge(dq))
         d_xkv = self.wk.backward(self._merge(dk)) + self.wv.backward(self._merge(dv))
         return d_xq, d_xkv
@@ -249,7 +252,7 @@ class EncoderBlock:
     def backward(self, dy):
         dx = dy + self.norm2.backward(self.ff.backward(dy))
         dq, dkv = self.attn.backward(dx)
-        return dx + self.norm1.backward(dq + dkv)
+        return np.add(dx, self.norm1.backward(np.add(dq, dkv, out=dq)), out=dx)
 
 
 class DecoderBlock:
@@ -282,11 +285,18 @@ class DecoderBlock:
 
     def backward(self, dy):
         """Returns (dx, d_enc_hidden)."""
-        dx = dy + self.norm3.backward(self.ff.backward(dy))
+        dx = self.norm3.backward(self.ff.backward(dy))
+        dx += dy
         dq, d_enc = self.cross_attn.backward(dx)
-        dx = dx + self.norm2.backward(dq)
+        dx += self.norm2.backward(dq)
         dq, dkv = self.self_attn.backward(dx)
-        return dx + self.norm1.backward(dq + dkv), d_enc
+        return np.add(dx, self.norm1.backward(np.add(dq, dkv, out=dq)), out=dx), d_enc
+
+
+def _add_rows_at(grad: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(grad, ids, rows)`` on flat indices id * d + j: the same order, 3x faster."""
+    d = grad.shape[1]
+    np.add.at(grad.reshape(-1), (ids[..., None] * d + np.arange(d)).reshape(-1), rows.reshape(-1))
 
 
 def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
@@ -363,7 +373,7 @@ class Model:
         dx = self.enc_norm.backward(d_hidden)
         for block in reversed(self.enc_blocks):
             dx = block.backward(dx)
-        np.add.at(self.type_emb.grad, self._enc_modality_ids, dx)
+        _add_rows_at(self.type_emb.grad, self._enc_modality_ids, dx)
         return dx
 
     def decoder_forward(self, tokens: np.ndarray, enc_hidden: np.ndarray) -> np.ndarray:
@@ -388,7 +398,7 @@ class Model:
         for block in reversed(self.dec_blocks):
             dx, de = block.backward(dx)
             d_enc = d_enc + de
-        np.add.at(self.tok_emb.grad, self._dec_tokens, dx)
+        _add_rows_at(self.tok_emb.grad, self._dec_tokens, dx)
         return d_enc
 
     def forward(self, rows, modality_ids, dec_tokens) -> np.ndarray:
@@ -408,7 +418,8 @@ class Model:
         """
         targets = np.array(targets, dtype=np.int64, ndmin=2)
         logits = self.forward(rows, modality_ids, targets[:, :-1])
-        loss, dlogits = cross_entropy_with_grad(logits, targets[:, 1:])
+        # the logits are this step's own, so the softmax overwrites them: no copy
+        loss, dlogits = _cross_entropy_in_place(logits, targets[:, 1:], tokenizer.PAD)
         self.backward(dlogits)
         return loss
 
@@ -503,8 +514,12 @@ def _keep_rows(cache: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
 
 def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,
                             pad_id: int = tokenizer.PAD) -> tuple[float, np.ndarray]:
-    """Mean NLL over non-PAD positions, plus d(loss)/d(logits)."""
-    logits = np.asarray(logits)
+    """Mean NLL over non-PAD positions, plus d(loss)/d(logits); ``logits`` stays as it is."""
+    return _cross_entropy_in_place(np.array(logits), targets, pad_id)
+
+
+def _cross_entropy_in_place(logits: np.ndarray, targets, pad_id: int) -> tuple[float, np.ndarray]:
+    """``cross_entropy_with_grad`` that overwrites C-contiguous ``logits`` with the gradient."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.shape[:-1] != targets.shape:
         raise ValueError(f"logits {logits.shape} do not match targets {targets.shape}")
@@ -513,10 +528,10 @@ def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,
     if n_valid == 0:
         raise ValueError("all target positions are PAD")
     tgt = targets.clip(0)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    tgt_logit = np.take_along_axis(shifted, tgt[..., None], axis=-1)[..., 0]
+    logits -= logits.max(axis=-1, keepdims=True)
+    tgt_logit = np.take_along_axis(logits, tgt[..., None], axis=-1)[..., 0]
     # one exp pass: the shifted logits become exp(shifted), then the softmax
-    dlogits = np.exp(shifted, out=shifted)
+    dlogits = np.exp(logits, out=logits)
     z = dlogits.sum(axis=-1, keepdims=True)
     log_z = np.log(z[..., 0])
     nll = (log_z - tgt_logit) * mask
@@ -525,7 +540,8 @@ def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray,
     dlogits /= z
     flat = dlogits.reshape(-1, dlogits.shape[-1])
     flat[np.arange(flat.shape[0]), tgt.reshape(-1)] -= 1.0
-    dlogits *= (mask[..., None] / n_valid)
+    dlogits *= np.float64(1.0 / n_valid)   # in float64, rounded once to float32
+    dlogits[~mask] *= 0.0   # PAD rows: x * 0.0, a zero with the sign of x
     return loss, dlogits
 
 
@@ -548,6 +564,7 @@ class AdamW:
         # np.zeros takes already-zeroed pages, where zeros_like writes every zero
         self.m = np.zeros(model.value.shape, model.value.dtype)
         self.v = np.zeros(model.value.shape, model.value.dtype)
+        self._work = np.empty((2, min(_ADAM_BLOCK, model.value.size)), model.value.dtype)
 
     def step(self):
         # min and max are non-finite exactly when some element is (NaN
@@ -561,14 +578,17 @@ class AdamW:
         bc2 = 1.0 - _BETA2**self.t
         for b in [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]:
             p, g, m, v = value[b], grad[b], self.m[b], self.v[b]
+            w, u = self._work[:, :p.size]   # written with out=, in the order of the formulas
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=w)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+            v += np.multiply(np.multiply(g, 1.0 - _BETA2, out=w), g, out=w)
+            np.sqrt(np.divide(v, bc2, out=u), out=u)
+            u += _ADAM_EPS
+            np.divide(np.divide(m, bc1, out=w), u, out=w)   # the update
             if self.weight_decay:
-                update += self.weight_decay * p
-            p -= self.lr * update
+                w += np.multiply(p, self.weight_decay, out=u)
+            p -= np.multiply(w, self.lr, out=w)
 
 
 def _float64_copy(model: Model) -> Model:

@@ -117,8 +117,8 @@ def _unit_rows(payloads: Sequence[bytes], d: int, seed: int) -> np.ndarray:
     gen = np.random.Generator(bitgen)
     # A fresh generator's state: counter 0, an empty buffer, no spare 32-bit
     # word. Set with another key, it gives the stream a new Philox(key=key)
-    # gives, for a fifth of the cost of building one.
-    fresh = bitgen.state
+    # gives, for a fifth of the cost of building one; a one-row list reads none.
+    fresh = bitgen.state if len(keys) > 1 else None
     for i, key in enumerate(keys):
         if i:
             fresh["state"]["key"][0] = key

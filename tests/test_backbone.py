@@ -173,6 +173,22 @@ class TestDecoder:
         w = m.dec_blocks[0].cross_attn.last_weights
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_weights_match_row_wise_max_bitwise(self, causal):
+        # _attend takes the softmax shift from a transposed copy; max is
+        # exact, so the weights are those of the row-wise max, bit for bit
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(3, 2, 6, 4)).astype(np.float32) for _ in range(3))
+        q[0, 0, 1] = 0.0   # a row of zero scores: its max is a zero
+        ctx, weights = backbone._attend(q, k, v, 0.5, causal)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * 0.5
+        if causal:
+            scores = scores + np.triu(np.full((6, 6), -np.inf, np.float32), k=1)
+        expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        assert weights.tobytes() == expected.tobytes()
+        assert ctx.tobytes() == (expected @ v).tobytes()
+
     def test_finite_logits(self):
         m = Model(TINY, seed=3)
         rows, ids, targets = tiny_batch(seed=3)
@@ -222,6 +238,21 @@ class TestCrossEntropy:
         targets = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
         _, dlogits = cross_entropy_with_grad(logits, targets, pad_id=9)
         assert np.allclose(dlogits.sum(axis=-1), 0.0, atol=1e-12)
+
+    def test_grad_scaling_matches_float64_mask_bitwise(self):
+        # the gradient is scaled by a float64 1/n, then PAD rows by 0.0: the
+        # product with the float64 mask / n, bit for bit, signed zeros too
+        rng = np.random.default_rng(3)
+        logits = (4.0 * rng.normal(size=(3, 6, 11))).astype(np.float32)
+        targets = np.array([[1, 2, 0, 0, 0, 0], [3, 4, 5, 6, 7, 0], [8, 9, 1, 2, 0, 0]])
+        _, dlogits = cross_entropy_with_grad(logits, targets, pad_id=0)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        expected.reshape(-1, 11)[np.arange(18), targets.reshape(-1)] -= 1.0
+        mask = targets != 0
+        expected *= mask[..., None] / mask.sum()
+        assert np.signbit(dlogits[~mask]).any()
+        assert dlogits.tobytes() == expected.tobytes()
 
     def test_grad_matches_central_differences(self):
         rng = np.random.default_rng(2)
@@ -295,6 +326,33 @@ class TestGradients:
         gnorm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in m.params()))
         assert gnorm < 0.1
 
+    def test_loss_and_grads_match_public_cross_entropy_bitwise(self):
+        # loss_and_grads runs the cross-entropy in place on its own logits;
+        # the public function copies first. Both must give the same bits.
+        rows, ids, targets = tiny_batch(seed=6, b=4)   # PAD-padded rows
+        assert (targets == tokenizer.PAD).any()
+        in_place = Model(TINY, seed=6)
+        loss = in_place.loss_and_grads(rows, ids, targets)
+        public = Model(TINY, seed=6)
+        logits = public.forward(rows, ids, targets[:, :-1])
+        expected_loss, dlogits = cross_entropy_with_grad(logits, targets[:, 1:])
+        public.backward(dlogits)
+        assert loss.hex() == expected_loss.hex()
+        assert in_place.grad.tobytes() == public.grad.tobytes()
+
+    @pytest.mark.parametrize("n_ids", [4, tokenizer.VOCAB_SIZE])
+    def test_flat_embedding_scatter_matches_row_wise_add_at(self, n_ids):
+        # the modality-id and token-id cases: ids repeat within and across rows
+        rng = np.random.default_rng(n_ids)
+        ids = rng.integers(0, n_ids, size=(16, 28))
+        ids[:, ::7] = 1
+        rows = rng.normal(size=(16, 28, 64)).astype(np.float32)
+        grad = rng.normal(size=(n_ids, 64)).astype(np.float32)
+        expected = grad.copy()
+        np.add.at(expected, ids, rows)
+        backbone._add_rows_at(grad, ids, rows)
+        assert grad.tobytes() == expected.tobytes()
+
     def test_loss_bit_reproducible(self):
         losses = []
         for _ in range(2):
@@ -361,9 +419,12 @@ class TestAdamW:
                                    weight_decay=0.01)
                         for p, (value, mom, var) in zip(m.params(), expected)]
             opt.step()
-            for p, (value, _, _) in zip(m.params(), expected):
-                assert value.dtype == np.float32
+            ends = np.cumsum([p.value.size for p in m.params()])
+            for p, lo, hi, (value, mom, var) in zip(m.params(), [0, *ends], ends, expected):
+                assert value.dtype == mom.dtype == var.dtype == np.float32
                 assert np.array_equal(p.value, value), p.name
+                assert opt.m[lo:hi].tobytes() == mom.tobytes(), p.name
+                assert opt.v[lo:hi].tobytes() == var.tobytes(), p.name
 
 
 class TestGreedyDecode:
