@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,6 +61,24 @@ class Parameter:
     grad: np.ndarray = field(default=None, repr=False)
 
 
+_worker = None   # the executor of the one worker thread, made on first use
+_PAIR_MACS = 1 << 24   # multiply-adds of a backward product pair that pay for a hand-off
+
+
+def _beside(work: int, least: int, job, *args):
+    """``job(*args)`` on the worker thread, as a Future to join, when ``work`` reaches
+    ``least`` and the process may use 2 CPUs; else run here, and None. Jobs call numpy
+    only (the tracer keeps one span stack), and no product is split: its halves can round apart."""
+    global _worker
+    if work < least or len(os.sched_getaffinity(0)) < 2:
+        job(*args)
+        return None
+    if _worker is None:   # imported here: a run that never hands off loads nothing
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, "modalfuse")
+    return _worker.submit(job, *args)
+
+
 class Linear:
     """x @ W, no bias (T5-style projections), as one 2-D GEMM over all leading
     rows: a stacked matmul calls BLAS, which repacks W, once per batch entry."""
@@ -74,8 +93,12 @@ class Linear:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         rows = dy.reshape(-1, dy.shape[-1])
-        self.W.grad += self._x.T @ rows
-        return (rows @ self.W.value.T).reshape(*dy.shape[:-1], self.W.shape[0])
+        x, g = self._x, self.W.grad
+        pending = _beside(rows.size * x.shape[1], _PAIR_MACS, lambda: np.add(g, x.T @ rows, out=g))
+        dx = rows @ self.W.value.T
+        if pending is not None:
+            pending.result()
+        return dx.reshape(*dy.shape[:-1], self.W.shape[0])
 
 
 _RMS_EPS = 1e-6
@@ -313,10 +336,14 @@ class Model:
     """The trainable backbone. One instance = one set of parameters."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
         self._build(config, np.float32)
-        for p in self._params:
-            p.value[...] = 1.0 if p.ones else rng.normal(0.0, 0.02, size=p.shape)
+        self._draw(seed, np.empty(max(p.value.size for p in self._params)))
+
+    def _draw(self, seed: int, buf: np.ndarray) -> None:   # numpy only: runs on the worker too
+        rng = np.random.default_rng(seed)
+        for p in self._params:   # = rng.normal(0, 0.02), in the caller's buf, not the worker's heap
+            z = buf[:p.value.size].reshape(p.shape)
+            p.value[...] = 1.0 if p.ones else np.multiply(rng.standard_normal(out=z), 0.02, out=z)
 
     def _build(self, config: ModelConfig, dtype) -> Model:
         """Build the layers and return the model. Layers declare parameters with
@@ -551,6 +578,7 @@ def cross_entropy_loss(logits, targets, pad_id: int = tokenizer.PAD) -> float:
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _ADAM_BLOCK = 1 << 16   # elements per AdamW update block: temporaries stay small
+_SPLIT_ELEMENTS = 8 * _ADAM_BLOCK   # flat size from which AdamW and cli's draws use the worker
 
 
 class AdamW:
@@ -576,9 +604,17 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        for b in [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]:
-            p, g, m, v = value[b], grad[b], self.m[b], self.v[b]
-            w, u = self._work[:, :p.size]   # written with out=, in the order of the formulas
+        blocks = [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]
+        half, work = len(blocks) // 2, self._work
+        first = _beside(value.size, _SPLIT_ELEMENTS, self._update, blocks[:half], bc1, bc2, work)
+        self._update(blocks[half:], bc1, bc2, work if first is None else np.empty_like(work))
+        if first is not None:
+            first.result()
+
+    def _update(self, blocks: list[slice], bc1: float, bc2: float, work: np.ndarray) -> None:
+        for b in blocks:
+            p, g, m, v = self.model.value[b], self.model.grad[b], self.m[b], self.v[b]
+            w, u = work[:, :p.size]   # written with out=, in the order of the formulas
             m *= _BETA1
             m += np.multiply(g, 1.0 - _BETA1, out=w)
             v *= _BETA2

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, objectives, segmentation, synthetic
+from . import backbone, evaluation, objectives, segmentation, synthetic
 # save_checkpoint is unused here but stays importable as cli.save_checkpoint,
 # where the benchmark's call tracer patches it.
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
@@ -261,10 +261,14 @@ def cmd_pretrain(args, cfg: dict) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
     encoders = StubEncoders(d=cfg["d-model"], seed=cfg["stub-seed"])
+    model = Model.__new__(Model)._build(model_cfg, np.float32)   # drawn while the store is read
+    drawing = backbone._beside(model.value.size, backbone._SPLIT_ELEMENTS, model._draw, cfg["seed"],
+                               np.empty(max(p.value.size for p in model.params())))
     with Store(cfg["store"]) as store:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)
-    model = Model(model_cfg, seed=cfg["seed"])
+    if drawing is not None:
+        drawing.result()
     final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
     print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0

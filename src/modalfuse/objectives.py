@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -42,6 +42,7 @@ class FusedInput:
     """
     rows: np.ndarray          # float32, shape (m, d)
     modalities: tuple[str, ...]
+    modality_ids: np.ndarray = field(init=False, repr=False, compare=False)   # int64, read-only
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float32)
@@ -53,10 +54,9 @@ class FusedInput:
             raise ConfigError("embedding has non-finite entries")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "modalities", tuple(self.modalities))
-
-    @property
-    def modality_ids(self) -> np.ndarray:
-        return np.array([MODALITY_IDS[m] for m in self.modalities], dtype=np.int64)
+        object.__setattr__(self, "modality_ids",
+                           np.array([MODALITY_IDS[m] for m in self.modalities], dtype=np.int64))
+        self.modality_ids.flags.writeable = False
 
 
 def fused_input(frames, text: np.ndarray, text_modality: str,

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _f
                                 gradient_check, load_checkpoint, save_checkpoint)
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, NotFoundError
+from modalfuse.experts import StubEncoders
+from modalfuse.objectives import TrainConfig, pretrain_examples, train
 from modalfuse.store import EmbeddingRecord, Store, write_store
+from modalfuse.synthetic import make_leakage_corpus
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
                    n_decoder_layers=1, d_ff=32, max_target_len=16)
@@ -88,6 +93,24 @@ def make_linear(d_in, d_out, seed=1):
     return Linear(d_in, d_out, make, "lin")
 
 
+@pytest.fixture
+def worker(monkeypatch):
+    """A fresh executor in place of the module's worker, so that a test sees
+    whether its thread starts; shut down afterwards."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(backbone, "_worker", pool)
+    yield pool
+    pool.shutdown()
+
+
+def always_beside(monkeypatch):
+    """Send every product pair, AdamW step and model draw to the worker thread,
+    whatever its size and however many CPUs the machine has."""
+    monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
+    monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class TestLinear:
     def test_batched_rows_match_flattened_rows_bitwise(self):
         # a shape at which numpy's stacked matmul, one BLAS call per batch
@@ -113,6 +136,25 @@ class TestLinear:
         once = lin.W.grad.copy()
         lin.backward(dy)
         assert np.array_equal(lin.W.grad, 2 * once)
+
+    def test_backward_on_the_worker_matches_inline_bitwise(self, monkeypatch, worker):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(4, 7, 48)).astype(np.float32)
+        dy = rng.normal(size=(4, 7, 40)).astype(np.float32)
+
+        def backward():
+            lin = make_linear(48, 40)
+            lin.W.grad[...] = 0.5   # the product adds to what is there
+            lin.forward(x)
+            return lin.backward(dy), lin.W.grad
+
+        threads = threading.active_count()
+        dx, grad = backward()
+        assert threading.active_count() == threads   # 13k multiply-adds stay inline
+        always_beside(monkeypatch)
+        dx2, grad2 = backward()
+        assert threading.active_count() == threads + 1
+        assert dx.tobytes() == dx2.tobytes() and grad.tobytes() == grad2.tobytes()
 
     def test_2d_input_keeps_shape_and_dtype(self):
         x = np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32)
@@ -403,9 +445,12 @@ class TestAdamW:
             assert np.array_equal(m.value, before)   # nothing updates before the check
             assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
-    def test_optimizer_matches_functional(self, monkeypatch):
+    def check_matches_functional(self, monkeypatch, beside):
         # a small odd block size, so that blocks straddle parameter boundaries
         monkeypatch.setattr(backbone, "_ADAM_BLOCK", 37)
+        if beside:   # half of the blocks on the worker thread, the other half here
+            always_beside(monkeypatch)
+        threads = threading.active_count()
         m = Model(TINY, seed=0)
         sizes = [p.value.size for p in m.params()]
         assert any(np.cumsum(sizes) % 37 != 0)
@@ -425,6 +470,70 @@ class TestAdamW:
                 assert np.array_equal(p.value, value), p.name
                 assert opt.m[lo:hi].tobytes() == mom.tobytes(), p.name
                 assert opt.v[lo:hi].tobytes() == var.tobytes(), p.name
+        assert threading.active_count() == threads + beside
+
+    def test_optimizer_matches_functional(self, monkeypatch, worker):
+        self.check_matches_functional(monkeypatch, beside=False)
+
+    def test_optimizer_on_the_worker_matches_functional(self, monkeypatch, worker):
+        self.check_matches_functional(monkeypatch, beside=True)
+
+
+def train_run(cfg, steps, batch_size, n_segments=16):
+    """(loss and grad_norm hex of every step, parameter bytes) of seeded
+    split-half training of a fresh ``cfg`` model."""
+    encoders = StubEncoders(d=cfg.d_model, seed=0)
+    examples = pretrain_examples("split_half", make_leakage_corpus(n_segments, seed=0),
+                                 encoders, cfg.max_target_len)
+    model = Model(cfg, seed=3)
+    records = train(examples, model, TrainConfig(steps=steps, batch_size=batch_size, lr=3e-3,
+                                                 seed=3, weight_decay=0.01))
+    return [(r["loss"].hex(), r["grad_norm"].hex()) for r in records], model.value.tobytes()
+
+
+class TestWorkerThread:
+    """The second thread gives every bit the one-thread path gives, and it
+    starts only where the work pays for the hand-off."""
+
+    def test_train_steps_on_the_worker_match_inline(self, monkeypatch, worker):
+        threads = threading.active_count()
+        inline = train_run(TINY, steps=5, batch_size=4)
+        assert threading.active_count() == threads
+        always_beside(monkeypatch)
+        assert train_run(TINY, steps=5, batch_size=4) == inline
+        assert threading.active_count() == threads + 1
+
+    def test_draws_match_rng_normal_bitwise(self):
+        # the draws go through a float64 buffer the caller allocates, as
+        # standard normals times 0.02; rng.normal(0.0, 0.02) is the reference
+        cfg = ModelConfig(d_model=64, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+                          d_ff=128, max_target_len=64)
+        model, rng = Model(cfg, seed=8), np.random.default_rng(8)
+        for p in model.params():
+            expected = np.ones(p.shape) if p.ones else rng.normal(0.0, 0.02, size=p.shape)
+            assert p.value.tobytes() == expected.astype(np.float32).tobytes(), p.name
+
+    def test_a_job_error_raises_in_the_caller(self, monkeypatch, worker):
+        always_beside(monkeypatch)
+        pending = backbone._beside(1, 0, np.add, np.ones(2), np.ones(3))
+        with pytest.raises(ValueError, match="broadcast"):
+            pending.result(timeout=60)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, worker):
+        always_beside(monkeypatch)
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
+        threads = threading.active_count()
+        train_run(TINY, steps=2, batch_size=4)
+        assert threading.active_count() == threads
+
+    def test_small_model_starts_no_thread_at_the_real_thresholds(self, monkeypatch, worker):
+        # the benchmark's train-small shape: d=64, batch 16, 256 segments
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        small = ModelConfig(d_model=64, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+                            d_ff=128, max_target_len=64)
+        threads = threading.active_count()
+        train_run(small, steps=2, batch_size=16, n_segments=256)
+        assert threading.active_count() == threads
 
 
 class TestGreedyDecode:

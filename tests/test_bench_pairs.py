@@ -32,8 +32,8 @@ def run(commit, seed, items, round_s):
                "round_s": {"value": round_s, "unit": "s"}}
     return {"commit": commit, "workload": "train-small", "seed": seed,
             "stdout_tail": [{}, {"correct": True, "metrics": metrics}],
-            "rusage": {"minflt": 10 if commit == "change" else 20, "utime_s": 1.0,
-                       "stime_s": 0.1}}
+            "rusage": {"minflt": 10 if commit == "change" else 20,
+                       "utime_s": 1.5 if commit == "change" else 1.0, "stime_s": 0.1}}
 
 
 def test_summary_counts_wins_by_direction(tmp_path, capsys):
@@ -48,3 +48,4 @@ def test_summary_counts_wins_by_direction(tmp_path, capsys):
     assert "items_per_s: parent 100 [100, 100]  change 110 [100, 115]  +10.0%" in out
     assert "change better in 2/3" in out   # higher is better for items_per_s
     assert "minflt per run (median): parent 20  change 10" in out
+    assert "cpu s per run (median): parent user 1 sys 0.1  change user 1.5 sys 0.1" in out

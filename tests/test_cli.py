@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modalfuse import cli, objectives
+from modalfuse import backbone, cli, objectives
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError
@@ -327,6 +329,31 @@ class TestTrainingPipeline:
         assert len(lines) == 3
         assert json.loads(lines[0])["step"] == 0
         assert "final loss" in capsys.readouterr().out
+
+    def test_pretrain_with_a_worker_thread_is_bit_identical(self, tmp_path, packed,
+                                                            monkeypatch):
+        def pretrain(run):
+            assert main(["pretrain", "--store", str(packed), "--out-dir", str(run),
+                         "--steps", "3", "--batch-size", "2", *TINY_MODEL]) == 0
+            return (run / "metrics.jsonl").read_text().splitlines(), \
+                (run / "checkpoint.store").read_bytes()
+
+        def losses(run):   # wall_ms differs between runs
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                    for line in run[0]]
+
+        inline = pretrain(tmp_path / "inline")
+        # the model draws, the backward products and the AdamW halves on the worker
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(backbone, "_worker", pool)
+        monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
+        monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        threads = threading.active_count()
+        beside = pretrain(tmp_path / "beside")
+        assert threading.active_count() == threads + 1
+        pool.shutdown()
+        assert losses(beside) == losses(inline) and beside[1] == inline[1]
 
     def test_truncated_targets_reported(self, tmp_path, stage_argv, capsys):
         # every split-half target of the packed captions is longer than the

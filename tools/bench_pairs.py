@@ -18,9 +18,10 @@ for the same parent, change and benchmark trees is extended, so several
 workloads can share one file.
 
 ``summary`` prints, per workload, each end-to-end metric's median and
-quartiles for both sides, the change's wins out of the pairs, and the minor
-faults per run. ``about`` sets the file's description, which is best written
-once the runs are in.
+quartiles for both sides, the change's wins out of the pairs, and the median
+minor faults and user and system CPU seconds per run, which show a change
+that trades CPU time for wall time. ``about`` sets the file's description,
+which is best written once the runs are in.
 """
 
 from __future__ import annotations
@@ -161,6 +162,10 @@ def cmd_summary(args) -> int:
         if faults:
             print(f"  minflt per run (median): parent {faults['parent']:.0f}"
                   f"  change {faults['change']:.0f}")
+            cpu = {side: [statistics.median(p[side]["rusage"][k] for p in full)
+                          for k in ("utime_s", "stime_s")] for side in ("parent", "change")}
+            print("  cpu s per run (median): " + "  ".join(
+                f"{side} user {u:.4g} sys {s:.4g}" for side, (u, s) in cpu.items()))
     return 0
 
 
