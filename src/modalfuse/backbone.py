@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -25,6 +24,7 @@ from . import tokenizer
 from .errors import ConfigError
 from .experts import MODALITIES
 from .store import EmbeddingRecord, Store, write_store
+from .worker import _beside, _two_cpus
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,8 @@ class Parameter:
     grad: np.ndarray = field(default=None, repr=False)
 
 
-_worker = None   # the executor of the one worker thread, made on first use
 _PAIR_MACS = 1 << 24   # multiply-adds of a backward product pair that pay for a hand-off
-
-
-def _beside(work: int, least: int, job, *args):
-    """``job(*args)`` on the worker thread, as a Future to join, when ``work`` reaches
-    ``least`` and the process may use 2 CPUs; else run here, and None. Jobs call numpy
-    only (the tracer keeps one span stack), and no product is split: its halves can round apart."""
-    global _worker
-    if work < least or len(os.sched_getaffinity(0)) < 2:
-        job(*args)
-        return None
-    if _worker is None:   # imported here: a run that never hands off loads nothing
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(1, "modalfuse")
-    return _worker.submit(job, *args)
+_SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split product is exact
 
 
 class Linear:
@@ -88,8 +74,18 @@ class Linear:
         self._x = None   # the input's rows, [N, d_in]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x.reshape(-1, x.shape[-1])
-        return (self._x @ self.W.value).reshape(*x.shape[:-1], self.W.shape[1])
+        rows = self._x = x.reshape(-1, x.shape[-1])
+        W = self.W.value
+        h = W.shape[1] // 128 * 64   # the left half's columns, a multiple of 64
+        macs = rows.shape[0] * W.shape[0] * h   # of the left half, the smaller one
+        if macs < _SPLIT_MACS or not _two_cpus():
+            y = rows @ W
+        else:   # column halves, bit for bit the one product (see worker._beside)
+            y = np.empty((rows.shape[0], W.shape[1]), np.result_type(rows, W))
+            left = _beside(macs, _SPLIT_MACS, np.matmul, rows, W[:, :h], y[:, :h])
+            np.matmul(rows, W[:, h:], out=y[:, h:])
+            left.result()
+        return y.reshape(*x.shape[:-1], W.shape[1])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         rows = dy.reshape(-1, dy.shape[-1])
@@ -696,12 +692,12 @@ def load_checkpoint(path) -> Model:
                 f" and lacks keys {sorted(expected - set(cfg))}"
             )
 
-        # the parameters come from the store: no random draws
+        # the parameters come from the store, read straight into the flat buffer: no random draws
         model = Model.__new__(Model)._build(ModelConfig(**cfg), np.float32)
-        for p in model.params():
-            arr = store.get_by_key(f"param:{p.name}").arrays[0][1]
-            if arr.shape != p.shape:
-                raise ConfigError(
-                    f"checkpoint shape {arr.shape} for {p.name} does not match {p.shape}")
-            p.value[...] = arr
+        params = model.params()
+        shapes = store.read_into((f"param:{p.name}", [p.value]) for p in params)
+        for p, stored in zip(params, shapes):
+            if stored != (p.shape,):
+                raise ConfigError(f"checkpoint shape {stored[0] if len(stored) == 1 else stored}"
+                                  f" for {p.name} does not match {p.shape}")
         return model

@@ -31,6 +31,7 @@ from .errors import (JSON_TYPE_NAMES, STRICT_JSON, ModalfuseError, RecordParseEr
 from .experts import StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
+from .worker import _beside
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -262,8 +263,8 @@ def cmd_pretrain(args, cfg: dict) -> int:
     model_cfg = _model_config(cfg)
     encoders = StubEncoders(d=cfg["d-model"], seed=cfg["stub-seed"])
     model = Model.__new__(Model)._build(model_cfg, np.float32)   # drawn while the store is read
-    drawing = backbone._beside(model.value.size, backbone._SPLIT_ELEMENTS, model._draw, cfg["seed"],
-                               np.empty(max(p.value.size for p in model.params())))
+    drawing = _beside(model.value.size, backbone._SPLIT_ELEMENTS, model._draw, cfg["seed"],
+                      np.empty(max(p.value.size for p in model.params())))
     with Store(cfg["store"]) as store:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)

@@ -19,6 +19,13 @@ The index sits at the end so records stream out in one pass; readers locate
 it through the fixed-size footer. A reader parses the whole index at open
 into record extents and a key -> record map, so a keyed lookup costs one
 dict probe and one extent read.
+
+Payload bytes move once between the file and the arrays: ``write_store``
+hands the headers and the arrays' own buffers to ``os.writev``, gathered
+into writes of at least _CRC_BYTES, and ``Store.read_into`` hands the
+caller's arrays to ``os.preadv``. The CRC of a record of at least _CRC_BYTES
+runs on the worker thread (``worker._beside``) beside the write of the same
+bytes, or beside the read of the next record.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .errors import ConfigError, CorruptionError, NotFoundError
 # hash_bytes is unused here but stays importable as store.hash_bytes,
 # where the benchmark's call tracer patches it.
 from .experts import hash_bytes  # noqa: F401
+from .worker import _beside
 
 MAGIC_HEAD = b"VPTS"
 MAGIC_TAIL = b"SPTV"
@@ -52,6 +60,9 @@ _HEADER = struct.Struct("<4sIQ")
 _FOOTER = struct.Struct("<QI4s")
 _INDEX_ENTRY = struct.Struct("<QQH")   # followed by the key bytes
 _CRC = struct.Struct("<I")
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")   # buffers per writev/preadv call, at most
+_CRC_BYTES = 1 << 19   # record bytes from which the record's CRC runs on the worker
 
 
 @dataclass(frozen=True)
@@ -76,22 +87,56 @@ class StoreSummary:
     file_bytes: int
 
 
-def _encode_arrays(record: EmbeddingRecord) -> bytearray:
-    """The record's bytes: the array count, each array's header and payload,
-    and the CRC32 of all before it. Each payload is copied once, straight
-    from the array's buffer."""
-    out = bytearray(struct.pack("<H", len(record.arrays)))
-    for tag, arr in record.arrays:
-        out += struct.pack(f"<BB{arr.ndim}I", TAG_TO_ID[tag], arr.ndim, *arr.shape)
-        out += memoryview(arr)
-    out += _CRC.pack(zlib.crc32(out))
-    return out
+def _array_head(tag_id: int, shape: tuple) -> bytes:
+    """An array's header: its modality tag, rank and dims."""
+    return struct.pack(f"<BB{len(shape)}I", tag_id, len(shape), *shape)
+
+
+def _flat_bytes(arr: np.ndarray) -> memoryview:
+    """The bytes of C-contiguous ``arr``, as a 1-D byte view that shares them."""
+    return memoryview(arr.reshape(-1)).cast("B")
+
+
+def _move_all(move, parts: list) -> None:
+    """Move every byte of ``parts``, 1-D byte buffers, in order: ``move(views,
+    done)`` moves bytes between the file and the leading views, at most _IOV_MAX
+    of them, and returns how many, given the ``done`` bytes moved before it; it
+    is called again after a short move."""
+    parts, i, done, total = list(parts), 0, 0, sum(map(len, parts))
+    while done < total:
+        n = move(parts[i:i + _IOV_MAX], done)
+        if n == 0 and any(map(len, parts[i:i + _IOV_MAX])):
+            raise CorruptionError("the file ends inside a record")
+        done += n
+        if done < total:   # a short move, or more than _IOV_MAX parts: skip what moved
+            while n >= len(parts[i]):
+                n -= len(parts[i])
+                i += 1
+            parts[i] = memoryview(parts[i])[n:]
+
+
+def _pack_crc(out: bytearray, parts: list) -> None:
+    """Pack into ``out`` the CRC32 of ``parts`` chained in order. It calls zlib
+    only, so it runs on the worker too."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    _CRC.pack_into(out, 0, crc)
+
+
+def _check_crc(computed: bytes, stored: bytes, where: str, job=None) -> None:
+    """Raise CorruptionError unless the packed CRC ``computed`` equals ``stored``;
+    ``job``, the worker's Future that packs ``computed``, is joined first."""
+    if job is not None:
+        job.result()
+    if computed != stored:
+        raise CorruptionError(f"CRC mismatch in record {where}")
 
 
 def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...]:
     end = len(blob) - _CRC.size
-    if end < 2 or zlib.crc32(memoryview(blob)[:end]) != _CRC.unpack_from(blob, end)[0]:
-        raise CorruptionError(f"CRC mismatch in record {where}")
+    _check_crc(_CRC.pack(zlib.crc32(memoryview(blob)[:end])), blob[end:] if end >= 2 else b"",
+               where)
     try:
         (n_arrays,) = struct.unpack_from("<H", blob, 0)
         pos = 2
@@ -139,13 +184,24 @@ def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSummary:
-    """Stream records into a new store, committed through ``atomic_commit``."""
+    """Stream records into a new store, committed through ``atomic_commit``.
+
+    Records go out with ``os.writev`` from their arrays' own buffers, gathered
+    until at least _CRC_BYTES are pending, so a record that large goes out at
+    once, while its CRC is computed beside it. A CRC goes out with the next
+    bytes."""
     path = Path(path)
     seen: set[str] = set()
     index = bytearray()
     with atomic_commit(path) as f:
+        fd = f.fileno()
+
+        def write(views, done):
+            return os.writev(fd, views)
+
         # count is unknown until the stream ends; patch the header last
-        f.write(_HEADER.pack(MAGIC_HEAD, VERSION, 0))
+        pending, unwritten = [_HEADER.pack(MAGIC_HEAD, VERSION, 0)], _HEADER.size
+        pos = _HEADER.size
         for record in records:
             if record.key in seen:
                 raise ValueError(f"duplicate key {record.key!r}")
@@ -153,16 +209,27 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
             key_bytes = record.key.encode("utf-8")
             if len(key_bytes) > 0xFFFF:
                 raise ValueError(f"key too long: {len(key_bytes)} bytes")
-            blob = _encode_arrays(record)
-            index += _INDEX_ENTRY.pack(f.tell(), len(blob), len(key_bytes)) + key_bytes
-            f.write(blob)
+            parts = [struct.pack("<H", len(record.arrays))]
+            for tag, arr in record.arrays:
+                parts += [_array_head(TAG_TO_ID[tag], arr.shape), _flat_bytes(arr)]
+            length = sum(map(len, parts)) + _CRC.size
+            crc = bytearray(_CRC.size)
+            job = _beside(length, _CRC_BYTES, _pack_crc, crc, parts)
+            pending += parts
+            unwritten += length - _CRC.size
+            if unwritten >= _CRC_BYTES:
+                _move_all(write, pending)
+                pending, unwritten = [], 0
+            if job is not None:
+                job.result()
+            pending.append(crc)
+            unwritten += _CRC.size
+            index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
+            pos += length
 
-        index_offset = f.tell()
-        f.write(index)
         header = _HEADER.pack(MAGIC_HEAD, VERSION, len(seen))
-        f.write(_FOOTER.pack(index_offset, zlib.crc32(header + index), MAGIC_TAIL))
-        f.seek(0)
-        f.write(header)
+        _move_all(write, [*pending, index, _FOOTER.pack(pos, zlib.crc32(header + index), MAGIC_TAIL)])
+        os.pwrite(fd, header, 0)
     return StoreSummary(path, len(seen), path.stat().st_size)
 
 
@@ -170,8 +237,9 @@ class Store:
     """Reader over a committed store file.
 
     The index loads once at open; each ``get`` then performs exactly one
-    extent read whose size depends only on the record, not its position.
-    ``bytes_read`` counts extent bytes for instrumentation.
+    extent read whose size depends only on the record, not its position, and
+    ``read_into`` reads records straight into the caller's arrays.
+    ``bytes_read`` counts the extent bytes both read, for instrumentation.
     """
 
     def __init__(self, path: str | Path):
@@ -254,11 +322,57 @@ class Store:
         self.bytes_read += len(blob)
         return EmbeddingRecord(key, _decode_arrays(blob, where=str(index)))
 
-    def get_by_key(self, key: str) -> EmbeddingRecord:
+    def _number(self, key: str) -> int:
         number = self._by_key.get(key)
         if number is None:
             raise NotFoundError(f"key {key!r} not found in {self.path}")
-        return self.get(number)
+        return number
+
+    def get_by_key(self, key: str) -> EmbeddingRecord:
+        return self.get(self._number(key))
+
+    def read_into(self, targets: Iterable[tuple[str, list[np.ndarray]]]
+                  ) -> list[tuple[tuple[int, ...], ...]]:
+        """Read the arrays of each record ``key`` of ``targets``, in order, straight
+        into its ``out``, C-contiguous writable float32 arrays, with ``os.preadv``;
+        return the shapes each record holds. It stops after the first record whose
+        shapes are not those of its ``out``, which then holds unspecified bytes.
+
+        A large record's CRC runs on the worker while the next record is read.
+        The errors are those of ``get_by_key``, raised in record order.
+        """
+        fd, shapes = self._f.fileno(), []
+        last = None   # the CRC check of the record before, as _check_crc's arguments
+        try:
+            for key, out in targets:
+                if not all(a.dtype == "<f4" and a.flags.c_contiguous and a.flags.writeable
+                           for a in out):
+                    raise ValueError("read_into fills C-contiguous writable float32 arrays")
+                number = self._number(key)
+                _, off, length = self._entries[number]
+                count, heads = bytearray(2), [bytearray(2 + 4 * a.ndim) for a in out]
+                parts = [count, *(p for head, a in zip(heads, out) for p in (head, _flat_bytes(a)))]
+                computed, stored = bytearray(_CRC.size), bytearray(_CRC.size)
+                same = sum(map(len, parts)) + _CRC.size == length
+                if same:
+                    _move_all(lambda views, done: os.preadv(fd, views, off + done), [*parts, stored])
+                    self.bytes_read += length
+                    same = count == struct.pack("<H", len(out)) and all(
+                        head[0] in ID_TO_TAG and head == _array_head(head[0], a.shape)
+                        for head, a in zip(heads, out))
+                check, last = last, None
+                if check is not None:
+                    _check_crc(*check)
+                if not same:   # another layout: get parses it, or names its corruption
+                    shapes.append(tuple(a.shape for _, a in self.get(number).arrays))
+                    break
+                job = _beside(length, _CRC_BYTES, _pack_crc, computed, parts)
+                last = (computed, stored, str(number), job)
+                shapes.append(tuple(a.shape for a in out))
+        finally:
+            if last is not None:
+                _check_crc(*last)
+        return shapes
 
     def inspect(self) -> dict:
         records = []

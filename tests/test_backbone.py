@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse import backbone, tokenizer
+from modalfuse import backbone, store, tokenizer
+from modalfuse import worker as worker_module
 from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _float64_copy,
                                 _gelu, _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
 from modalfuse.cli import main
-from modalfuse.errors import ConfigError, NotFoundError
+from modalfuse.errors import ConfigError, CorruptionError, NotFoundError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import TrainConfig, pretrain_examples, train
 from modalfuse.store import EmbeddingRecord, Store, write_store
@@ -98,17 +100,23 @@ def worker(monkeypatch):
     """A fresh executor in place of the module's worker, so that a test sees
     whether its thread starts; shut down afterwards."""
     pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(backbone, "_worker", pool)
+    monkeypatch.setattr(worker_module, "_worker", pool)
     yield pool
     pool.shutdown()
 
 
 def always_beside(monkeypatch):
-    """Send every product pair, AdamW step and model draw to the worker thread,
-    whatever its size and however many CPUs the machine has."""
+    """Send every product pair, AdamW step, model draw and store CRC to the
+    worker thread, whatever its size and however many CPUs the machine has.
+    The split gate of ``Linear.forward`` stays: it is an exactness bound."""
     monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
     monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(store, "_CRC_BYTES", 0)
+    two_cpus(monkeypatch)
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 class TestLinear:
@@ -155,6 +163,39 @@ class TestLinear:
         dx2, grad2 = backward()
         assert threading.active_count() == threads + 1
         assert dx.tobytes() == dx2.tobytes() and grad.tobytes() == grad2.tobytes()
+
+    # the d=768 pipeline's products: a training batch of 8 x 45 rows, the
+    # eval's encoder and decode steps, through the attention, FFN and LM head
+    @pytest.mark.parametrize("rows, d_in, d_out", [
+        (360, 768, 768), (360, 768, 1024), (360, 1024, 768), (360, 768, 259),
+        (192, 768, 768), (64, 768, 768), (64, 768, 1024), (64, 1024, 768)])
+    def test_split_forward_matches_one_product_bitwise(self, monkeypatch, worker,
+                                                       rows, d_in, d_out):
+        x = np.random.default_rng(rows + d_in + d_out).normal(size=(rows, d_in))
+        x = x.astype(np.float32).reshape(-1, 8, d_in)
+        lin = make_linear(d_in, d_out)
+        whole = x.reshape(rows, d_in) @ lin.W.value
+        two_cpus(monkeypatch)   # at the real split gate: each half reaches it
+        threads = threading.active_count()
+        y = lin.forward(x)
+        assert threading.active_count() == threads + 1
+        assert y.shape == (rows // 8, 8, d_out) and y.dtype == np.float32
+        assert y.tobytes() == whole.tobytes()
+
+    def test_no_d64_forward_hands_off(self, monkeypatch, worker):
+        # a half of at most 128 columns reaches 2^24 multiply-adds at d=64 only
+        # from 2048 rows; train-small's batch holds 16 x 63, decode-long's 32
+        two_cpus(monkeypatch)
+        small = ModelConfig(d_model=64, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+                            d_ff=128, max_target_len=64)
+        model, rng = Model(small, seed=0), np.random.default_rng(0)
+        threads = threading.active_count()
+        model.forward(rng.normal(size=(16, 4, 64)), np.zeros((16, 4), int),
+                      rng.integers(0, 259, size=(16, 63)))
+        model.greedy_decode_batch(rng.normal(size=(32, 4, 64)), np.zeros((32, 4), int))
+        for d_in, d_out in ((64, 259), (64, 128), (128, 64)):
+            make_linear(d_in, d_out).forward(np.ones((2047, d_in), np.float32))
+        assert threading.active_count() == threads
 
     def test_2d_input_keeps_shape_and_dtype(self):
         x = np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32)
@@ -515,20 +556,20 @@ class TestWorkerThread:
 
     def test_a_job_error_raises_in_the_caller(self, monkeypatch, worker):
         always_beside(monkeypatch)
-        pending = backbone._beside(1, 0, np.add, np.ones(2), np.ones(3))
+        pending = worker_module._beside(1, 0, np.add, np.ones(2), np.ones(3))
         with pytest.raises(ValueError, match="broadcast"):
             pending.result(timeout=60)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, worker):
         always_beside(monkeypatch)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0})
         threads = threading.active_count()
         train_run(TINY, steps=2, batch_size=4)
         assert threading.active_count() == threads
 
     def test_small_model_starts_no_thread_at_the_real_thresholds(self, monkeypatch, worker):
         # the benchmark's train-small shape: d=64, batch 16, 256 segments
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        two_cpus(monkeypatch)
         small = ModelConfig(d_model=64, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
                             d_ff=128, max_target_len=64)
         threads = threading.active_count()
@@ -769,6 +810,32 @@ class TestCheckpoint:
         wrong = EmbeddingRecord("param:enc0/ff/in/W", (("raw", np.zeros((32, 16), np.float32)),))
         self.rewrite(path, lambda recs: [wrong if r.key == wrong.key else r for r in recs])
         with pytest.raises(ConfigError, match=r"\(32, 16\) for enc0/ff/in/W does not match"):
+            load_checkpoint(path)
+
+    def test_transposed_parameter_names_both_shapes(self, tmp_path):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY, seed=1), path)
+        key = "param:dec0/ff/in/W"
+        self.rewrite(path, lambda recs: [
+            EmbeddingRecord(key, (("raw", r.arrays[0][1].T),)) if r.key == key else r
+            for r in recs])
+        with pytest.raises(ConfigError, match=re.escape(
+                "checkpoint shape (32, 16) for dec0/ff/in/W does not match (16, 32)")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("beside", [False, True])
+    def test_flipped_payload_byte_raises_corruption(self, tmp_path, monkeypatch, worker, beside):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY, seed=2), path)
+        with Store(path) as s:
+            number = s._by_key["param:enc0/ff/in/W"]
+            _, off, length = s._entries[number]
+        data = bytearray(path.read_bytes())
+        data[off + length - 5] ^= 0x01   # the parameter's last payload byte
+        path.write_bytes(bytes(data))
+        if beside:   # every record's CRC on the worker
+            always_beside(monkeypatch)
+        with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}$"):
             load_checkpoint(path)
 
     def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: the seed ranges it accepts, the running order of a
-pair, and the summary it prints from a file of runs."""
+pair, its exports of the trees, and the summary it prints from a file of runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -25,6 +26,30 @@ def test_first_side_alternates_across_pairs():
     tool = load_tool()
     orders = [tool._order(pair, "abc") for pair in range(4)]
     assert orders == [["abc", "change"], ["change", "abc"]] * 2
+
+
+def test_export_replaces_its_own_earlier_export(tmp_path, monkeypatch):
+    tool = load_tool()
+    repo, work = tmp_path / "repo", tmp_path / "work"
+    repo.mkdir()
+    monkeypatch.chdir(repo)
+
+    def commit(name):
+        (repo / name).write_text(name)
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", name]):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                            "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+        return tool._git("rev-parse", "HEAD")
+
+    first = commit("one.txt")
+    (repo / "one.txt").unlink()
+    second = commit("two.txt")
+    work.mkdir()
+    (work / "index").write_text("kept")   # beside the exports, as run's scratch index is
+    tool._export(first, work / "parent")
+    tool._export(second, work / "parent")
+    assert [p.name for p in (work / "parent").iterdir()] == ["two.txt"]
+    assert (work / "index").read_text() == "kept"
 
 
 def run(commit, seed, items, round_s):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalfuse import backbone, cli, objectives
+from modalfuse import backbone, cli, objectives, worker
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError
@@ -343,12 +343,13 @@ class TestTrainingPipeline:
                     for line in run[0]]
 
         inline = pretrain(tmp_path / "inline")
-        # the model draws, the backward products and the AdamW halves on the worker
+        # the model draws, the backward products, the AdamW halves and the CRCs on the worker
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(backbone, "_worker", pool)
+        monkeypatch.setattr(worker, "_worker", pool)
         monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
         monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr("modalfuse.store._CRC_BYTES", 0)
+        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0, 1})
         threads = threading.active_count()
         beside = pretrain(tmp_path / "beside")
         assert threading.active_count() == threads + 1

@@ -1,3 +1,4 @@
+import itertools
 import os
 import struct
 import threading
@@ -294,6 +295,120 @@ class TestAtomicity:
             assert path.read_bytes() == committed
             with Store(path) as s:
                 assert s.get(0).key == "keep"
+
+
+def big_and_small_records():
+    """Records around _CRC_BYTES, whose CRCs run on the worker on 2 CPUs, beside
+    small, empty and rank-0 arrays."""
+    rng = np.random.default_rng(4)
+    return [EmbeddingRecord("big", (("raw", rng.normal(size=(300, 1024)).astype(np.float32)),)),
+            EmbeddingRecord("mixed", (("frame", np.zeros((0, 5), np.float32)),
+                                      ("caption", np.float32(2.5)),
+                                      ("raw", rng.normal(size=(2, 3)).astype(np.float32)))),
+            EmbeddingRecord("bigger", (("raw", rng.normal(size=(700, 768)).astype(np.float32)),)),
+            EmbeddingRecord("none", ())]
+
+
+def short_moves(move):
+    """``move``, os.writev or os.preadv, cut to at most 3 and 1,000 bytes on
+    alternate calls, so that a move ends inside a header, a payload or a CRC."""
+    caps = itertools.cycle((3, 1000))
+
+    def short(fd, views, *offset):
+        cut, room = [], next(caps)
+        for view in views:
+            cut.append(memoryview(view)[:room])
+            room -= len(cut[-1])
+            if not room:
+                break
+        return move(fd, cut, *offset)
+
+    return short
+
+
+class TestVectoredIO:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """The large records' CRCs run on the worker, whatever the machine."""
+        monkeypatch.setattr("modalfuse.worker.os.sched_getaffinity", lambda pid: {0, 1})
+
+    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        recs = big_and_small_records()
+        write_store(recs, tmp_path / "whole.store")
+        monkeypatch.setattr(os, "writev", short_moves(os.writev))
+        write_store(recs, tmp_path / "short.store")
+        assert (tmp_path / "short.store").read_bytes() == (tmp_path / "whole.store").read_bytes()
+
+    def test_short_reads_fill_the_same_arrays(self, tmp_path, monkeypatch):
+        recs = big_and_small_records()
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        monkeypatch.setattr(os, "preadv", short_moves(os.preadv))
+        outs = [(r.key, [np.full_like(arr, np.nan) for _, arr in r.arrays]) for r in recs]
+        with Store(path) as s:
+            assert s.read_into(outs) == [tuple(arr.shape for _, arr in r.arrays) for r in recs]
+        for (_, out), r in zip(outs, recs):
+            assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(out, r.arrays))
+
+    def test_600_array_record_round_trips(self, tmp_path):
+        # 1,201 header and payload buffers: more than one writev or preadv takes
+        rng = np.random.default_rng(6)
+        arrays = tuple(("frame", rng.normal(size=(i % 4, 3)[: i % 3]).astype(np.float32))
+                       for i in range(600))
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord("many", arrays)], path)
+        out = [np.empty_like(arr) for _, arr in arrays]
+        with Store(path) as s:
+            assert records_equal(s.get(0), EmbeddingRecord("many", arrays))
+            assert s.read_into([("many", out)]) == [tuple(arr.shape for _, arr in arrays)]
+        assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(out, arrays))
+
+    def test_read_into_fills_the_callers_arrays(self, tmp_path):
+        recs = big_and_small_records()
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        outs = {r.key: [np.full_like(arr, np.nan) for _, arr in r.arrays] for r in recs}
+        with Store(path) as s:
+            shapes = s.read_into(outs.items())
+            # bytes_read counts each record's extent, as get does
+            assert s.bytes_read == sum(length for _, _, length in s._entries)
+        assert shapes == [tuple(arr.shape for _, arr in r.arrays) for r in recs]
+        for r in recs:
+            assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(outs[r.key], r.arrays))
+
+    def test_read_into_stops_at_other_shapes(self, tmp_path):
+        recs = big_and_small_records()
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        with Store(path) as s:
+            # (1024, 300) has the bytes of (300, 1024); "absent" is never looked up
+            shapes = s.read_into([("big", [np.empty((1024, 300), np.float32)]),
+                                  ("absent", [])])
+            assert shapes == [((300, 1024),)]
+            assert s.read_into([("bigger", [np.empty(3, np.float32)])]) == [((700, 768),)]
+            with pytest.raises(NotFoundError):
+                s.read_into([("absent", [])])
+            with pytest.raises(ValueError, match="float32"):
+                s.read_into([("big", [np.empty((300, 1024))])])
+
+    @pytest.mark.parametrize("key", ["big", "mixed"])
+    def test_read_into_detects_a_flipped_payload_byte(self, tmp_path, key):
+        recs = big_and_small_records()
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        number = [r.key for r in recs].index(key)
+        with Store(path) as s:
+            _, off, length = s._entries[number]
+        data = bytearray(path.read_bytes())
+        data[off + length - 5] ^= 0x10   # the last payload byte
+        path.write_bytes(bytes(data))
+        outs = [(r.key, [np.empty_like(arr) for _, arr in r.arrays]) for r in recs]
+        with Store(path) as s:
+            with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}"):
+                s.read_into(outs)
+            # record order: the bad record's error comes before a later missing key
+            with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}"):
+                s.read_into([*outs[:number + 1], ("absent", [])])
 
 
 class TestConcurrency:

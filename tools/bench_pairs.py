@@ -55,6 +55,10 @@ def _worktree_tree(work: Path) -> str:
 
 
 def _export(treeish: str, dest: Path) -> Path:
+    """Export ``treeish`` into ``dest``, in place of an earlier export there, so
+    that one ``--work`` directory serves any number of runs."""
+    if dest.exists():
+        shutil.rmtree(dest)
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", "--format=tar", treeish], check=True,
                              capture_output=True).stdout
