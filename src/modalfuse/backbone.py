@@ -24,7 +24,7 @@ from . import tokenizer
 from .errors import ConfigError
 from .experts import MODALITIES
 from .store import EmbeddingRecord, Store, write_store
-from .worker import _beside, _two_cpus
+from .worker import _beside
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,21 @@ _PAIR_MACS = 1 << 24   # multiply-adds of a backward product pair that pay for a
 _SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split product is exact
 
 
+def _product(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """rows @ W, W [..., d_in, d_out]; in column halves, the left on the worker, when each
+    half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
+    h = W.shape[-1] // 128 * 64   # the left half's columns, a multiple of 64
+    macs = rows.shape[0] * W.shape[-2] * h   # of the left half, the smaller one
+    if macs < _SPLIT_MACS:
+        return rows @ W
+    y = np.empty((*W.shape[:-2], rows.shape[0], W.shape[-1]), np.result_type(rows, W))
+    left = _beside(macs, _SPLIT_MACS, np.matmul, rows, W[..., :h], y[..., :h])
+    np.matmul(rows, W[..., h:], out=y[..., h:])
+    if left is not None:
+        left.result()
+    return y
+
+
 class Linear:
     """x @ W, no bias (T5-style projections), as one 2-D GEMM over all leading
     rows: a stacked matmul calls BLAS, which repacks W, once per batch entry."""
@@ -75,17 +90,7 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         rows = self._x = x.reshape(-1, x.shape[-1])
-        W = self.W.value
-        h = W.shape[1] // 128 * 64   # the left half's columns, a multiple of 64
-        macs = rows.shape[0] * W.shape[0] * h   # of the left half, the smaller one
-        if macs < _SPLIT_MACS or not _two_cpus():
-            y = rows @ W
-        else:   # column halves, bit for bit the one product (see worker._beside)
-            y = np.empty((rows.shape[0], W.shape[1]), np.result_type(rows, W))
-            left = _beside(macs, _SPLIT_MACS, np.matmul, rows, W[:, :h], y[:, :h])
-            np.matmul(rows, W[:, h:], out=y[:, h:])
-            left.result()
-        return y.reshape(*x.shape[:-1], W.shape[1])
+        return _product(rows, self.W.value).reshape(*x.shape[:-1], self.W.shape[1])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         rows = dy.reshape(-1, dy.shape[-1])
@@ -100,15 +105,22 @@ class Linear:
 _RMS_EPS = 1e-6
 
 
+def _rms_norm(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * r * g, r = 1 / sqrt(mean(x * x) + eps) over the last axis; returns both."""
+    # ufunc reduces: ndarray.sum and .max reduce the same way, through one more Python call
+    r = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _RMS_EPS)
+    return x * r * g, r
+
+
 class RMSNorm:
     def __init__(self, d: int, make, name: str):
         self.g = make(f"{name}/g", (d,), ones=True)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        r = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + _RMS_EPS)
+        y, r = _rms_norm(x, self.g.value)
         self._cache = (x, r)
-        return x * r * self.g.value
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, r = self._cache
@@ -177,16 +189,18 @@ class FeedForward:
 def _attend(q, k, v, scale: float, causal: bool = False):
     """Softmax attention of q [B, H, Tq, dh] over k, v [B, H, Tk, dh]; returns
     the context [B, H, Tq, dh] and the weights [B, H, Tq, Tk]."""
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = q @ k.transpose(0, 1, 3, 2)   # a new array: scaled, masked and shifted in place
+    scores *= scale
     if causal:
         tq, tk = scores.shape[-2:]
         if tq != tk:
             raise ValueError("causal attention needs square score matrix")
-        scores = scores + np.triu(np.full((tq, tk), -np.inf, scores.dtype), k=1)
+        scores += np.triu(np.full((tq, tk), -np.inf, scores.dtype), k=1)
     # max is exact; over a transposed copy numpy takes it in whole rows, 3-7x faster
-    scores -= np.moveaxis(scores, -1, 0).copy().max(axis=0)[..., None]
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    rows = scores.reshape(-1, scores.shape[-1])
+    rows -= np.maximum.reduce(rows.T.copy(), axis=0)[:, None]
+    weights = np.exp(scores)   # out=scores would make a train-small round fault 6% more pages
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return weights @ v, weights
 
 
@@ -224,21 +238,12 @@ class MultiHeadAttention:
         """Keys and values [B, H, T, dh] of ``xkv`` [B, T, d]."""
         return self._split(self.wk.forward(xkv)), self._split(self.wv.forward(xkv))
 
-    def step(self, xq: np.ndarray, k: np.ndarray, v: np.ndarray, t: int | None = None):
-        """Attention output [B, d] of one new position per row, ``xq`` [B, d].
-
-        It attends over the keys and values k, v [B, H, T, dh]. With ``t``,
-        k and v are a self-attention cache: the keys and values of ``xq`` are
-        written at position t, and the query attends over positions 0..t.
-        """
-        b = xq.shape[0]
-        if t is not None:
-            k[:, :, t] = self.wk.forward(xq).reshape(b, self.h, self.dh)
-            v[:, :, t] = self.wv.forward(xq).reshape(b, self.h, self.dh)
-            k, v = k[:, :, :t + 1], v[:, :, :t + 1]
-        q = self.wq.forward(xq).reshape(b, self.h, 1, self.dh)
-        ctx, _ = _attend(q, k, v, 1.0 / math.sqrt(self.dh))
-        return self.wo.forward(ctx.reshape(b, self.h * self.dh))
+    def step(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, wo: np.ndarray) -> np.ndarray:
+        """Attention output [B, d] of one new query per row, ``q`` [B, d], over
+        keys and values k, v [B, H, T, dh], through the output weight ``wo``."""
+        b = q.shape[0]
+        ctx, _ = _attend(q.reshape(b, self.h, 1, self.dh), k, v, 1.0 / math.sqrt(self.dh))
+        return _product(ctx.reshape(b, self.h * self.dh), wo)
 
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_xq, d_xkv)."""
@@ -282,6 +287,7 @@ class DecoderBlock:
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, make, f"{name}/cross")
         self.norm3 = RMSNorm(cfg.d_model, make, f"{name}/norm3")
         self.ff = FeedForward(cfg.d_model, cfg.d_ff, make, f"{name}/ff")
+        self._bound = None   # step's weights, set by bind
 
     def forward(self, x, enc_hidden):
         h = self.norm1.forward(x)
@@ -290,17 +296,34 @@ class DecoderBlock:
         x = x + self.ff.forward(self.norm3.forward(x))
         return x
 
+    def bind(self) -> None:
+        """Bind ``step``'s weights and gains. ``Model._build`` lays the self-attention's q, k
+        and v weights out one after another, so one [3, d, d] view holds them, uncopied."""
+        a, c, ff = self.self_attn, self.cross_attn, self.ff
+        w = a.wq.W.value
+        qkv = np.lib.stride_tricks.as_strided(w, (3, *w.shape), (w.nbytes, *w.strides))
+        if [m.ctypes.data for m in qkv] != [p.W.value.ctypes.data for p in (a.wq, a.wk, a.wv)]:
+            raise ValueError("the q, k and v weights do not lie one after another")
+        self._bound = (self.norm1.g.value, qkv, a.wo.W.value, self.norm2.g.value, c.wq.W.value,
+                       c.wo.W.value, self.norm3.g.value, ff.w_in.W.value, ff.w_out.W.value)
+
     def step(self, x: np.ndarray, t: int, cache: list[np.ndarray]) -> np.ndarray:
-        """``forward`` for the one new position t per row, ``x`` [B, d].
+        """``forward``, with the weights ``bind`` bound, for the one new position
+        t per row, ``x`` [B, d], which it overwrites with the output.
 
         ``cache`` holds this block's self-attention keys and values
-        [B, H, L, dh], L > t, filled for positions 0..t-1, then its
-        cross-attention keys and values of the encoder output.
+        [B, H, L, dh], L > t, filled for positions 0..t-1 (step fills t), then
+        its cross-attention keys and values of the encoder output.
         """
+        g1, wqkv, wo1, g2, wq2, wo2, g3, w_in, w_out = self._bound
         self_k, self_v, cross_k, cross_v = cache
-        x = x + self.self_attn.step(self.norm1.forward(x), self_k, self_v, t)
-        x = x + self.cross_attn.step(self.norm2.forward(x), cross_k, cross_v)
-        return x + self.ff.forward(self.norm3.forward(x))
+        a, b = self.self_attn, x.shape[0]
+        qkv = _product(_rms_norm(x, g1)[0], wqkv)   # [3, B, d]: one matmul call, bit for bit
+        self_k[:, :, t], self_v[:, :, t] = qkv[1:].reshape(2, b, a.h, a.dh)
+        x += a.step(qkv[0], self_k[:, :, :t + 1], self_v[:, :, :t + 1], wo1)
+        x += self.cross_attn.step(_product(_rms_norm(x, g2)[0], wq2), cross_k, cross_v, wo2)
+        x += _product(_gelu(_product(_rms_norm(x, g3)[0], w_in))[0], w_out)
+        return x
 
     def backward(self, dy):
         """Returns (dx, d_enc_hidden)."""
@@ -494,37 +517,40 @@ class Model:
         encoder once, projects each layer's cross-attention keys and values
         once, keeps each layer's self-attention keys and values in a
         [B, H, max_len - 1, dh] cache, and runs only the newest position
-        through the decoder at each step. Rows that emit EOS leave the batch.
+        through the decoder at each step, through weights bound once per call
+        (``DecoderBlock.bind``). Rows that emit EOS leave the batch.
         """
         max_len = self._decode_len(max_len)
         enc = self.encoder_forward(rows, modality_ids)
         b = enc.shape[0]
         steps = max_len - 1   # positions run: BOS up to the last token but one
-        out = [[tokenizer.BOS] for _ in range(b)]
+        toks = np.full((b, max_len), tokenizer.BOS, np.int64)   # row i is toks[i, :ends[i]]
+        ends = np.full(b, max_len)
         live = np.arange(b)
         caches = []
         for block in self.dec_blocks:
+            block.bind()
             shape = (b, block.self_attn.h, steps, block.self_attn.dh)
             # np.empty: positions not reached yet are never written or paged in
             caches.append([*np.empty((2, *shape), enc.dtype), *block.cross_attn.keys_values(enc)])
+        emb, pos, g = self.tok_emb.value, self.pos, self.dec_norm.g.value
         last = np.full(b, tokenizer.BOS)
         for t in range(steps):
-            x = self.tok_emb.value[last] + self.pos[t]
+            x = emb[last] + pos[t]
             for block, cache in zip(self.dec_blocks, caches):
                 x = block.step(x, t, cache)
-            logits = self.lm_head.forward(self.dec_norm.forward(x))
-            nxt = np.argmax(logits, axis=-1)
-            for i, tok in zip(live, nxt.tolist()):
-                out[i].append(tok)
+            nxt = self.lm_head.forward(_rms_norm(x, g)[0]).argmax(axis=-1)
+            toks[live, t + 1] = nxt
             going = nxt != tokenizer.EOS
             if not going.all():
+                ends[live[~going]] = t + 2   # BOS and t + 1 tokens, the last one EOS
                 if not going.any():
                     break
                 live, nxt = live[going], nxt[going]
                 caches = [[_keep_rows(c, going, t + 1) for c in cache[:2]]
                           + [c[going] for c in cache[2:]] for cache in caches]
             last = nxt
-        return [np.array(o, dtype=np.int64) for o in out]
+        return [row[:n] for row, n in zip(toks, ends.tolist())]
 
 
 def _keep_rows(cache: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:

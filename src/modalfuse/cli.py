@@ -13,6 +13,7 @@ with a temp-file + rename so partial results never appear at final paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -453,6 +454,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache   # one per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modalfuse")
     sub = parser.add_subparsers(dest="command", required=True)

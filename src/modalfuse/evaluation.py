@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import re
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -36,10 +35,7 @@ _ARTICLES = {"a", "an", "the"}
 
 
 def normalize_answer(text: str) -> str:
-    text = text.lower().strip()
-    text = text.translate(_PUNCT_TABLE)
-    words = re.split(r"\s+", text) if text else []
-    words = [w for w in words if w]
+    words = text.lower().translate(_PUNCT_TABLE).split()
     if words and words[0] in _ARTICLES:
         words = words[1:]
     return " ".join(words)

@@ -12,11 +12,6 @@ import os
 _worker = None   # the executor of the one worker thread, made on first use
 
 
-def _two_cpus() -> bool:
-    """Whether the process may use at least 2 CPUs."""
-    return len(os.sched_getaffinity(0)) >= 2
-
-
 def _beside(work: int, least: int, job, *args):
     """``job(*args)`` on the worker thread, as a Future to join, when ``work`` reaches
     ``least`` and the process may use 2 CPUs; else run here, and None.
@@ -30,7 +25,7 @@ def _beside(work: int, least: int, job, *args):
     its small-matrix or gemv kernels, whose sums round apart.
     """
     global _worker
-    if work < least or not _two_cpus():
+    if work < least or len(os.sched_getaffinity(0)) < 2:
         job(*args)
         return None
     if _worker is None:   # imported here: a run that never hands off loads nothing

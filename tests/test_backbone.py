@@ -182,6 +182,35 @@ class TestLinear:
         assert y.shape == (rows // 8, 8, d_out) and y.dtype == np.float32
         assert y.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("answers", [[{0, 1}, {0}], [{0}, {0, 1}]])
+    def test_split_decided_once_as_cpus_change(self, monkeypatch, worker, answers):
+        # the affinity can change between two looks at it; the product looks once
+        x = np.random.default_rng(4).normal(size=(64, 768)).astype(np.float32)
+        lin = make_linear(768, 768)
+        whole = x @ lin.W.value
+        seen = iter(answers)
+        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: next(seen))
+        assert lin.forward(x).tobytes() == whole.tobytes()
+        assert next(seen) == answers[1]
+
+    # decode-long's q|k|v rows, 1..32 at d=64, and the d=768 eval's, through the split
+    @pytest.mark.parametrize("rows, d", [(1, 64), (2, 64), (17, 64), (32, 64), (100, 64),
+                                         (64, 768), (192, 768)])
+    @pytest.mark.parametrize("cpus", ["two", "one"])
+    def test_stacked_qkv_product_matches_the_three_bitwise(self, monkeypatch, worker, rows, d,
+                                                           cpus):
+        rng = np.random.default_rng(rows + d)
+        ws = [(0.02 * rng.normal(size=(d, d))).astype(np.float32) for _ in range(3)]
+        x = rng.normal(size=(rows, d)).astype(np.float32)
+        if cpus == "two":
+            always_beside(monkeypatch)   # _SPLIT_MACS stays: it is an exactness bound
+        else:
+            monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0})
+        stacked = backbone._product(x, np.stack(ws))
+        assert stacked.shape == (3, rows, d)
+        for got, w in zip(stacked, ws):
+            assert got.tobytes() == (x @ w).tobytes()
+
     def test_no_d64_forward_hands_off(self, monkeypatch, worker):
         # a half of at most 128 columns reaches 2^24 multiply-adds at d=64 only
         # from 2048 rows; train-small's batch holds 16 x 63, decode-long's 32
@@ -644,6 +673,38 @@ class TestGreedyDecodeBatch:
             # rows stop at different lengths, so rows leave the batch mid-decode
             lengths = {len(t) for t in expected}
             assert len(lengths) > 2 and DECODE_CFG.max_target_len in lengths
+
+    @pytest.mark.parametrize("max_len", [1, 2, None])
+    def test_matches_greedy_decode_when_every_row_ends_at_once(self, decode_setup, max_len):
+        _, rows, ids = decode_setup
+        m = Model(DECODE_CFG, seed=2)   # trained to answer the empty string
+        opt = AdamW(m, lr=3e-3)
+        targets = np.stack([tokenizer.tokenize("", DECODE_CFG.max_target_len)] * len(rows))
+        for _ in range(20):
+            m.zero_grad()
+            m.loss_and_grads(rows, ids, targets)
+            opt.step()
+        batch = m.greedy_decode_batch(rows, ids, max_len)
+        expected = [m.greedy_decode(rows[i], ids[i], max_len) for i in range(len(rows))]
+        first = [tokenizer.BOS] if max_len == 1 else [tokenizer.BOS, tokenizer.EOS]
+        assert [e.tolist() for e in expected] == [first] * len(rows)
+        assert [t.tolist() for t in batch] == [first] * len(rows)
+        assert {t.dtype for t in batch} == {np.dtype(np.int64)}
+
+    def test_bind_views_the_model_weights_and_refuses_apart_ones(self, decode_setup):
+        m = decode_setup[0]
+        block = m.dec_blocks[0]
+        block.bind()
+        a = block.self_attn
+        assert [np.shares_memory(v, p.W.value) and np.array_equal(v, p.W.value)
+                for v, p in zip(block._bound[1], (a.wq, a.wk, a.wv))] == [True] * 3
+        rng = np.random.default_rng(0)
+
+        def make(name, shape, ones=False):   # each parameter in its own array
+            return Parameter(name, shape, ones, rng.normal(size=shape), np.zeros(shape))
+
+        with pytest.raises(ValueError, match="do not lie one after another"):
+            backbone.DecoderBlock(DECODE_CFG, make, "dec").bind()
 
     def test_max_len_over_limit_raises_like_greedy_decode(self, decode_setup):
         m, rows, ids = decode_setup

@@ -6,6 +6,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -74,3 +76,23 @@ def test_summary_counts_wins_by_direction(tmp_path, capsys):
     assert "change better in 2/3" in out   # higher is better for items_per_s
     assert "minflt per run (median): parent 20  change 10" in out
     assert "cpu s per run (median): parent user 1 sys 0.1  change user 1.5 sys 0.1" in out
+
+
+@pytest.mark.parametrize("losses, verdict", [(1, "holds"), (2, "fails")])
+def test_summary_applies_the_gain_rule_and_bounds(tmp_path, capsys, losses, verdict):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "round_s", "unit": "s", "better": "lower", "bound": 0.1}]}))
+    runs = []
+    for seed in range(10):   # parent items 100..109: median 104.5, IQR 4.5
+        c_items = 90 if seed < losses else 130 + seed
+        runs += [run("abc", seed, 100 + seed, 1.0), run("change", seed, c_items, 1.2)]
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"about": "", "parent": "abc", "runs": runs}))
+    assert load_tool().main(["summary", str(path), "--benchmark", str(bench)]) == 0
+    lines = {line.split(":")[0].strip(): line for line in capsys.readouterr().out.splitlines()}
+    assert f"change better in {10 - losses}/10" in lines["items_per_s"]
+    assert lines["items_per_s"].endswith(f"gain rule {verdict}  within bound 0.25")
+    # round_s is 20% worse than the parent's: beyond its bound of 10%
+    assert lines["round_s"].endswith("gain rule fails  beyond bound 0.1")

@@ -756,3 +756,39 @@ class TestTypedConfig:
         with pytest.raises(SystemExit, match=message):
             main([*stage_argv[command], "--config", str(cfg)])
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestParser:
+    """``build_parser`` runs once per process; each ``main`` call parses afresh."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_subcommands_parse_independently(self, monkeypatch):
+        seen = []
+        for name in ("segment", "inspect"):
+            help_text, _, paths, defaults = cli._COMMANDS[name]
+
+            def record(args, cfg=None):
+                seen.append(vars(args))
+                return 1   # not 0: no resolved config is written
+
+            monkeypatch.setitem(cli._COMMANDS, name, (help_text, record, paths, defaults))
+        runs = [["segment", "--transcripts", "t.jsonl", "--out", "s.jsonl", "--min-wpm", "5"],
+                ["inspect", "--store", "x.store"],
+                ["segment", "--transcripts", "u.jsonl", "--out", "v.jsonl"]]
+        for argv in runs:
+            assert main(argv) == 1
+        fresh = cli.build_parser.__wrapped__()
+        assert seen == [vars(fresh.parse_args(argv)) for argv in runs]
+        assert seen[2]["min_wpm"] is None and "store" not in seen[2]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_unchanged(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        want = capsys.readouterr().out
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert capsys.readouterr().out == want

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import math
+import re
+import string
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,23 @@ class TestNormalizeAnswer:
     def test_idempotent(self, text):
         once = normalize_answer(text)
         assert normalize_answer(once) == once
+
+    def test_str_split_matches_the_regex_split(self):
+        def regex_form(text):   # the normalization as first written, with re.split
+            text = text.lower().strip().translate(evaluation._PUNCT_TABLE)
+            words = [w for w in (re.split(r"\s+", text) if text else []) if w]
+            return " ".join(words[1:] if words and words[0] in ("a", "an", "the") else words)
+
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = re.findall(r"\s", every)
+        assert spaces == list(filter(str.isspace, every))   # str.split's whitespace
+        texts = []
+        for ws in spaces:
+            texts += [f"{ws}The{ws}{ws}red car{ws}", f"an{ws}!{ws}apple", f"a{ws}", ws,
+                      f"{ws}THE.{ws}dog's{ws}bone!?", f"x{ws * 3}y", f"the{ws}the"]
+        texts += [string.punctuation, f"a {string.punctuation} b", "the", "An", "a.b", ""]
+        for text in texts:
+            assert normalize_answer(text) == regex_form(text), repr(text)
 
 
 class TestVqaAccuracy:

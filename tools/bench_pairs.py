@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py run --parent REV --workload NAME \\
         --seeds 101-110 [--seconds 30] --out BENCH_prN.json [--work DIR]
-    python3 tools/bench_pairs.py summary BENCH_prN.json
+    python3 tools/bench_pairs.py summary BENCH_prN.json [--benchmark BENCHMARK.json]
     python3 tools/bench_pairs.py about BENCH_prN.json TEXT
 
 Run from the repository root. ``run`` exports both sides with ``git archive``
@@ -20,7 +20,12 @@ workloads can share one file.
 ``summary`` prints, per workload, each end-to-end metric's median and
 quartiles for both sides, the change's wins out of the pairs, and the median
 minor faults and user and system CPU seconds per run, which show a change
-that trades CPU time for wall time. ``about`` sets the file's description,
+that trades CPU time for wall time. Each metric's direction and bound come
+from ``BENCHMARK.json``'s ``end_to_end`` list. Per metric it says whether
+the gain rule holds (the change wins at least 9 in 10 pairs, and its median
+is better than the parent's by more than the parent's interquartile range)
+and whether the change stays within the bound (its median is worse than
+the parent's by at most ``bound`` times the parent's median). ``about`` sets the file's description,
 which is best written once the runs are in.
 """
 
@@ -38,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 CHANGE = "change"   # the ``commit`` of a change-side run
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -142,25 +148,40 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _rules(path) -> dict[str, tuple[int, float]]:
+    """Name -> (sign, bound) of each end-to-end metric; sign 1 where higher is better."""
+    metrics = json.loads(Path(path).read_text())["end_to_end"]
+    return {m["name"]: (1 if m["better"] == "higher" else -1, m["bound"]) for m in metrics}
+
+
+def _verdict(sign: int, bound: float, wins: int, pairs: int, pq, cq) -> str:
+    gap = sign * (cq[1] - pq[1])   # above 0 where the change's median is better
+    gain = wins * 10 >= 9 * pairs and gap > pq[2] - pq[0]
+    within = gap >= -bound * abs(pq[1])
+    return (f"  gain rule {'holds' if gain else 'fails'}"
+            f"  {'within' if within else 'beyond'} bound {bound:g}")
+
+
 def cmd_summary(args) -> int:
     doc = json.loads(Path(args.file).read_text())
+    rules = _rules(args.benchmark)
     groups: dict[tuple, dict[int, dict]] = {}
     for run in doc["runs"]:
         side = "change" if run["commit"] == CHANGE else "parent"
         groups.setdefault(run["workload"], {}).setdefault(run["seed"], {})[side] = run
-    better = {"items_per_s": 1}   # higher is better; every other end-to-end metric is lower
     for workload, pairs in groups.items():
         full = [p for p in pairs.values() if len(p) == 2]
         print(f"{workload}: {len(full)} pairs")
         for name in full[0]["parent"]["stdout_tail"][-1]["metrics"] if full else ():
             vals = {side: [p[side]["stdout_tail"][-1]["metrics"][name]["value"] for p in full]
                     for side in ("parent", "change")}
-            sign = better.get(name, -1)
+            sign, bound = rules.get(name, (-1, None))
             wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
             pq, cq = _quartiles(vals["parent"]), _quartiles(vals["change"])
             print(f"  {name}: parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  change {cq[1]:.4g}"
                   f" [{cq[0]:.4g}, {cq[2]:.4g}]  {100 * (cq[1] / pq[1] - 1):+.1f}%"
-                  f"  change better in {wins}/{len(full)}  parent IQR {pq[2] - pq[0]:.4g}")
+                  f"  change better in {wins}/{len(full)}  parent IQR {pq[2] - pq[0]:.4g}"
+                  + ("" if bound is None else _verdict(sign, bound, wins, len(full), pq, cq)))
         faults = {side: statistics.median(p[side]["rusage"]["minflt"] for p in full)
                   for side in ("parent", "change") if full and "rusage" in full[0][side]}
         if faults:
@@ -185,6 +206,8 @@ def main(argv=None) -> int:
     r.add_argument("--work", help="directory for the exported trees (default: a temporary one)")
     s = sub.add_parser("summary")
     s.add_argument("file")
+    s.add_argument("--benchmark", default=BENCHMARK,
+                   help="the benchmark declaration (default: the repository's BENCHMARK.json)")
     a = sub.add_parser("about", help="replace the file's 'about' text")
     a.add_argument("file")
     a.add_argument("text")
