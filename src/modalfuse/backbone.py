@@ -24,7 +24,7 @@ from . import tokenizer
 from .errors import ConfigError
 from .experts import MODALITIES
 from .store import EmbeddingRecord, Store, write_store
-from .worker import _beside
+from .worker import _beside, _handoff
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,17 @@ _SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split p
 
 
 def _product(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """rows @ W, W [..., d_in, d_out]; in column halves, the left on the worker, when each
-    half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
+    """rows @ W, W [..., d_in, d_out]; on 2 CPUs in column halves, the left on the worker, when
+    each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
     h = W.shape[-1] // 128 * 64   # the left half's columns, a multiple of 64
     macs = rows.shape[0] * W.shape[-2] * h   # of the left half, the smaller one
-    if macs < _SPLIT_MACS:
+    worker = _handoff(macs, _SPLIT_MACS)
+    if worker is None:   # on one CPU, halves run 1-2% slower than the whole product
         return rows @ W
     y = np.empty((*W.shape[:-2], rows.shape[0], W.shape[-1]), np.result_type(rows, W))
-    left = _beside(macs, _SPLIT_MACS, np.matmul, rows, W[..., :h], y[..., :h])
+    left = worker.submit(np.matmul, rows, W[..., :h], y[..., :h])
     np.matmul(rows, W[..., h:], out=y[..., h:])
-    if left is not None:
-        left.result()
+    left.result()
     return y
 
 
@@ -238,12 +238,12 @@ class MultiHeadAttention:
         """Keys and values [B, H, T, dh] of ``xkv`` [B, T, d]."""
         return self._split(self.wk.forward(xkv)), self._split(self.wv.forward(xkv))
 
-    def step(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, wo: np.ndarray) -> np.ndarray:
+    def step(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Attention output [B, d] of one new query per row, ``q`` [B, d], over
-        keys and values k, v [B, H, T, dh], through the output weight ``wo``."""
+        keys and values k, v [B, H, T, dh]."""
         b = q.shape[0]
         ctx, _ = _attend(q.reshape(b, self.h, 1, self.dh), k, v, 1.0 / math.sqrt(self.dh))
-        return _product(ctx.reshape(b, self.h * self.dh), wo)
+        return _product(ctx.reshape(b, self.h * self.dh), self.wo.W.value)
 
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_xq, d_xkv)."""
@@ -287,7 +287,7 @@ class DecoderBlock:
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, make, f"{name}/cross")
         self.norm3 = RMSNorm(cfg.d_model, make, f"{name}/norm3")
         self.ff = FeedForward(cfg.d_model, cfg.d_ff, make, f"{name}/ff")
-        self._bound = None   # step's weights, set by bind
+        self.wqkv = None   # self_attn's q|k|v weights as one [3, d, d] view, set by Model._build
 
     def forward(self, x, enc_hidden):
         h = self.norm1.forward(x)
@@ -296,33 +296,22 @@ class DecoderBlock:
         x = x + self.ff.forward(self.norm3.forward(x))
         return x
 
-    def bind(self) -> None:
-        """Bind ``step``'s weights and gains. ``Model._build`` lays the self-attention's q, k
-        and v weights out one after another, so one [3, d, d] view holds them, uncopied."""
-        a, c, ff = self.self_attn, self.cross_attn, self.ff
-        w = a.wq.W.value
-        qkv = np.lib.stride_tricks.as_strided(w, (3, *w.shape), (w.nbytes, *w.strides))
-        if [m.ctypes.data for m in qkv] != [p.W.value.ctypes.data for p in (a.wq, a.wk, a.wv)]:
-            raise ValueError("the q, k and v weights do not lie one after another")
-        self._bound = (self.norm1.g.value, qkv, a.wo.W.value, self.norm2.g.value, c.wq.W.value,
-                       c.wo.W.value, self.norm3.g.value, ff.w_in.W.value, ff.w_out.W.value)
-
     def step(self, x: np.ndarray, t: int, cache: list[np.ndarray]) -> np.ndarray:
-        """``forward``, with the weights ``bind`` bound, for the one new position
-        t per row, ``x`` [B, d], which it overwrites with the output.
+        """``forward`` for the one new position t per row, ``x`` [B, d], which
+        it overwrites with the output.
 
         ``cache`` holds this block's self-attention keys and values
         [B, H, L, dh], L > t, filled for positions 0..t-1 (step fills t), then
         its cross-attention keys and values of the encoder output.
         """
-        g1, wqkv, wo1, g2, wq2, wo2, g3, w_in, w_out = self._bound
         self_k, self_v, cross_k, cross_v = cache
-        a, b = self.self_attn, x.shape[0]
-        qkv = _product(_rms_norm(x, g1)[0], wqkv)   # [3, B, d]: one matmul call, bit for bit
+        a, c, ff, b = self.self_attn, self.cross_attn, self.ff, x.shape[0]
+        qkv = _product(_rms_norm(x, self.norm1.g.value)[0], self.wqkv)   # [3, B, d], bit for bit
         self_k[:, :, t], self_v[:, :, t] = qkv[1:].reshape(2, b, a.h, a.dh)
-        x += a.step(qkv[0], self_k[:, :, :t + 1], self_v[:, :, :t + 1], wo1)
-        x += self.cross_attn.step(_product(_rms_norm(x, g2)[0], wq2), cross_k, cross_v, wo2)
-        x += _product(_gelu(_product(_rms_norm(x, g3)[0], w_in))[0], w_out)
+        x += a.step(qkv[0], self_k[:, :, :t + 1], self_v[:, :, :t + 1])
+        x += c.step(_product(_rms_norm(x, self.norm2.g.value)[0], c.wq.W.value), cross_k, cross_v)
+        h = _product(_rms_norm(x, self.norm3.g.value)[0], ff.w_in.W.value)
+        x += _product(_gelu(h)[0], ff.w_out.W.value)
         return x
 
     def backward(self, dy):
@@ -388,6 +377,12 @@ class Model:
         self.value, self.grad = np.empty(ends[-1], dtype), np.zeros(ends[-1], dtype)
         for p, lo, hi in zip(self._params, [0, *ends], ends):
             p.value, p.grad = self.value[lo:hi].reshape(p.shape), self.grad[lo:hi].reshape(p.shape)
+        at = dict(zip(self._params, [0, *ends]))
+        for block in self.dec_blocks:   # q, k and v are declared one after another: one view
+            q, k, v = (w.W for w in (block.self_attn.wq, block.self_attn.wk, block.self_attn.wv))
+            if (at[k] - at[q], at[v] - at[q]) != (q.value.size, 2 * q.value.size):
+                raise ValueError("the q, k and v weights do not lie one after another")
+            block.wqkv = self.value[at[q]:at[v] + v.value.size].reshape(3, *q.shape)
         return self
 
     # -- parameter plumbing -------------------------------------------------
@@ -517,8 +512,7 @@ class Model:
         encoder once, projects each layer's cross-attention keys and values
         once, keeps each layer's self-attention keys and values in a
         [B, H, max_len - 1, dh] cache, and runs only the newest position
-        through the decoder at each step, through weights bound once per call
-        (``DecoderBlock.bind``). Rows that emit EOS leave the batch.
+        through the decoder at each step. Rows that emit EOS leave the batch.
         """
         max_len = self._decode_len(max_len)
         enc = self.encoder_forward(rows, modality_ids)
@@ -529,17 +523,15 @@ class Model:
         live = np.arange(b)
         caches = []
         for block in self.dec_blocks:
-            block.bind()
             shape = (b, block.self_attn.h, steps, block.self_attn.dh)
             # np.empty: positions not reached yet are never written or paged in
             caches.append([*np.empty((2, *shape), enc.dtype), *block.cross_attn.keys_values(enc)])
-        emb, pos, g = self.tok_emb.value, self.pos, self.dec_norm.g.value
         last = np.full(b, tokenizer.BOS)
         for t in range(steps):
-            x = emb[last] + pos[t]
+            x = self.tok_emb.value[last] + self.pos[t]
             for block, cache in zip(self.dec_blocks, caches):
                 x = block.step(x, t, cache)
-            nxt = self.lm_head.forward(_rms_norm(x, g)[0]).argmax(axis=-1)
+            nxt = self.lm_head.forward(_rms_norm(x, self.dec_norm.g.value)[0]).argmax(axis=-1)
             toks[live, t + 1] = nxt
             going = nxt != tokenizer.EOS
             if not going.all():

@@ -24,11 +24,19 @@ def _beside(work: int, least: int, job, *args):
     the same order in a half as in the whole. Smaller halves can fall into
     its small-matrix or gemv kernels, whose sums round apart.
     """
+    worker = _handoff(work, least)
+    if worker is None:
+        job(*args)
+        return None
+    return worker.submit(job, *args)
+
+
+def _handoff(work: int, least: int):
+    """The worker when ``work`` reaches ``least`` and the process may use 2 CPUs, else None."""
     global _worker
     if work < least or len(os.sched_getaffinity(0)) < 2:
-        job(*args)
         return None
     if _worker is None:   # imported here: a run that never hands off loads nothing
         from concurrent.futures import ThreadPoolExecutor
         _worker = ThreadPoolExecutor(1, "modalfuse")
-    return _worker.submit(job, *args)
+    return _worker

@@ -691,20 +691,25 @@ class TestGreedyDecodeBatch:
         assert [t.tolist() for t in batch] == [first] * len(rows)
         assert {t.dtype for t in batch} == {np.dtype(np.int64)}
 
-    def test_bind_views_the_model_weights_and_refuses_apart_ones(self, decode_setup):
+    def test_wqkv_views_the_model_weights_and_refuses_apart_ones(self, decode_setup, monkeypatch):
         m = decode_setup[0]
-        block = m.dec_blocks[0]
-        block.bind()
-        a = block.self_attn
-        assert [np.shares_memory(v, p.W.value) and np.array_equal(v, p.W.value)
-                for v, p in zip(block._bound[1], (a.wq, a.wk, a.wv))] == [True] * 3
-        rng = np.random.default_rng(0)
+        for block in m.dec_blocks:
+            a = block.self_attn
+            assert [np.shares_memory(w, p.W.value) and np.array_equal(w, p.W.value)
+                    for w, p in zip(block.wqkv, (a.wq, a.wk, a.wv))] == [True] * 3
+        init = backbone.MultiHeadAttention.__init__
 
-        def make(name, shape, ones=False):   # each parameter in its own array
-            return Parameter(name, shape, ones, rng.normal(size=shape), np.zeros(shape))
+        def init_with_a_gap(self, d, h, make, name):   # declares a parameter between q and k
+            def make_gap(pname, shape, ones=False):
+                p = make(pname, shape, ones)
+                if pname.endswith("/q/W"):
+                    make(f"{pname}/gap", (1,))
+                return p
+            init(self, d, h, make_gap, name)
 
+        monkeypatch.setattr(backbone.MultiHeadAttention, "__init__", init_with_a_gap)
         with pytest.raises(ValueError, match="do not lie one after another"):
-            backbone.DecoderBlock(DECODE_CFG, make, "dec").bind()
+            Model(DECODE_CFG)
 
     def test_max_len_over_limit_raises_like_greedy_decode(self, decode_setup):
         m, rows, ids = decode_setup

@@ -79,7 +79,8 @@ def test_summary_counts_wins_by_direction(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("losses, verdict", [(1, "holds"), (2, "fails")])
-def test_summary_applies_the_gain_rule_and_bounds(tmp_path, capsys, losses, verdict):
+def test_summary_applies_the_gain_rule_and_bounds(tmp_path, capsys, monkeypatch, losses, verdict):
+    tool = load_tool()
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps({"end_to_end": [
         {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
@@ -90,7 +91,8 @@ def test_summary_applies_the_gain_rule_and_bounds(tmp_path, capsys, losses, verd
         runs += [run("abc", seed, 100 + seed, 1.0), run("change", seed, c_items, 1.2)]
     path = tmp_path / "BENCH.json"
     path.write_text(json.dumps({"about": "", "parent": "abc", "runs": runs}))
-    assert load_tool().main(["summary", str(path), "--benchmark", str(bench)]) == 0
+    monkeypatch.setattr(tool, "BENCHMARK", bench)
+    assert tool.main(["summary", str(path)]) == 0
     lines = {line.split(":")[0].strip(): line for line in capsys.readouterr().out.splitlines()}
     assert f"change better in {10 - losses}/10" in lines["items_per_s"]
     assert lines["items_per_s"].endswith(f"gain rule {verdict}  within bound 0.25")

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py run --parent REV --workload NAME \\
         --seeds 101-110 [--seconds 30] --out BENCH_prN.json [--work DIR]
-    python3 tools/bench_pairs.py summary BENCH_prN.json [--benchmark BENCHMARK.json]
+    python3 tools/bench_pairs.py summary BENCH_prN.json
     python3 tools/bench_pairs.py about BENCH_prN.json TEXT
 
 Run from the repository root. ``run`` exports both sides with ``git archive``
@@ -148,9 +148,9 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _rules(path) -> dict[str, tuple[int, float]]:
+def _rules() -> dict[str, tuple[int, float]]:
     """Name -> (sign, bound) of each end-to-end metric; sign 1 where higher is better."""
-    metrics = json.loads(Path(path).read_text())["end_to_end"]
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     return {m["name"]: (1 if m["better"] == "higher" else -1, m["bound"]) for m in metrics}
 
 
@@ -164,7 +164,7 @@ def _verdict(sign: int, bound: float, wins: int, pairs: int, pq, cq) -> str:
 
 def cmd_summary(args) -> int:
     doc = json.loads(Path(args.file).read_text())
-    rules = _rules(args.benchmark)
+    rules = _rules()
     groups: dict[tuple, dict[int, dict]] = {}
     for run in doc["runs"]:
         side = "change" if run["commit"] == CHANGE else "parent"
@@ -206,8 +206,6 @@ def main(argv=None) -> int:
     r.add_argument("--work", help="directory for the exported trees (default: a temporary one)")
     s = sub.add_parser("summary")
     s.add_argument("file")
-    s.add_argument("--benchmark", default=BENCHMARK,
-                   help="the benchmark declaration (default: the repository's BENCHMARK.json)")
     a = sub.add_parser("about", help="replace the file's 'about' text")
     a.add_argument("file")
     a.add_argument("text")
