@@ -24,7 +24,7 @@ from . import tokenizer
 from .errors import ConfigError
 from .experts import MODALITIES
 from .store import EmbeddingRecord, Store, write_store
-from .worker import _beside, _handoff
+from .worker import _beside
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,14 @@ _SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split p
 
 
 def _product(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """rows @ W, W [..., d_in, d_out]; on 2 CPUs in column halves, the left on the worker, when
-    each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
+    """rows @ W, W [..., d_in, d_out]; in column halves, the left one handed to the worker,
+    when each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
     h = W.shape[-1] // 128 * 64   # the left half's columns, a multiple of 64
     macs = rows.shape[0] * W.shape[-2] * h   # of the left half, the smaller one
-    worker = _handoff(macs, _SPLIT_MACS)
-    if worker is None:   # on one CPU, halves run 1-2% slower than the whole product
+    if macs < _SPLIT_MACS:
         return rows @ W
     y = np.empty((*W.shape[:-2], rows.shape[0], W.shape[-1]), np.result_type(rows, W))
-    left = worker.submit(np.matmul, rows, W[..., :h], y[..., :h])
+    left = _beside(macs, _SPLIT_MACS, np.matmul, rows, W[..., :h], y[..., :h])
     np.matmul(rows, W[..., h:], out=y[..., h:])
     left.result()
     return y
@@ -97,8 +96,7 @@ class Linear:
         x, g = self._x, self.W.grad
         pending = _beside(rows.size * x.shape[1], _PAIR_MACS, lambda: np.add(g, x.T @ rows, out=g))
         dx = rows @ self.W.value.T
-        if pending is not None:
-            pending.result()
+        pending.result()
         return dx.reshape(*dy.shape[:-1], self.W.shape[0])
 
 
@@ -345,13 +343,17 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self._build(config, np.float32)
-        self._draw(seed, np.empty(max(p.value.size for p in self._params)))
+        self._draw(seed).result()
 
-    def _draw(self, seed: int, buf: np.ndarray) -> None:   # numpy only: runs on the worker too
-        rng = np.random.default_rng(seed)
-        for p in self._params:   # = rng.normal(0, 0.02), in the caller's buf, not the worker's heap
-            z = buf[:p.value.size].reshape(p.shape)
-            p.value[...] = 1.0 if p.ones else np.multiply(rng.standard_normal(out=z), 0.02, out=z)
+    def _draw(self, seed: int):   # the seeded draws of the parameters, as a handle to join
+        def draw(buf):   # = rng.normal(0, 0.02), in the caller's buf, not the worker's heap
+            rng = np.random.default_rng(seed)
+            for p in self._params:
+                z = buf[:p.value.size].reshape(p.shape)
+                p.value[...] = 1.0 if p.ones else np.multiply(rng.standard_normal(out=z), 0.02,
+                                                              out=z)
+        return _beside(self.value.size, _SPLIT_ELEMENTS, draw,
+                       np.empty(max(p.value.size for p in self._params)))
 
     def _build(self, config: ModelConfig, dtype) -> Model:
         """Build the layers and return the model. Layers declare parameters with
@@ -592,7 +594,7 @@ def cross_entropy_loss(logits, targets, pad_id: int = tokenizer.PAD) -> float:
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _ADAM_BLOCK = 1 << 16   # elements per AdamW update block: temporaries stay small
-_SPLIT_ELEMENTS = 8 * _ADAM_BLOCK   # flat size from which AdamW and cli's draws use the worker
+_SPLIT_ELEMENTS = 8 * _ADAM_BLOCK   # flat size from which AdamW and the draws use the worker
 
 
 class AdamW:
@@ -606,7 +608,8 @@ class AdamW:
         # np.zeros takes already-zeroed pages, where zeros_like writes every zero
         self.m = np.zeros(model.value.shape, model.value.dtype)
         self.v = np.zeros(model.value.shape, model.value.dtype)
-        self._work = np.empty((2, min(_ADAM_BLOCK, model.value.size)), model.value.dtype)
+        pairs = 1 + (model.value.size >= _SPLIT_ELEMENTS)   # one per thread that updates blocks
+        self._work = np.empty((pairs, 2, min(_ADAM_BLOCK, model.value.size)), model.value.dtype)
 
     def step(self):
         # min and max are non-finite exactly when some element is (NaN
@@ -619,11 +622,11 @@ class AdamW:
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
         blocks = [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, value.size, _ADAM_BLOCK)]
-        half, work = len(blocks) // 2, self._work
-        first = _beside(value.size, _SPLIT_ELEMENTS, self._update, blocks[:half], bc1, bc2, work)
-        self._update(blocks[half:], bc1, bc2, work if first is None else np.empty_like(work))
-        if first is not None:
-            first.result()
+        half = len(blocks) // 2
+        first = _beside(value.size, _SPLIT_ELEMENTS, self._update, blocks[:half], bc1, bc2,
+                        self._work[0])
+        self._update(blocks[half:], bc1, bc2, self._work[-1])
+        first.result()
 
     def _update(self, blocks: list[slice], bc1: float, bc2: float, work: np.ndarray) -> None:
         for b in blocks:

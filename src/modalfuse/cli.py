@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backbone, evaluation, objectives, segmentation, synthetic
+from . import evaluation, objectives, segmentation, synthetic
 # save_checkpoint is unused here but stays importable as cli.save_checkpoint,
 # where the benchmark's call tracer patches it.
 from .backbone import Model, ModelConfig, load_checkpoint, save_checkpoint  # noqa: F401
@@ -32,7 +32,6 @@ from .errors import (JSON_TYPE_NAMES, STRICT_JSON, ModalfuseError, RecordParseEr
 from .experts import StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
 from .store import EmbeddingRecord, Store, atomic_commit, write_store
-from .worker import _beside
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -263,14 +262,12 @@ def cmd_pretrain(args, cfg: dict) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
     encoders = StubEncoders(d=cfg["d-model"], seed=cfg["stub-seed"])
-    model = Model.__new__(Model)._build(model_cfg, np.float32)   # drawn while the store is read
-    drawing = _beside(model.value.size, backbone._SPLIT_ELEMENTS, model._draw, cfg["seed"],
-                      np.empty(max(p.value.size for p in model.params())))
+    model = Model.__new__(Model)._build(model_cfg, np.float32)
+    drawing = model._draw(cfg["seed"])   # on the worker while the store is read, for a large model
     with Store(cfg["store"]) as store:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)
-    if drawing is not None:
-        drawing.result()
+    drawing.result()
     final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
     print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0

@@ -56,29 +56,37 @@ def _finite_float(text: str) -> float:
 STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
+def json_object(text: str, what: str, line: int | None = None) -> dict:
+    """``text`` decoded as one JSON object; RecordParseError, naming ``line``,
+    where it is not one, holds a non-finite number or a string with a lone
+    surrogate. ``what`` names the record kind in messages."""
+    try:
+        rec = STRICT_JSON.decode(text)
+        # only a \u escape puts a surrogate in decoded text; UTF-8 has none
+        if "\\u" in text:
+            json.dumps(rec, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise RecordParseError(f"bad {what} record: {e.object[e.start]!r} is a lone "
+                               "surrogate, not a character", line=line) from e
+    except ValueError as e:   # JSONDecodeError, a non-finite number, too many digits
+        raise RecordParseError(f"bad {what} record: {e}", line=line) from e
+    if type(rec) is not dict:
+        raise RecordParseError(f"{what} record must be a JSON object, got {text.strip()[:80]}",
+                               line=line)
+    return rec
+
+
 def json_records(lines: Iterable[str | bytes], what: str) -> Iterator[tuple[int, dict]]:
     """(1-based line number, record) for each non-blank line of text or UTF-8
-    bytes; a line that is not UTF-8 or not a JSON object, holds a non-finite
-    number or a string with a lone surrogate, raises RecordParseError.
-    ``what`` names the record kind in messages."""
+    bytes, through ``json_object``; a line that is not UTF-8 raises
+    RecordParseError too."""
     for lineno, line in enumerate(lines, start=1):
         try:
             raw = (line.decode("utf-8") if type(line) is bytes else line).strip()
-            if not raw:
-                continue
-            rec = STRICT_JSON.decode(raw)
-            # only a \u escape puts a surrogate in decoded text; UTF-8 has none
-            if "\\u" in raw:
-                json.dumps(rec, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise RecordParseError(f"bad {what} record: {e.object[e.start]!r} is a lone "
-                                   "surrogate, not a character", line=lineno) from e
-        except ValueError as e:   # not UTF-8, JSONDecodeError, a non-finite number, too many digits
+        except UnicodeDecodeError as e:
             raise RecordParseError(f"bad {what} record: {e}", line=lineno) from e
-        if type(rec) is not dict:
-            raise RecordParseError(f"{what} record must be a JSON object, got {raw[:80]}",
-                                   line=lineno)
-        yield lineno, rec
+        if raw:
+            yield lineno, json_object(raw, what, lineno)
 
 
 JSON_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}

@@ -28,7 +28,7 @@ from .errors import ValidationError
 # build_vqa_example is unused here but stays importable as
 # evaluation.build_vqa_example, where the benchmark's call tracer patches it.
 from .objectives import (TrainConfig, VqaExample, build_vqa_example,  # noqa: F401
-                         pretrain_examples, train, vqa_examples)
+                         collate, pretrain_examples, train, vqa_examples)
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -147,8 +147,7 @@ def evaluate(model: Model, examples: list[VqaExample],
         for lo in range(0, len(group), size):
             chunk = group[lo:lo + size]
             try:
-                rows = np.stack([examples[i].fused.rows for i in chunk])
-                ids = np.stack([examples[i].fused.modality_ids for i in chunk])
+                rows, ids, _ = collate([examples[i] for i in chunk])
                 texts = [tokenizer.detokenize(t)
                          for t in model.greedy_decode_batch(rows, ids, max_len=max_decode_len)]
             except Exception as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import RecordParseError, ValidationError, json_records
+from .errors import RecordParseError, ValidationError, json_object, json_records
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ def scene_graph_from_dict(rec, line: int | None = None) -> SceneGraph:
 
 def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
     """Parse one serialized graph record: {"objects": [...], "relations": [[s, p, o], ...]}."""
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise RecordParseError(f"bad scene-graph record: {e}", line=line) from e
-    return scene_graph_from_dict(rec, line)
+    return scene_graph_from_dict(json_object(text, "scene-graph", line), line)
 
 
 def serialize_scene_graph(graph: SceneGraph) -> str:

@@ -24,8 +24,8 @@ Payload bytes move once between the file and the arrays: ``write_store``
 hands the headers and the arrays' own buffers to ``os.writev``, gathered
 into writes of at least _CRC_BYTES, and ``Store.read_into`` hands the
 caller's arrays to ``os.preadv``. The CRC of a record of at least _CRC_BYTES
-runs on the worker thread (``worker._beside``) beside the write of the same
-bytes, or beside the read of the next record.
+is handed to the worker thread (``worker._beside``) beside the write of the
+same bytes, or beside the read of the next record.
 """
 
 from __future__ import annotations
@@ -115,28 +115,24 @@ def _move_all(move, parts: list) -> None:
             parts[i] = memoryview(parts[i])[n:]
 
 
-def _pack_crc(out: bytearray, parts: list) -> None:
-    """Pack into ``out`` the CRC32 of ``parts`` chained in order. It calls zlib
-    only, so it runs on the worker too."""
+def _crc(parts: list) -> bytes:
+    """The packed CRC32 of ``parts`` chained in order. It calls zlib only, so it
+    runs on the worker too."""
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    _CRC.pack_into(out, 0, crc)
+    return _CRC.pack(crc)
 
 
-def _check_crc(computed: bytes, stored: bytes, where: str, job=None) -> None:
-    """Raise CorruptionError unless the packed CRC ``computed`` equals ``stored``;
-    ``job``, the worker's Future that packs ``computed``, is joined first."""
-    if job is not None:
-        job.result()
+def _check_crc(computed: bytes, stored: bytes, where: str) -> None:
+    """Raise CorruptionError unless the packed CRC ``computed`` equals ``stored``."""
     if computed != stored:
         raise CorruptionError(f"CRC mismatch in record {where}")
 
 
 def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...]:
     end = len(blob) - _CRC.size
-    _check_crc(_CRC.pack(zlib.crc32(memoryview(blob)[:end])), blob[end:] if end >= 2 else b"",
-               where)
+    _check_crc(_crc([memoryview(blob)[:end]]), blob[end:] if end >= 2 else b"", where)
     try:
         (n_arrays,) = struct.unpack_from("<H", blob, 0)
         pos = 2
@@ -213,16 +209,13 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
             for tag, arr in record.arrays:
                 parts += [_array_head(TAG_TO_ID[tag], arr.shape), _flat_bytes(arr)]
             length = sum(map(len, parts)) + _CRC.size
-            crc = bytearray(_CRC.size)
-            job = _beside(length, _CRC_BYTES, _pack_crc, crc, parts)
+            crc = _beside(length, _CRC_BYTES, _crc, parts)
             pending += parts
             unwritten += length - _CRC.size
             if unwritten >= _CRC_BYTES:
                 _move_all(write, pending)
                 pending, unwritten = [], 0
-            if job is not None:
-                job.result()
-            pending.append(crc)
+            pending.append(crc.result())
             unwritten += _CRC.size
             index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
             pos += length
@@ -342,7 +335,7 @@ class Store:
         The errors are those of ``get_by_key``, raised in record order.
         """
         fd, shapes = self._f.fileno(), []
-        last = None   # the CRC check of the record before, as _check_crc's arguments
+        last = []   # the CRC check of the record before: (handle of its CRC, stored CRC, number)
         try:
             for key, out in targets:
                 if not all(a.dtype == "<f4" and a.flags.c_contiguous and a.flags.writeable
@@ -352,7 +345,7 @@ class Store:
                 _, off, length = self._entries[number]
                 count, heads = bytearray(2), [bytearray(2 + 4 * a.ndim) for a in out]
                 parts = [count, *(p for head, a in zip(heads, out) for p in (head, _flat_bytes(a)))]
-                computed, stored = bytearray(_CRC.size), bytearray(_CRC.size)
+                stored = bytearray(_CRC.size)
                 same = sum(map(len, parts)) + _CRC.size == length
                 if same:
                     _move_all(lambda views, done: os.preadv(fd, views, off + done), [*parts, stored])
@@ -360,18 +353,17 @@ class Store:
                     same = count == struct.pack("<H", len(out)) and all(
                         head[0] in ID_TO_TAG and head == _array_head(head[0], a.shape)
                         for head, a in zip(heads, out))
-                check, last = last, None
-                if check is not None:
-                    _check_crc(*check)
+                if last:   # taken out first: a mismatch raises once
+                    crc, stored_crc, where = last.pop()
+                    _check_crc(crc.result(), stored_crc, where)
                 if not same:   # another layout: get parses it, or names its corruption
                     shapes.append(tuple(a.shape for _, a in self.get(number).arrays))
                     break
-                job = _beside(length, _CRC_BYTES, _pack_crc, computed, parts)
-                last = (computed, stored, str(number), job)
+                last.append((_beside(length, _CRC_BYTES, _crc, parts), stored, str(number)))
                 shapes.append(tuple(a.shape for a in out))
         finally:
-            if last is not None:
-                _check_crc(*last)
+            for crc, stored_crc, where in last:
+                _check_crc(crc.result(), stored_crc, where)
         return shapes
 
     def inspect(self) -> dict:

@@ -32,8 +32,7 @@ def truncates(text: str, max_len: int) -> bool:
 def detokenize(tokens: np.ndarray) -> str:
     """Inverse of tokenize on untruncated text; ignores specials."""
     data = bytearray()
-    for t in np.asarray(tokens).reshape(-1):
-        t = int(t)
+    for t in np.asarray(tokens).reshape(-1).tolist():   # Python ints loop faster than numpy ones
         if t == EOS:
             break
         if t < 256:

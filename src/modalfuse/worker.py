@@ -1,20 +1,23 @@
 """The one worker thread that runs numpy and zlib jobs beside the main thread.
 
-``backbone`` gives it product halves and AdamW halves, ``cli`` the model's
-draws and ``store`` the CRCs of large records. Every job computes the bits
-the main thread would, so a run gives the same outputs on one CPU or two.
+``backbone`` gives it product halves, weight-gradient products, AdamW halves
+and the model's draws, ``store`` the CRCs of large records, all through
+``_beside``. Every job computes the bits the main thread would, so a run
+gives the same outputs on one CPU or two.
 """
 
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 _worker = None   # the executor of the one worker thread, made on first use
 
 
 def _beside(work: int, least: int, job, *args):
-    """``job(*args)`` on the worker thread, as a Future to join, when ``work`` reaches
-    ``least`` and the process may use 2 CPUs; else run here, and None.
+    """``job(*args)``, on the worker thread when ``work`` reaches ``least`` and the
+    process may use 2 CPUs, else here; either way, a handle whose ``result()``
+    joins the job and returns its value.
 
     Jobs call numpy or zlib only, never a modalfuse function or method: the
     benchmark's tracer keeps one span stack. A product is split only into
@@ -24,19 +27,11 @@ def _beside(work: int, least: int, job, *args):
     the same order in a half as in the whole. Smaller halves can fall into
     its small-matrix or gemv kernels, whose sums round apart.
     """
-    worker = _handoff(work, least)
-    if worker is None:
-        job(*args)
-        return None
-    return worker.submit(job, *args)
-
-
-def _handoff(work: int, least: int):
-    """The worker when ``work`` reaches ``least`` and the process may use 2 CPUs, else None."""
     global _worker
     if work < least or len(os.sched_getaffinity(0)) < 2:
-        return None
+        value = job(*args)
+        return SimpleNamespace(result=lambda: value)
     if _worker is None:   # imported here: a run that never hands off loads nothing
         from concurrent.futures import ThreadPoolExecutor
         _worker = ThreadPoolExecutor(1, "modalfuse")
-    return _worker
+    return _worker.submit(job, *args)

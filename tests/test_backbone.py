@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -56,6 +57,12 @@ class TestTokenizer:
     def test_utf8_roundtrip(self):
         s = "café ♞"
         assert tokenizer.detokenize(tokenizer.tokenize(s, 40)) == s
+
+    def test_list_and_integer_arrays_decode_alike(self):
+        toks = tokenizer.tokenize("café ♞", 16).tolist()
+        texts = {tokenizer.detokenize(t) for t in (toks, np.array(toks, np.int64),
+                                                   np.array(toks, np.int32))}
+        assert texts == {"café ♞"}
 
 
 class TestConfig:
@@ -548,6 +555,32 @@ class TestAdamW:
     def test_optimizer_on_the_worker_matches_functional(self, monkeypatch, worker):
         self.check_matches_functional(monkeypatch, beside=True)
 
+    @pytest.mark.parametrize("beside", [False, True])
+    def test_step_allocates_no_array(self, monkeypatch, worker, beside):
+        if beside:
+            always_beside(monkeypatch)
+        m = Model(TINY, seed=0)
+        opt = AdamW(m, lr=1e-3, weight_decay=0.01)
+        m.grad[...] = 0.5
+        opt.step()   # the worker thread, if any, starts here
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block of 13,584 float32 is 54 KB; the step's Python objects are far smaller
+        assert peak < m.value.nbytes // 4
+
+    @pytest.mark.parametrize("split_elements, pairs", [(None, 1), (0, 2)])
+    def test_one_work_pair_per_thread_that_updates(self, monkeypatch, split_elements, pairs):
+        if split_elements is not None:
+            monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", split_elements)
+        m = Model(TINY, seed=0)
+        assert (m.value.size < backbone._SPLIT_ELEMENTS) == (pairs == 1)
+        work = AdamW(m)._work
+        assert work.shape == (pairs, 2, m.value.size) and work.dtype == np.float32
+
 
 def train_run(cfg, steps, batch_size, n_segments=16):
     """(loss and grad_norm hex of every step, parameter bytes) of seeded
@@ -588,6 +621,22 @@ class TestWorkerThread:
         pending = worker_module._beside(1, 0, np.add, np.ones(2), np.ones(3))
         with pytest.raises(ValueError, match="broadcast"):
             pending.result(timeout=60)
+
+    @pytest.mark.parametrize("work, cpus", [(0, {0, 1}), (1, {0})])
+    def test_a_job_run_here_gives_its_value_through_the_handle(self, monkeypatch, worker,
+                                                               work, cpus):
+        # below the threshold, or on one CPU, the job runs before _beside returns
+        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: cpus)
+        threads, ran = threading.active_count(), []
+
+        def job(x):
+            ran.append(threading.current_thread())
+            return x + 1
+
+        handle = worker_module._beside(work, 1, job, 41)
+        assert ran == [threading.current_thread()]
+        assert handle.result() == 42 and handle.result() == 42
+        assert threading.active_count() == threads
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, worker):
         always_beside(monkeypatch)

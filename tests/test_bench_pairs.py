@@ -54,6 +54,32 @@ def test_export_replaces_its_own_earlier_export(tmp_path, monkeypatch):
     assert (work / "index").read_text() == "kept"
 
 
+def test_run_records_the_src_line_counts_of_both_trees(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "benchmarks").mkdir()
+    (repo / "benchmarks" / "run.py").write_text("pass\n")
+    (repo / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\n")
+    (repo / "src" / "pkg" / "data.txt").write_text("not python\n")
+    monkeypatch.chdir(repo)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "parent"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+    (repo / "src" / "pkg" / "b.py").write_text("c = 3\n" * 4)   # the change, uncommitted
+    metrics = {"items_per_s": {"value": 1.0, "unit": "1/s"}}
+    monkeypatch.setattr(tool, "_run_one", lambda tree, workload, seed, seconds: {
+        "stdout_tail": [{}, {"metrics": metrics}],
+        "rusage": {"minflt": 1, "utime_s": 0.1, "stime_s": 0.0}})
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["run", "--parent", "HEAD", "--workload", "w", "--seeds", "1",
+                      "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 2, "change": 6}
+    capsys.readouterr()
+    assert tool.main(["summary", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("src/ lines: parent 2  change 6  (+4)\nw: 1 pairs")
+
+
 def run(commit, seed, items, round_s):
     metrics = {"items_per_s": {"value": items, "unit": "1/s"},
                "round_s": {"value": round_s, "unit": "s"}}

@@ -30,6 +30,17 @@ class TestParse:
         with pytest.raises(RecordParseError, match="line 7"):
             parse_scene_graph("{broken", line=7)
 
+    @pytest.mark.parametrize("label, why", [
+        ("NaN", "NaN is not a JSON number"), ("Infinity", "Infinity is not a JSON number"),
+        ("1e400", "beyond float range"), ('"\\ud800"', "lone surrogate")])
+    def test_what_json_lacks_names_its_line(self, label, why):
+        with pytest.raises(RecordParseError, match=f"line 3: bad scene-graph record: .*{why}"):
+            parse_scene_graph(f'{{"objects": [{label}], "relations": []}}', line=3)
+
+    def test_a_record_that_is_not_an_object(self):
+        with pytest.raises(RecordParseError, match="line 2: scene-graph record must be a JSON"):
+            parse_scene_graph("[1, 2]", line=2)
+
     def test_manifest_key_must_be_a_string(self):
         lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',
                  '{"key": ["v", 0], "objects": ["a", "b"], "relations": [[0, "on", 1]]}']

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modalfuse import store
 from modalfuse.errors import CorruptionError, NotFoundError
 from modalfuse.store import EmbeddingRecord, Store, atomic_commit, write_store
 
@@ -409,6 +410,28 @@ class TestVectoredIO:
             # record order: the bad record's error comes before a later missing key
             with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}"):
                 s.read_into([*outs[:number + 1], ("absent", [])])
+
+
+@pytest.mark.parametrize("later", [("absent", []), ("mixed", [np.empty((0, 5))])])
+def test_a_crc_mismatch_on_the_worker_raises_before_a_later_error(tmp_path, monkeypatch, later):
+    monkeypatch.setattr("modalfuse.worker.os.sched_getaffinity", lambda pid: {0, 1})
+    recs = big_and_small_records()
+    path = tmp_path / "s.store"
+    write_store(recs, path)
+    with Store(path) as s:
+        _, off, length = s._entries[0]   # "big", 1.2 MB: its CRC runs on the worker
+    data = bytearray(path.read_bytes())
+    data[off + length - 5] ^= 0x10
+    path.write_bytes(bytes(data))
+    where, crc = [], store._crc
+    monkeypatch.setattr(store, "_crc", lambda parts: where.append(threading.current_thread())
+                        or crc(parts))
+    with Store(path) as s:
+        with pytest.raises(CorruptionError, match="CRC mismatch in record 0") as e:
+            s.read_into([("big", [np.empty((300, 1024), np.float32)]), later])
+    assert len(where) == 1 and where[0] is not threading.current_thread()
+    # the later record's error (a missing key, a float64 out), raised first, is the context
+    assert type(e.value.__context__) is (NotFoundError if later[0] == "absent" else ValueError)
 
 
 class TestConcurrency:

@@ -13,20 +13,22 @@ runs ``benchmarks/run.py --trace 0`` once per side, one process at a time;
 the side that runs first alternates from pair to pair. Each run keeps the
 last two lines of its standard output, parsed as JSON, and the minor page
 faults and user and system CPU seconds of the child process, from
-``resource.getrusage(RUSAGE_CHILDREN)`` deltas. An existing ``--out`` file
-for the same parent, change and benchmark trees is extended, so several
-workloads can share one file.
+``resource.getrusage(RUSAGE_CHILDREN)`` deltas. The file's header records the
+trees and the line count of the Python files under ``src/`` in each export.
+An existing ``--out`` file for the same parent, change and benchmark trees is
+extended, so several workloads can share one file.
 
-``summary`` prints, per workload, each end-to-end metric's median and
-quartiles for both sides, the change's wins out of the pairs, and the median
-minor faults and user and system CPU seconds per run, which show a change
-that trades CPU time for wall time. Each metric's direction and bound come
-from ``BENCHMARK.json``'s ``end_to_end`` list. Per metric it says whether
-the gain rule holds (the change wins at least 9 in 10 pairs, and its median
-is better than the parent's by more than the parent's interquartile range)
-and whether the change stays within the bound (its median is worse than
-the parent's by at most ``bound`` times the parent's median). ``about`` sets the file's description,
-which is best written once the runs are in.
+``summary`` prints both ``src/`` line counts, then, per workload, each
+end-to-end metric's median and quartiles for both sides, the change's wins
+out of the pairs, and the median minor faults and user and system CPU
+seconds per run, which show a change that trades CPU time for wall time.
+Each metric's direction and bound come from ``BENCHMARK.json``'s
+``end_to_end`` list. Per metric it says whether the gain rule holds (the
+change wins at least 9 in 10 pairs, and its median is better than the
+parent's by more than the parent's interquartile range) and whether the
+change stays within the bound (its median is worse than the parent's by at
+most ``bound`` times the parent's median). ``about`` sets the file's
+description, which is best written once the runs are in.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ def _export(treeish: str, dest: Path) -> Path:
     return dest
 
 
+def _src_lines(tree: Path) -> int:
+    """Lines of the Python files under ``tree``'s ``src/``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def _run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -110,14 +117,16 @@ def cmd_run(args) -> int:
         if _git("rev-parse", f"{parent}:benchmarks") != bench:
             print("error: parent and change hold different benchmarks/ trees", file=sys.stderr)
             return 2
+        trees = {parent: _export(parent, work / "parent"), CHANGE: _export(change, work / "change")}
         header = {"parent": parent, "change_src_tree": _git("rev-parse", f"{change}:src"),
-                  "benchmarks_tree": bench}
+                  "benchmarks_tree": bench,
+                  "src_lines": {"parent": _src_lines(trees[parent]),
+                                CHANGE: _src_lines(trees[CHANGE])}}
         out = Path(args.out)
         doc = json.loads(out.read_text()) if out.exists() else {"about": "", **header, "runs": []}
         if any(doc.get(k) != v for k, v in header.items()):
             print(f"error: {out} records other trees than {header}", file=sys.stderr)
             return 2
-        trees = {parent: _export(parent, work / "parent"), CHANGE: _export(change, work / "change")}
         pairs_before = len(doc["runs"]) // 2
         for i, seed in enumerate(_seeds(args.seeds)):
             for commit in _order(pairs_before + i, parent):
@@ -165,6 +174,10 @@ def _verdict(sign: int, bound: float, wins: int, pairs: int, pq, cq) -> str:
 def cmd_summary(args) -> int:
     doc = json.loads(Path(args.file).read_text())
     rules = _rules()
+    if "src_lines" in doc:
+        lines = doc["src_lines"]
+        print(f"src/ lines: parent {lines['parent']}  change {lines['change']}"
+              f"  ({lines['change'] - lines['parent']:+d})")
     groups: dict[tuple, dict[int, dict]] = {}
     for run in doc["runs"]:
         side = "change" if run["commit"] == CHANGE else "parent"
