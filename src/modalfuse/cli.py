@@ -5,9 +5,11 @@ One binary, subcommand style. Each subcommand accepts ``--config FILE`` (JSON
 whose keys mirror the long flag names, path arguments included); explicit
 flags win over the file, the file wins over defaults. A config key that names
 no flag, or whose value does not fit the flag's type, is rejected. Every run
-writes its fully resolved configuration next to its outputs; passed back as
-``--config``, that file alone reproduces the run. File outputs are committed
-with a temp-file + rename so partial results never appear at final paths.
+writes its fully resolved configuration, each key of which it reads, next to
+its outputs; passed back as ``--config``, that file alone reproduces the run.
+``finetune`` starts from ``--checkpoint-in``, and ``pretrain --steps 0`` writes
+a fresh seeded model. File outputs are committed with a temp-file + rename so
+partial results never appear at final paths.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _TRAIN_FIELDS = {"steps": "steps", "batch-size": "batch_size", "lr": "lr",
                  "weight-decay": "weight_decay", "seed": "seed",
                  "checkpoint-every": "checkpoint_every"}
 _TRAIN_DEFAULTS = {**{flag: getattr(objectives.TrainConfig, name)
-                      for flag, name in _TRAIN_FIELDS.items()}, "stub-seed": 0}
+                      for flag, name in _TRAIN_FIELDS.items()}, "stub-seed": 0, "svg": False}
 _CHOICES = {"objective": objectives.OBJECTIVES}
 
 
@@ -152,7 +154,7 @@ _SEGMENT_DEFAULTS = {"window": segmentation.DEFAULT_WINDOW, "stride": int,
                      "min-wpm": segmentation.DEFAULT_MIN_WPM, "k-frames": 1}
 
 
-def cmd_segment(args, cfg: dict) -> int:
+def cmd_segment(cfg: dict) -> int:
     kept = dropped = 0
     buf = io.StringIO()
     with open(cfg["transcripts"], "rb") as f:
@@ -188,7 +190,7 @@ def _chunks(items, n: int):
         yield chunk
 
 
-def cmd_encode_pack(args, cfg: dict) -> int:
+def cmd_encode_pack(cfg: dict) -> int:
     encoders = StubEncoders(d=cfg["d"], seed=cfg["seed"])
     graphs = {}
     if cfg["graphs"]:
@@ -257,7 +259,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
 _PRETRAIN_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "objective": "split_half"}
 
 
-def cmd_pretrain(args, cfg: dict) -> int:
+def cmd_pretrain(cfg: dict) -> int:
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
@@ -268,12 +270,12 @@ def cmd_pretrain(args, cfg: dict) -> int:
         examples = _examples_from_store(store, cfg["objective"], encoders,
                                         model_cfg.max_target_len)
     drawing.result()
-    final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
+    final_loss = _run_training(model, examples, cfg, run_dir)
     print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0
 
 
-def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
+def _run_training(model, examples, cfg, run_dir: Path) -> str:
     """Train, write the run's files, and return "; final loss X" ("" for 0 steps)."""
     ckpt = run_dir / "checkpoint.store"
     train_cfg = objectives.TrainConfig(
@@ -289,7 +291,7 @@ def _run_training(model, examples, cfg, run_dir: Path, svg: bool) -> str:
     summary = {"steps": cfg["steps"], "final_loss": final_loss, "checkpoint": str(ckpt),
                "truncated_targets": truncated}
     atomic_write_text(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    if svg:
+    if cfg["svg"]:
         atomic_write_text(run_dir / "loss.svg", _loss_chart_svg(metrics))
     return "" if final_loss is None else f"; final loss {final_loss:.4f}"
 
@@ -306,38 +308,35 @@ def _load_vqa_records(path: str) -> list[dict]:
                 raise RecordParseError("VQA record needs 'image_key', 'question' and 'answers'",
                                        line=lineno)
             check_fields(rec, _VQA_FIELDS, "VQA", lineno)
+            if len(rec["answers"]) != 10:
+                raise RecordParseError(f"expected 10 human answers, got {len(rec['answers'])}",
+                                       line=lineno)
             if rec.get("graph") is not None:
                 rec["graph"] = scene_graph_from_dict(rec["graph"], line=lineno)
             records.append(rec)
     return records
 
 
-def _vqa_examples(cfg: dict, model_cfg: ModelConfig) -> list[objectives.VqaExample]:
-    """The --vqa records as examples, seeded by --seed, filtered by --yes-no-only."""
+def _vqa_examples(cfg: dict, model_cfg: ModelConfig, seed: int) -> list[objectives.VqaExample]:
+    """The --vqa records as examples, targets drawn by ``seed``, filtered by --yes-no-only."""
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
     records = _load_vqa_records(cfg["vqa"])
     with Store(cfg["image-store"]) as image_store:
         examples = objectives.vqa_examples(records, image_store, encoders,
-                                           np.random.default_rng(cfg["seed"]), cfg["graph"],
+                                           np.random.default_rng(seed), cfg["graph"],
                                            model_cfg.max_target_len)
     return evaluation.yes_no_examples(examples) if cfg["yes-no-only"] else examples
 
 
-_FINETUNE_DEFAULTS = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
-                      "steps": 100, "yes-no-only": False, "graph": True}
+_FINETUNE_DEFAULTS = {**_TRAIN_DEFAULTS, "steps": 100, "yes-no-only": False, "graph": True}
 
 
-def cmd_finetune(args, cfg: dict) -> int:
+def cmd_finetune(cfg: dict) -> int:
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
-    if cfg["checkpoint-in"]:
-        model = load_checkpoint(cfg["checkpoint-in"])
-        model_cfg = model.config
-    else:
-        model_cfg = _model_config(cfg)
-        model = Model(model_cfg, seed=cfg["seed"])
-    examples = _vqa_examples(cfg, model_cfg)
-    final_loss = _run_training(model, examples, cfg, run_dir, args.svg)
+    model = load_checkpoint(cfg["checkpoint-in"])
+    examples = _vqa_examples(cfg, model.config, cfg["seed"])
+    final_loss = _run_training(model, examples, cfg, run_dir)
     print(f"finetuned {cfg['steps']} steps on {len(examples)} examples{final_loss}")
     return 0
 
@@ -346,13 +345,13 @@ def cmd_finetune(args, cfg: dict) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {"seed": 0, "stub-seed": 0, "graph": True, "yes-no-only": False,
+_EVAL_DEFAULTS = {"stub-seed": 0, "graph": True, "yes-no-only": False,
                   "max-decode-len": evaluation.EVAL_DECODE_LEN}
 
 
-def cmd_eval(args, cfg: dict) -> int:
+def cmd_eval(cfg: dict) -> int:
     model = load_checkpoint(cfg["checkpoint"])
-    examples = _vqa_examples(cfg, model.config)
+    examples = _vqa_examples(cfg, model.config, seed=0)   # evaluate reads no target
     result = evaluation.evaluate(model, examples, max_decode_len=cfg["max-decode-len"])
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -384,7 +383,7 @@ _ABLATE_DEFAULTS = {
 }
 
 
-def cmd_ablate(args, cfg: dict) -> int:
+def cmd_ablate(cfg: dict) -> int:
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
@@ -430,7 +429,8 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# name -> (help, handler, path arguments {flag: required}, settings or None)
+# name -> (help, handler, path arguments {flag: required}, settings or None); the
+# handler takes the resolved config, or the parsed arguments where settings is None
 _COMMANDS = {
     "segment": ("window transcripts into word-dense segments", cmd_segment,
                 {"transcripts": True, "out": True}, _SEGMENT_DEFAULTS),
@@ -439,7 +439,7 @@ _COMMANDS = {
     "pretrain": ("train on packed caption segments", cmd_pretrain,
                  {"store": True, "out-dir": True}, _PRETRAIN_DEFAULTS),
     "finetune": ("finetune on a question-answering set", cmd_finetune,
-                 {"vqa": True, "image-store": True, "out-dir": True, "checkpoint-in": False},
+                 {"checkpoint-in": True, "vqa": True, "image-store": True, "out-dir": True},
                  _FINETUNE_DEFAULTS),
     "eval": ("evaluate a checkpoint", cmd_eval,
              {"checkpoint": True, "vqa": True, "image-store": True, "out-dir": True},
@@ -469,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{flag}", action=argparse.BooleanOptionalAction)
             else:
                 p.add_argument(f"--{flag}", type=kind, choices=_CHOICES.get(flag))
-        if name in ("pretrain", "finetune"):
-            p.add_argument("--svg", action="store_true")
     return parser
 
 
@@ -481,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         if defaults is None:
             return handler(args)
         cfg = _resolve(args, defaults, paths)
-        rc = handler(args, cfg)
+        rc = handler(cfg)
         if rc == 0:
             _write_resolved(cfg)
         return rc

@@ -172,9 +172,9 @@ def vqa_examples(records: list[dict], image_store, encoders, rng: np.random.Gene
     out = []
     for r, question_row, graph in zip(records, question_rows, graphs):
         answers = r["answers"]
-        if len(answers) != 10:
-            raise ValueError(f"expected 10 human answers, got {len(answers)}")
         image = image_store.get_by_key(r["image_key"])   # raises NotFoundError if absent
+        if not image.arrays or image.arrays[0][0] != "frame":
+            raise ValidationError(f"image record {r['image_key']!r} does not start with a frame")
         fused = fused_input([image.arrays[0][1].reshape(-1)], question_row, "question",
                             None if graph is None else next(graph_rows))
         chosen = answers[int(rng.integers(len(answers)))]

@@ -23,6 +23,8 @@ from modalfuse.tokenizer import tokenize
 
 TINY_MODEL = ["--d-model", "32", "--n-heads", "4", "--enc-layers", "1",
               "--dec-layers", "1", "--d-ff", "64", "--max-target-len", "32"]
+TINY_CONFIG = ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+                          d_ff=64, max_target_len=32)
 
 
 def write_transcripts(path, n_videos=2, words_per_video=40, wpm=45.0):
@@ -62,9 +64,7 @@ def stage_argv(tmp_path, transcripts):
     img_store = tmp_path / "images.store"
     write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
     ckpt = tmp_path / "ckpt.store"
-    save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
-                                      n_decoder_layers=1, d_ff=64, max_target_len=32)),
-                    ckpt)
+    save_checkpoint(Model(TINY_CONFIG), ckpt)
     out = tmp_path / "out"
     out.mkdir()
     return {
@@ -73,7 +73,8 @@ def stage_argv(tmp_path, transcripts):
         "pretrain": ["pretrain", "--store", str(store_path), "--out-dir", str(out / "run"),
                      "--batch-size", "2", *TINY_MODEL],
         "finetune": ["finetune", "--vqa", str(vqa), "--image-store", str(img_store),
-                     "--out-dir", str(out / "run"), "--batch-size", "2", *TINY_MODEL],
+                     "--out-dir", str(out / "run"), "--batch-size", "2",
+                     "--checkpoint-in", str(ckpt)],
         "eval": ["eval", "--checkpoint", str(ckpt), "--vqa", str(vqa),
                  "--image-store", str(img_store), "--out-dir", str(out / "run"),
                  "--max-decode-len", "4"],
@@ -516,9 +517,7 @@ class TestTrainingPipeline:
         img_store = tmp_path / "images.store"
         write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
         ckpt = tmp_path / "ckpt.store"
-        save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
-                                          n_decoder_layers=1, d_ff=64, max_target_len=32)),
-                        ckpt)
+        save_checkpoint(Model(TINY_CONFIG), ckpt)
         checkpoint = ["--checkpoint-in" if command == "finetune" else "--checkpoint", str(ckpt)]
         rc = main([command, "--vqa", str(vqa), "--image-store", str(img_store),
                    "--out-dir", str(tmp_path / "out"), *checkpoint, "--yes-no-only"])
@@ -532,10 +531,12 @@ class TestTrainingPipeline:
         write_vqa_jsonl(vqa, records)
         img_store = tmp_path / "images.store"
         write_vqa_image_store(records, StubEncoders(d=32, seed=0), img_store)
+        ckpt = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY_CONFIG), ckpt)
         fin = tmp_path / "fin"
         rc = main(["finetune", "--vqa", str(vqa), "--image-store", str(img_store),
                    "--out-dir", str(fin), "--steps", "1", "--batch-size", "2",
-                   "--yes-no-only", *TINY_MODEL])
+                   "--yes-no-only", "--checkpoint-in", str(ckpt)])
         assert rc == 0
         n_yes_no = sum(all(a in ("yes", "no") for a in r["answers"])
                        for r in records)
@@ -604,8 +605,12 @@ class TestTrainingPipeline:
          "malformed scene graph"),
         (lambda rec: {**rec, "question": "is it a \ud800"},
          "bad VQA record: '\\ud800' is a lone surrogate"),
+        (lambda rec: {**rec, "answers": rec["answers"][:3]}, "expected 10 human answers, got 3"),
+        (lambda rec: {**rec, "answers": [*rec["answers"], "no"]},
+         "expected 10 human answers, got 11"),
     ], ids=["invalid-json", "no-image-key", "no-question", "no-answers",
-            "graph-without-relations", "string-relation-indices", "lone-surrogate-question"])
+            "graph-without-relations", "string-relation-indices", "lone-surrogate-question",
+            "three-answers", "eleven-answers"])
     @pytest.mark.parametrize("command", ["finetune", "eval"])
     def test_malformed_vqa_record_exits_nonzero(self, tmp_path, stage_argv, capsys, command,
                                                 edit, message):
@@ -617,6 +622,22 @@ class TestTrainingPipeline:
         assert main(stage_argv[command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and message in err
+
+    @pytest.mark.parametrize("arrays", [(), (("caption", np.zeros(32)), ("frame", np.zeros(32)))],
+                             ids=["empty", "caption-first"])
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_image_record_without_a_frame_exits_nonzero(self, tmp_path, stage_argv, capsys,
+                                                        command, arrays):
+        img_store = tmp_path / "images.store"   # the file stage_argv passes as --image-store
+        with Store(img_store) as s:
+            records = [s.get(i) for i in range(len(s))]
+        key = records[2].key
+        records[2] = EmbeddingRecord(key, arrays)
+        write_store(records, img_store)
+        assert main(stage_argv[command]) == 1
+        assert capsys.readouterr().err == \
+            f"error: image record {key!r} does not start with a frame\n"
+        assert not (tmp_path / "out" / "run" / "resolved_config.json").exists()
 
 
 class TestNonUtf8Input:
@@ -711,24 +732,38 @@ class TestResolvedConfig:
         assert cfg2["out-dir"] == str(r2)
 
     def test_optional_path_from_file_used(self, tmp_path, stage_argv):
-        ckpt = tmp_path / "seed7.store"
-        save_checkpoint(Model(ModelConfig(d_model=32, n_heads=4, n_encoder_layers=1,
-                                          n_decoder_layers=1, d_ff=64, max_target_len=32),
-                              seed=7), ckpt)
+        segs = tmp_path / "segments.jsonl"   # written by stage_argv
+        with open(segs, encoding="utf-8") as f:
+            key = next(f"{s.video_id}:{s.word_start}" for s in read_segments(f))
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(json.dumps({"key": key, "objects": ["dog", "cat"],
+                                      "relations": [[0, "chasing", 1]]}) + "\n")
+        s1, s2 = tmp_path / "s1.store", tmp_path / "s2.store"
+        assert main(["encode-pack", "--segments", str(segs), "--graphs", str(graphs),
+                     "--out", str(s1), "--d", "32"]) == 0
+        # without the manifest no record would hold a scene-graph row
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(s2),
+                     "--config", str(tmp_path / "s1.store.config.json")]) == 0
+        assert s1.read_bytes() == s2.read_bytes()
+        with Store(s2) as s:
+            assert "scene_graph" in dict(s.get_by_key(key).arrays)
+        assert json.loads((tmp_path / "s2.store.config.json").read_text())["graphs"] \
+            == str(graphs)
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_svg_recorded_and_rerun(self, tmp_path, stage_argv, command):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
-        assert main([*stage_argv["finetune"], "--steps", "2", "--checkpoint-in", str(ckpt),
-                     "--out-dir", str(r1)]) == 0
-        # a fresh seed-0 model would train to different losses
-        assert main([*stage_argv["finetune"], "--steps", "2", "--out-dir", str(r2),
-                     "--config", str(r1 / "resolved_config.json")]) == 0
-        assert len(run_losses(r1)) == 2 and run_losses(r1) == run_losses(r2)
-        assert json.loads((r2 / "resolved_config.json").read_text())["checkpoint-in"] \
-            == str(ckpt)
+        assert main([*stage_argv[command], "--steps", "2", "--svg", "--out-dir", str(r1)]) == 0
+        assert json.loads((r1 / "resolved_config.json").read_text())["svg"] is True
+        assert main([command, "--config", str(r1 / "resolved_config.json"),
+                     "--out-dir", str(r2)]) == 0
+        assert "<svg" in (r1 / "loss.svg").read_text()
+        assert (r2 / "loss.svg").read_text() == (r1 / "loss.svg").read_text()
 
     @pytest.mark.parametrize("command, file_cfg, message", [
         ("pretrain", None, "the following arguments are required: --store"),
         ("pretrain", {"store": None}, "'store' must be a string, got None"),
-        ("finetune", {"checkpoint-in": 3}, "'checkpoint-in' must be a string or null, got 3"),
+        ("finetune", {"checkpoint-in": 3}, "'checkpoint-in' must be a string, got 3"),
     ])
     def test_path_keys_checked(self, tmp_path, command, file_cfg, message):
         argv = [command, "--out-dir", str(tmp_path / "run")]
@@ -766,14 +801,19 @@ class TestParser:
 
     def test_subcommands_parse_independently(self, monkeypatch):
         seen = []
+        parser = cli.build_parser()
+        parse_args = parser.parse_args
+
+        def record(argv):
+            args = parse_args(argv)
+            seen.append(vars(args))
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", record)
         for name in ("segment", "inspect"):
             help_text, _, paths, defaults = cli._COMMANDS[name]
-
-            def record(args, cfg=None):
-                seen.append(vars(args))
-                return 1   # not 0: no resolved config is written
-
-            monkeypatch.setitem(cli._COMMANDS, name, (help_text, record, paths, defaults))
+            # not 0: no resolved config is written
+            monkeypatch.setitem(cli._COMMANDS, name, (help_text, lambda _: 1, paths, defaults))
         runs = [["segment", "--transcripts", "t.jsonl", "--out", "s.jsonl", "--min-wpm", "5"],
                 ["inspect", "--store", "x.store"],
                 ["segment", "--transcripts", "u.jsonl", "--out", "v.jsonl"]]
@@ -792,3 +832,63 @@ class TestParser:
             with pytest.raises(SystemExit):
                 main(argv)
             assert capsys.readouterr().out == want
+
+
+class TestSettings:
+    """Each subcommand's settings and paths by name, each read by its run."""
+
+    def test_surface(self):
+        model = ["d-ff", "d-model", "dec-layers", "enc-layers", "max-target-len", "n-heads"]
+        train = ["batch-size", "checkpoint-every", "lr", "seed", "steps", "stub-seed", "svg",
+                 "weight-decay"]
+        surface = {name: (paths, sorted(defaults or ()))
+                   for name, (_, _, paths, defaults) in cli._COMMANDS.items()}
+        assert surface == {
+            "segment": ({"transcripts": True, "out": True},
+                        ["k-frames", "min-wpm", "stride", "window"]),
+            "encode-pack": ({"segments": True, "graphs": False, "out": True}, ["d", "seed"]),
+            "pretrain": ({"store": True, "out-dir": True}, sorted([*model, *train, "objective"])),
+            "finetune": ({"checkpoint-in": True, "vqa": True, "image-store": True,
+                          "out-dir": True}, sorted([*train, "graph", "yes-no-only"])),
+            "eval": ({"checkpoint": True, "vqa": True, "image-store": True, "out-dir": True},
+                     ["graph", "max-decode-len", "stub-seed", "yes-no-only"]),
+            "ablate": ({"out-dir": True},
+                       sorted([*model, "batch-size", "finetune-steps", "lr", "n-segments",
+                               "n-vqa", "pretrain-steps", "seed", "stub-seed"])),
+            "inspect": ({"store": True}, []),
+        }
+        assert sum(len(settings) for _, settings in surface.values()) == 49
+
+    @pytest.mark.parametrize("command, key", [
+        *(("finetune", key) for key in ["d-model", "n-heads", "enc-layers", "dec-layers",
+                                        "d-ff", "max-target-len"]),
+        ("eval", "seed"),
+    ])
+    def test_dropped_settings_rejected(self, tmp_path, stage_argv, capsys, command, key):
+        with pytest.raises(SystemExit):
+            main([*stage_argv[command], f"--{key}", "7"])
+        assert f"unrecognized arguments: --{key} 7" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        with pytest.raises(SystemExit, match=rf"unknown config keys: \['{key}'\]"):
+            main([*stage_argv[command], "--config", str(cfg)])
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_finetune_needs_a_checkpoint(self, tmp_path, stage_argv):
+        argv = stage_argv["finetune"]
+        at = argv.index("--checkpoint-in")
+        with pytest.raises(SystemExit,
+                           match="the following arguments are required: --checkpoint-in"):
+            main(argv[:at] + argv[at + 2:])
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_pretrain_without_steps_writes_the_seeded_model(self, tmp_path, stage_argv):
+        """``pretrain --steps 0 --seed S`` is the fresh model a finetune from scratch starts at."""
+        values = []
+        for seed in (0, 7):
+            run = tmp_path / f"seed{seed}"
+            assert main([*stage_argv["pretrain"], "--steps", "0", "--seed", str(seed),
+                         "--out-dir", str(run)]) == 0
+            values.append(load_checkpoint(run / "checkpoint.store").value.tobytes())
+            assert values[-1] == Model(TINY_CONFIG, seed=seed).value.tobytes()
+        assert values[0] != values[1]

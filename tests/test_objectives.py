@@ -11,12 +11,12 @@ from modalfuse.errors import ConfigError, NotFoundError, ValidationError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (OBJECTIVES, TrainConfig, build_split_half_example,
                                   build_vqa_example, collate, corpus_loss, pretrain_examples,
-                                  split_caption, train)
+                                  split_caption, train, vqa_examples)
 from modalfuse.scene_graph import SceneGraph
 from modalfuse.segmentation import Segment, with_frame_times
 from modalfuse.synthetic import make_leakage_corpus, make_mini_vqa, \
     write_vqa_image_store
-from modalfuse.store import Store
+from modalfuse.store import EmbeddingRecord, Store, write_store
 
 D = 32
 SMALL = ModelConfig(d_model=D, n_heads=4, n_encoder_layers=1,
@@ -199,10 +199,25 @@ class TestVqaExample:
             build_vqa_example(image_store, "img9999", None, "q", ["no"] * 10,
                               np.random.default_rng(0), encoders)
 
-    def test_answer_count_enforced(self, image_store, encoders):
-        with pytest.raises(ValueError):
-            build_vqa_example(image_store, "img0000", None, "q", ["no"] * 9,
-                              np.random.default_rng(0), encoders)
+    @pytest.mark.parametrize("arrays", [(), (("caption", np.ones(D)), ("frame", np.ones(D)))],
+                             ids=["empty", "caption-first"])
+    def test_image_record_must_start_with_a_frame(self, tmp_path, encoders, arrays):
+        path = tmp_path / "bad.store"
+        write_store([EmbeddingRecord("img0000", arrays)], path)
+        record = {"image_key": "img0000", "question": "q", "answers": ["no"] * 10}
+        with Store(path) as s, pytest.raises(
+                ValidationError, match="image record 'img0000' does not start with a frame"):
+            vqa_examples([record], s, encoders, np.random.default_rng(0))
+
+    def test_embeddings_store_record_gives_its_frame_row(self, tmp_path, encoders):
+        path = tmp_path / "emb.store"
+        frame = np.full(D, 0.5, dtype=np.float32)
+        write_store([EmbeddingRecord("vid0:0", (("frame", frame), ("caption", np.ones(D)),
+                                                ("raw", np.ones(3))))], path)
+        with Store(path) as s:
+            ex = build_vqa_example(s, "vid0:0", None, "q", ["no"] * 10,
+                                   np.random.default_rng(0), encoders)
+        assert np.array_equal(ex.fused.rows[0], frame)
 
     def test_graph_ablation_drops_row(self, image_store, encoders):
         with_g = build_vqa_example(image_store, "img0000", GRAPH, "q", ["no"] * 10,
