@@ -457,7 +457,7 @@ class Model:
     def loss_and_grads(self, rows, modality_ids, targets) -> float:
         """Teacher-forced step: decoder reads BOS..target[:-1], loss on targets.
 
-        Gradients accumulate into the parameters; call zero_grad first.
+        Gradients accumulate into ``grad``; AdamW.step and zero_grad clear it.
         """
         targets = np.array(targets, dtype=np.int64, ndmin=2)
         logits = self.forward(rows, modality_ids, targets[:, :-1])
@@ -611,13 +611,14 @@ class AdamW:
         pairs = 1 + (model.value.size >= _SPLIT_ELEMENTS)   # one per thread that updates blocks
         self._work = np.empty((pairs, 2, min(_ADAM_BLOCK, model.value.size)), model.value.dtype)
 
-    def step(self):
-        # min and max are non-finite exactly when some element is (NaN
-        # propagates), and unlike isfinite(grad) they build no grad-sized array
-        value, grad = self.model.value, self.model.grad
-        if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
-            bad = next(p for p in self.model.params() if not np.isfinite(p.grad).all())
-            raise FloatingPointError(f"non-finite gradient for {bad.name}")
+    def step(self) -> float:
+        """Apply ``model.grad``, clear it and return its L2 norm; a non-finite element
+        raises before anything changes (a norm that overflows on finite ones passes)."""
+        value, params = self.model.value, self.model.params()
+        norms = [float(np.vdot(p.grad, p.grad)) for p in params]
+        for p, norm in zip(params, norms):
+            if not math.isfinite(norm) and not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
@@ -627,6 +628,7 @@ class AdamW:
                         self._work[0])
         self._update(blocks[half:], bc1, bc2, self._work[-1])
         first.result()
+        return math.sqrt(sum(norms))
 
     def _update(self, blocks: list[slice], bc1: float, bc2: float, work: np.ndarray) -> None:
         for b in blocks:
@@ -642,6 +644,7 @@ class AdamW:
             if self.weight_decay:
                 w += np.multiply(p, self.weight_decay, out=u)
             p -= np.multiply(w, self.lr, out=w)
+            g.fill(0.0)
 
 
 def _float64_copy(model: Model) -> Model:

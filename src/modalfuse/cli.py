@@ -224,10 +224,14 @@ def cmd_encode_pack(cfg: dict) -> int:
 
 
 def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
-                         max_target_len: int) -> list[objectives.PretrainExample]:
-    """One example per encode-pack record; split_half skips one-word captions
-    and encodes the first halves of the rest as lists."""
+                         max_target_len: int) -> tuple[list[objectives.PretrainExample], int]:
+    """One example per encode-pack record, and the number of records skipped:
+    split_half skips one-word captions and encodes the first halves of the
+    rest as lists."""
+    skipped = 0
+
     def read():
+        nonlocal skipped
         for i in range(len(store)):
             rec = store.get(i)
             frames = [arr.reshape(-1) for tag, arr in rec.arrays if tag == "frame"]
@@ -236,6 +240,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
                 raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
             caption = bytes(rows["raw"].astype(np.uint8)).decode("utf-8")
             if objective == "split_half" and len(caption.split(" ")) < 2:
+                skipped += 1
                 continue
             yield frames, caption, rows
 
@@ -249,7 +254,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
         for (frames, caption, rows), text_row in zip(chunk, text_rows):
             fused = objectives.fused_input(frames, text_row, "caption", rows.get("scene_graph"))
             out.append(objectives.pretrain_example(objective, caption, fused, max_target_len))
-    return out
+    return out, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +272,23 @@ def cmd_pretrain(cfg: dict) -> int:
     model = Model.__new__(Model)._build(model_cfg, np.float32)
     drawing = model._draw(cfg["seed"])   # on the worker while the store is read, for a large model
     with Store(cfg["store"]) as store:
-        examples = _examples_from_store(store, cfg["objective"], encoders,
-                                        model_cfg.max_target_len)
+        examples, skipped = _examples_from_store(store, cfg["objective"], encoders,
+                                                 model_cfg.max_target_len)
     drawing.result()
-    final_loss = _run_training(model, examples, cfg, run_dir)
+    if skipped:
+        if not examples:
+            raise ValidationError(f"split_half needs captions of at least 2 words; "
+                                  f"all {skipped} records have one")
+        print(f"warning: skipped {skipped} of {skipped + len(examples)} records whose caption"
+              f" has one word (split_half needs at least 2)", file=sys.stderr)
+    final_loss = _run_training(model, examples, cfg, run_dir, skipped)
     print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0
 
 
-def _run_training(model, examples, cfg, run_dir: Path) -> str:
-    """Train, write the run's files, and return "; final loss X" ("" for 0 steps)."""
+def _run_training(model, examples, cfg, run_dir: Path, skipped: int = 0) -> str:
+    """Train, write the run's files, and return "; final loss X" ("" for 0 steps);
+    ``skipped`` counts the input records that gave no example."""
     ckpt = run_dir / "checkpoint.store"
     train_cfg = objectives.TrainConfig(
         **{name: cfg[flag] for flag, name in _TRAIN_FIELDS.items()}, checkpoint_path=str(ckpt))
@@ -289,7 +301,7 @@ def _run_training(model, examples, cfg, run_dir: Path) -> str:
         print(f"warning: {truncated} of {len(examples)} targets cut to max-target-len {n}"
               f" ({n - 2} bytes of text)", file=sys.stderr)
     summary = {"steps": cfg["steps"], "final_loss": final_loss, "checkpoint": str(ckpt),
-               "truncated_targets": truncated}
+               "truncated_targets": truncated, "skipped_records": skipped}
     atomic_write_text(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     if cfg["svg"]:
         atomic_write_text(run_dir / "loss.svg", _loss_chart_svg(metrics))

@@ -246,18 +246,20 @@ def train(examples: list, model: Model, cfg: TrainConfig,
     Batches follow per-epoch seeded permutations of the example list. Each
     record is {step, loss, lr, examples_seen, tokens, grad_norm, wall_ms}:
     ``tokens`` counts the batch's non-PAD target tokens the loss averages
-    over, and ``grad_norm`` is the global L2 norm of the gradients before the
-    update. Records stream to ``metrics_fp`` (line-delimited JSON), one write
-    per step as it happens, so crashed runs stay parseable.
+    over, ``grad_norm`` is what ``AdamW.step`` returns, and ``wall_ms`` ends
+    after the update. A non-finite loss or grad_norm is null, beside an
+    ``error`` that names it; a non-finite loss is not stepped on, and raises
+    after its record. Records stream to ``metrics_fp`` (line-delimited JSON),
+    one write per step as it happens, so crashed runs stay parseable.
     """
     if not examples:
         raise ValueError("empty dataset")
     opt = AdamW(model, lr=cfg.lr, weight_decay=cfg.weight_decay)
     metrics: list[dict] = []
-    examples_seen = 0
     epoch = 0
     order: list[int] = []
     t0 = time.monotonic()
+    model.zero_grad()
 
     for step in range(cfg.steps):
         while len(order) < cfg.batch_size:
@@ -267,29 +269,28 @@ def train(examples: list, model: Model, cfg: TrainConfig,
         batch_idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
         rows, ids, targets = collate([examples[i] for i in batch_idx])
 
-        model.zero_grad()
         loss = model.loss_and_grads(rows, ids, targets)
+        stepped = math.isfinite(loss)   # a non-finite loss is recorded, not stepped on
+        grad_norm = opt.step() if stepped else None
         record = {
             "step": step,
             "loss": loss,
             "lr": cfg.lr,
-            "examples_seen": examples_seen,
+            "examples_seen": (step + stepped) * cfg.batch_size,   # of the batches stepped on
             "tokens": int((targets[:, 1:] != tokenizer.PAD).sum()),
-            "grad_norm": math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in model.params())),
+            "grad_norm": grad_norm,
             "wall_ms": (time.monotonic() - t0) * 1000.0,
         }
-        if not math.isfinite(loss):
-            record["error"] = "non-finite loss"
-            metrics.append(record)
-            if metrics_fp is not None:
-                metrics_fp.write(json.dumps(record) + "\n")
-            raise FloatingPointError(f"non-finite loss at step {step}")
-        opt.step()
-        examples_seen += cfg.batch_size
-        record["examples_seen"] = examples_seen
+        bad = {k: record[k] for k in ("loss", "grad_norm")
+               if record[k] is not None and not math.isfinite(record[k])}
+        if bad:   # JSON has no NaN or infinity
+            record.update(dict.fromkeys(bad),
+                          error=", ".join(f"non-finite {k}: {v}" for k, v in bad.items()))
         metrics.append(record)
         if metrics_fp is not None:
             metrics_fp.write(json.dumps(record) + "\n")
+        if not stepped:
+            raise FloatingPointError(f"non-finite loss at step {step}")
         if (cfg.checkpoint_every and cfg.checkpoint_path
                 and (step + 1) % cfg.checkpoint_every == 0):
             save_checkpoint(model, cfg.checkpoint_path)

@@ -207,9 +207,14 @@ def write_segments(segments: Iterable[Segment], fp: TextIO) -> int:
 
 
 def read_segments(fp: Iterable[str | bytes]) -> Iterator[Segment]:
-    """The segments of ``write_segments`` lines; "frame_times" may be absent."""
+    """The segments of ``write_segments`` lines; "frame_times" may be absent.
+    A frame time must have a finite 10 ms bucket, the frame's stub key."""
     for lineno, rec in json_records(fp, "segment"):
         rec.setdefault("frame_times", [])
         check_fields(rec, _SEGMENT_FIELDS, "segment", lineno)
+        for t in rec["frame_times"]:
+            if not math.isfinite(float(t) * 100):
+                raise RecordParseError(f"frame time {t} has no finite 10 ms bucket",
+                                       line=lineno)
         yield Segment(rec["video_id"], rec["word_start"], rec["word_end"], rec["caption"],
                       float(rec["t_start"]), float(rec["t_end"]), tuple(rec["frame_times"]))

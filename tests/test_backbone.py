@@ -516,11 +516,53 @@ class TestAdamW:
             opt = AdamW(m)
             p = m.params()[5]
             p.grad[0] = bad
-            before = m.value.copy()
+            before, grad = m.value.copy(), m.grad.tobytes()
             with pytest.raises(FloatingPointError, match=f"non-finite gradient for {p.name}"):
                 opt.step()
             assert np.array_equal(m.value, before)   # nothing updates before the check
             assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+            assert m.grad.tobytes() == grad   # nor is the gradient cleared
+
+    def check_step_returns_norm_and_clears(self, cfg: ModelConfig, beside: bool):
+        threads = threading.active_count()
+        m = Model(cfg, seed=0)
+        assert (m.value.size >= backbone._SPLIT_ELEMENTS) == beside
+        opt = AdamW(m, lr=1e-3, weight_decay=0.01)
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            m.grad[...] = rng.normal(size=m.grad.size)
+            norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in m.params()))
+            before = m.value.copy()
+            assert opt.step().hex() == norm.hex()
+            assert not m.grad.any() and not np.array_equal(m.value, before)
+        assert threading.active_count() == threads + beside
+
+    def test_step_returns_the_norm_and_clears_the_gradient(self, worker):
+        self.check_step_returns_norm_and_clears(TINY, beside=False)
+
+    def test_step_on_the_worker_returns_the_norm_and_clears_the_gradient(self, monkeypatch,
+                                                                          worker):
+        # a model that reaches the real hand-off size, so half of the blocks,
+        # and their clearing, run on the worker
+        two_cpus(monkeypatch)
+        cfg = ModelConfig(d_model=256, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+                          d_ff=512, max_target_len=16)
+        self.check_step_returns_norm_and_clears(cfg, beside=True)
+
+    def test_finite_gradient_with_an_overflowing_norm_accepted(self):
+        # 1e19 squared is a float32, but a sum of four of them is not, so every
+        # parameter's norm is inf; the update still moves each value by lr
+        m = Model(TINY, seed=0)
+        opt = AdamW(m, lr=1e-3)
+        m.grad[...] = 1e19
+        assert all(math.isinf(np.vdot(p.grad, p.grad)) for p in m.params())
+        before = m.value.copy()
+        expected = [adamw_step(p.value.copy(), p.grad.copy(), np.zeros_like(p.value),
+                               np.zeros_like(p.value), t=1, lr=1e-3)[0] for p in m.params()]
+        assert opt.step() == math.inf
+        assert opt.t == 1 and not m.grad.any() and (m.value != before).all()
+        for p, value in zip(m.params(), expected):
+            assert np.array_equal(p.value, value), p.name
 
     def check_matches_functional(self, monkeypatch, beside):
         # a small odd block size, so that blocks straddle parameter boundaries

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from modalfuse import backbone, cli, objectives, worker
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
-from modalfuse.errors import ConfigError
+from modalfuse.errors import ConfigError, json_records
 from modalfuse.experts import StubEncoders
 from modalfuse.scene_graph import SceneGraph, serialize_scene_graph
 from modalfuse.segmentation import read_segments
@@ -307,6 +308,23 @@ class TestEncodePack:
         assert not store_path.exists()
 
 
+    @pytest.mark.parametrize("time_s", [1e307, -1e307])
+    def test_frame_time_without_a_finite_bucket_exits_nonzero(self, tmp_path, capsys, time_s):
+        segs, store_path = tmp_path / "segments.jsonl", tmp_path / "emb.store"
+        seg = {"video_id": "v", "word_start": 0, "word_end": 2, "caption": "a b",
+               "t_start": 0.0, "t_end": 1.0, "frame_times": [time_s]}
+        segs.write_text(json.dumps(seg) + "\n")
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(store_path),
+                     "--d", "32"]) == 1
+        assert (f"error: line 1: frame time {time_s} has no finite 10 ms bucket"
+                in capsys.readouterr().err)
+        assert not store_path.exists()
+        seg["frame_times"] = [time_s / 100]   # its bucket is finite
+        segs.write_text(json.dumps(seg) + "\n")
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(store_path),
+                     "--d", "32"]) == 0
+
+
 class TestTrainingPipeline:
     @pytest.fixture
     def packed(self, tmp_path, transcripts):
@@ -356,6 +374,45 @@ class TestTrainingPipeline:
         assert threading.active_count() == threads + 1
         pool.shutdown()
         assert losses(beside) == losses(inline) and beside[1] == inline[1]
+
+    def pack_captions(self, tmp_path, captions) -> Path:
+        segs, store_path = tmp_path / "segments.jsonl", tmp_path / "captions.store"
+        segs.write_text("".join(
+            json.dumps({"video_id": "v", "word_start": i, "word_end": i + 1, "caption": c,
+                        "t_start": float(i), "t_end": i + 0.5, "frame_times": [i + 0.25]})
+            + "\n" for i, c in enumerate(captions)))
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(store_path),
+                     "--d", "32"]) == 0
+        return store_path
+
+    def test_split_half_skips_one_word_captions(self, tmp_path, capsys):
+        store_path = self.pack_captions(tmp_path, ["one", "two words", "three more words",
+                                                   "four", "five words"])
+        capsys.readouterr()
+        for objective, skipped in (("split_half", 2), ("full_caption", 0)):
+            run = tmp_path / objective
+            assert main(["pretrain", "--store", str(store_path), "--out-dir", str(run),
+                         "--steps", "1", "--batch-size", "2", "--objective", objective,
+                         *TINY_MODEL]) == 0
+            assert json.loads((run / "summary.json").read_text())["skipped_records"] == skipped
+            warning = ("warning: skipped 2 of 5 records whose caption has one word"
+                       " (split_half needs at least 2)")
+            assert (warning in capsys.readouterr().err) == bool(skipped)
+
+    def test_split_half_without_a_two_word_caption_exits_nonzero(self, tmp_path, transcripts,
+                                                                 capsys):
+        segs, store_path = tmp_path / "segments.jsonl", tmp_path / "emb.store"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs),
+              "--window", "1"])
+        main(["encode-pack", "--segments", str(segs), "--out", str(store_path), "--d", "32"])
+        with Store(store_path) as store:
+            n = len(store)
+        run = tmp_path / "run"
+        assert main(["pretrain", "--store", str(store_path), "--out-dir", str(run),
+                     "--steps", "1", *TINY_MODEL]) == 1
+        assert (f"error: split_half needs captions of at least 2 words; all {n} records have one"
+                in capsys.readouterr().err)
+        assert not (run / "metrics.jsonl").exists()
 
     def test_truncated_targets_reported(self, tmp_path, stage_argv, capsys):
         # every split-half target of the packed captions is longer than the
@@ -563,9 +620,17 @@ class TestTrainingPipeline:
         assert not (tmp_path / "out" / "run" / "metrics.jsonl").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverging_run_exits_nonzero(self, stage_argv, capsys):
+    def test_diverging_run_exits_nonzero(self, tmp_path, stage_argv, capsys):
         assert main([*stage_argv["finetune"], "--steps", "3", "--lr", "1e300"]) == 1
         assert "error: non-finite loss at step 1" in capsys.readouterr().err
+        with open(tmp_path / "out" / "run" / "metrics.jsonl", "rb") as f:
+            records = [rec for _, rec in json_records(f, "metrics")]
+        first, last = records
+        assert math.isfinite(first["loss"]) and math.isfinite(first["grad_norm"])
+        assert last["loss"] is None and last["grad_norm"] is None   # JSON has no NaN
+        assert last["error"] == "non-finite loss: nan"
+        assert set(last) == {*first, "error"}
+        assert first["examples_seen"] == last["examples_seen"] == 2   # step 1 is not taken
 
     def test_decode_length_below_one_exits_nonzero(self, tmp_path, stage_argv, capsys):
         assert main([*stage_argv["eval"], "--max-decode-len", "-3"]) == 1

@@ -1,13 +1,14 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from modalfuse import tokenizer
-from modalfuse.backbone import (Model, ModelConfig, _float64_copy, cross_entropy_loss,
+from modalfuse import objectives, tokenizer
+from modalfuse.backbone import (AdamW, Model, ModelConfig, _float64_copy, cross_entropy_loss,
                                 load_checkpoint, save_checkpoint)
-from modalfuse.errors import ConfigError, NotFoundError, ValidationError
+from modalfuse.errors import ConfigError, NotFoundError, ValidationError, json_records
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import (OBJECTIVES, TrainConfig, build_split_half_example,
                                   build_vqa_example, collate, corpus_loss, pretrain_examples,
@@ -304,6 +305,34 @@ class TestTrain:
         expected = np.sqrt(sum((p.grad ** 2).sum() for p in model.params()))
         assert metrics[0]["grad_norm"] == pytest.approx(expected, rel=1e-12)
         assert metrics[0]["grad_norm"] > 0
+
+    def test_gradient_left_in_the_model_is_cleared_first(self, encoders):
+        examples = self.make_examples(encoders)
+        cfg = TrainConfig(steps=3, batch_size=4, lr=1e-3, seed=3)
+        clean, dirty = Model(SMALL, seed=1), Model(SMALL, seed=1)
+        dirty.grad[...] = np.random.default_rng(0).normal(size=dirty.grad.size)
+        dirty.grad[::7] = np.nan
+        runs = [train(examples, m, cfg) for m in (clean, dirty)]
+        assert [(r["loss"], r["grad_norm"]) for r in runs[0]] \
+            == [(r["loss"], r["grad_norm"]) for r in runs[1]]
+        assert clean.value.tobytes() == dirty.value.tobytes()
+        assert not clean.grad.any() and not dirty.grad.any()
+
+    def test_non_finite_grad_norm_written_as_null(self, encoders, monkeypatch):
+        class Overflowing(AdamW):   # as a finite gradient whose float32 norm overflows
+            def step(self):
+                super().step()
+                return math.inf
+
+        monkeypatch.setattr(objectives, "AdamW", Overflowing)
+        buf = io.StringIO()
+        metrics = train(self.make_examples(encoders), Model(SMALL, seed=0),
+                        TrainConfig(steps=2, batch_size=4, lr=1e-3), metrics_fp=buf)
+        lines = [rec for _, rec in json_records(buf.getvalue().splitlines(), "metrics")]
+        assert lines == metrics and len(lines) == 2   # training goes on
+        for rec in lines:
+            assert rec["grad_norm"] is None and rec["error"] == "non-finite grad_norm: inf"
+            assert math.isfinite(rec["loss"])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
