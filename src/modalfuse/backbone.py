@@ -23,7 +23,7 @@ import numpy as np
 from . import tokenizer
 from .errors import ConfigError
 from .experts import MODALITIES
-from .store import EmbeddingRecord, Store, write_store
+from .store import EmbeddingRecord, Store, row_text, text_row, write_store
 from .worker import _beside
 
 
@@ -595,6 +595,7 @@ def cross_entropy_loss(logits, targets, pad_id: int = tokenizer.PAD) -> float:
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _ADAM_BLOCK = 1 << 16   # elements per AdamW update block: temporaries stay small
 _SPLIT_ELEMENTS = 8 * _ADAM_BLOCK   # flat size from which AdamW and the draws use the worker
+_GRAD_LIMIT = math.sqrt(np.finfo(np.float32).max)   # larger gradient elements overflow v / bc2
 
 
 class AdamW:
@@ -612,13 +613,16 @@ class AdamW:
         self._work = np.empty((pairs, 2, min(_ADAM_BLOCK, model.value.size)), model.value.dtype)
 
     def step(self) -> float:
-        """Apply ``model.grad``, clear it and return its L2 norm; a non-finite element
-        raises before anything changes (a norm that overflows on finite ones passes)."""
+        """Apply ``model.grad``, clear it and return its L2 norm. An element that is
+        not finite, or whose square overflows float32, raises before anything
+        changes; a norm that overflows on smaller elements passes."""
         value, params = self.model.value, self.model.params()
         norms = [float(np.vdot(p.grad, p.grad)) for p in params]
         for p, norm in zip(params, norms):
-            if not math.isfinite(norm) and not np.isfinite(p.grad).all():
-                raise FloatingPointError(f"non-finite gradient for {p.name}")
+            # "not <=" refuses NaN too
+            if not math.isfinite(norm) and not np.abs(p.grad).max() <= _GRAD_LIMIT:
+                raise FloatingPointError(
+                    f"non-finite gradient for {p.name}, or one whose square overflows float32")
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
@@ -698,17 +702,15 @@ _CONFIG_KEY = "__model_config__"
 
 def save_checkpoint(model: Model, path) -> None:
     """Write parameters + config into a store-format container (atomic)."""
-    cfg_bytes = json.dumps(asdict(model.config)).encode("utf-8")
-    cfg_arr = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(np.float32)
-    records = [EmbeddingRecord(_CONFIG_KEY, (("raw", cfg_arr),))]
+    config = text_row(json.dumps(asdict(model.config)))
+    records = [EmbeddingRecord(_CONFIG_KEY, (("raw", config),))]
     records += [EmbeddingRecord(f"param:{p.name}", (("raw", p.value),)) for p in model.params()]
     write_store(records, path)
 
 
 def load_checkpoint(path) -> Model:
     with Store(path) as store:
-        cfg_arr = store.get_by_key(_CONFIG_KEY).arrays[0][1]
-        cfg = json.loads(bytes(cfg_arr.astype(np.uint8)).decode("utf-8"))
+        cfg = json.loads(row_text(store.get_by_key(_CONFIG_KEY).arrays[0][1], _CONFIG_KEY))
         expected = {f.name for f in fields(ModelConfig)}
         if set(cfg) != expected:
             raise ConfigError(

@@ -33,7 +33,7 @@ from .errors import (JSON_TYPE_NAMES, STRICT_JSON, ModalfuseError, RecordParseEr
                      ValidationError, check_fields, is_json_type, json_records)
 from .experts import StubEncoders
 from .scene_graph import read_graph_manifest, scene_graph_from_dict
-from .store import EmbeddingRecord, Store, atomic_commit, write_store
+from .store import EmbeddingRecord, Store, atomic_commit, row_text, text_row, write_store
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -212,9 +212,7 @@ def cmd_encode_pack(cfg: dict) -> int:
                         missing_graphs += 1
                     else:
                         arrays.append(("scene_graph", graph_row))
-                    caption_bytes = np.frombuffer(seg.caption.encode("utf-8"),
-                                                  dtype=np.uint8).astype(np.float32)
-                    arrays.append(("raw", caption_bytes))
+                    arrays.append(("raw", text_row(seg.caption)))
                     yield EmbeddingRecord(key, tuple(arrays))
 
     summary = write_store(records(), cfg["out"])
@@ -238,7 +236,7 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
             rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
             if "caption" not in rows or "raw" not in rows:
                 raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
-            caption = bytes(rows["raw"].astype(np.uint8)).decode("utf-8")
+            caption = row_text(rows["raw"], rec.key)
             if objective == "split_half" and len(caption.split(" ")) < 2:
                 skipped += 1
                 continue

@@ -35,40 +35,32 @@ OBJECTIVES = ("full_caption", "split_half")
 
 @dataclass(frozen=True)
 class FusedInput:
-    """Stacked modality rows: (frame rows..., caption-or-question row, graph row).
+    """Stacked modality rows: (frame rows..., caption-or-question row, graph row),
+    as ``fused_input`` builds them.
 
     Ablated modalities are removed entirely, never zero-filled, so row count
     varies: k frames + 2 when everything is present.
     """
-    rows: np.ndarray          # float32, shape (m, d)
+    rows: np.ndarray          # float32, finite, shape (m, d)
     modalities: tuple[str, ...]
-    modality_ids: np.ndarray = field(init=False, repr=False, compare=False)   # int64, read-only
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float32)
-        if rows.ndim != 2 or rows.shape[0] != len(self.modalities):
-            raise ConfigError(
-                f"rows shape {rows.shape} inconsistent with {len(self.modalities)} modality tags"
-            )
-        if not np.isfinite(rows).all():
-            raise ConfigError("embedding has non-finite entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "modalities", tuple(self.modalities))
-        object.__setattr__(self, "modality_ids",
-                           np.array([MODALITY_IDS[m] for m in self.modalities], dtype=np.int64))
-        self.modality_ids.flags.writeable = False
+    modality_ids: np.ndarray = field(repr=False, compare=False)   # int64, read-only
 
 
 def fused_input(frames, text: np.ndarray, text_modality: str,
                 graph: np.ndarray | None) -> FusedInput:
     """Stack the frame rows, the text row and the graph row (None to ablate
-    it) in canonical order; every row must have the same dimension."""
+    it) in canonical order; every row must have the same dimension and be finite."""
     parts = [*frames, text] if graph is None else [*frames, text, graph]
     dims = {len(p) for p in parts}
     if len(dims) != 1:
         raise ConfigError(f"mixed embedding dimensions: {sorted(dims)}")
+    rows = np.asarray(np.stack(parts), dtype=np.float32)
+    if not np.isfinite(rows).all():
+        raise ConfigError("embedding has non-finite entries")
     tags = ("frame",) * len(frames) + (text_modality,) + ("scene_graph",) * (graph is not None)
-    return FusedInput(np.stack(parts), tags)
+    ids = np.array([MODALITY_IDS[m] for m in tags], dtype=np.int64)
+    ids.flags.writeable = False
+    return FusedInput(rows, tags, ids)
 
 
 @dataclass(frozen=True)

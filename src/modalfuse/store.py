@@ -20,12 +20,12 @@ it through the fixed-size footer. A reader parses the whole index at open
 into record extents and a key -> record map, so a keyed lookup costs one
 dict probe and one extent read.
 
-Payload bytes move once between the file and the arrays: ``write_store``
-hands the headers and the arrays' own buffers to ``os.writev``, gathered
-into writes of at least _CRC_BYTES, and ``Store.read_into`` hands the
-caller's arrays to ``os.preadv``. The CRC of a record of at least _CRC_BYTES
-is handed to the worker thread (``worker._beside``) beside the write of the
-same bytes, or beside the read of the next record.
+``write_store`` writes through ``atomic_commit``'s buffered file, which
+copies headers and small arrays; an array larger than its buffer goes out
+from its own memory. ``Store.read_into`` hands the caller's arrays to
+``os.preadv``. The CRC of a record of at least _CRC_BYTES is handed to the
+worker thread (``worker._beside``) beside the write of the same bytes, or
+beside the read of the next record.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ _FOOTER = struct.Struct("<QI4s")
 _INDEX_ENTRY = struct.Struct("<QQH")   # followed by the key bytes
 _CRC = struct.Struct("<I")
 
-_IOV_MAX = os.sysconf("SC_IOV_MAX")   # buffers per writev/preadv call, at most
+_IOV_MAX = os.sysconf("SC_IOV_MAX")   # buffers per preadv call, at most
 _CRC_BYTES = 1 << 19   # record bytes from which the record's CRC runs on the worker
+_WRITE_BUFFER = 1 << 19   # atomic_commit's file buffer: with 8 KiB, stores write slower
+# (its own constant: tests set _CRC_BYTES to 0, and an unbuffered file can write short)
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,33 @@ def _flat_bytes(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1)).cast("B")
 
 
-def _move_all(move, parts: list) -> None:
-    """Move every byte of ``parts``, 1-D byte buffers, in order: ``move(views,
-    done)`` moves bytes between the file and the leading views, at most _IOV_MAX
-    of them, and returns how many, given the ``done`` bytes moved before it; it
-    is called again after a short move."""
+def text_row(text: str) -> np.ndarray:
+    """``text`` as a float32 row of its UTF-8 bytes, one value per byte."""
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
+
+
+def row_text(row: np.ndarray, key: str) -> str:
+    """The text of ``row``, a ``text_row`` of record ``key``; CorruptionError
+    unless every value is a whole number in 0..255 and the bytes are UTF-8."""
+    if not ((row >= 0) & (row <= 255) & (np.floor(row) == row)).all():
+        raise CorruptionError(f"record {key!r}: text values must be whole numbers in 0..255")
+    try:
+        return bytes(row.astype(np.uint8)).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptionError(f"record {key!r}: text is not UTF-8: {e}") from e
+
+
+def _read_all(fd: int, parts: list, offset: int) -> None:
+    """Fill ``parts``, 1-D writable byte buffers, in order from the file's bytes
+    at ``offset`` on, with ``os.preadv`` of at most _IOV_MAX of them a call; a
+    short read goes on where it stopped."""
     parts, i, done, total = list(parts), 0, 0, sum(map(len, parts))
     while done < total:
-        n = move(parts[i:i + _IOV_MAX], done)
+        n = os.preadv(fd, parts[i:i + _IOV_MAX], offset + done)
         if n == 0 and any(map(len, parts[i:i + _IOV_MAX])):
             raise CorruptionError("the file ends inside a record")
         done += n
-        if done < total:   # a short move, or more than _IOV_MAX parts: skip what moved
+        if done < total:   # a short read, or more than _IOV_MAX parts: skip what was read
             while n >= len(parts[i]):
                 n -= len(parts[i])
                 i += 1
@@ -166,7 +183,7 @@ def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
+        with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as f:
             yield f
             f.flush()
             os.fsync(f.fileno())
@@ -182,21 +199,14 @@ def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
 def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSummary:
     """Stream records into a new store, committed through ``atomic_commit``.
 
-    Records go out with ``os.writev`` from their arrays' own buffers, gathered
-    until at least _CRC_BYTES are pending, so a record that large goes out at
-    once, while its CRC is computed beside it. A CRC goes out with the next
-    bytes."""
+    A record's CRC is computed beside the write of its bytes, on the worker
+    for a record of at least _CRC_BYTES."""
     path = Path(path)
     seen: set[str] = set()
     index = bytearray()
     with atomic_commit(path) as f:
-        fd = f.fileno()
-
-        def write(views, done):
-            return os.writev(fd, views)
-
-        # count is unknown until the stream ends; patch the header last
-        pending, unwritten = [_HEADER.pack(MAGIC_HEAD, VERSION, 0)], _HEADER.size
+        # count is unknown until the stream ends; the header is written again last
+        f.write(_HEADER.pack(MAGIC_HEAD, VERSION, 0))
         pos = _HEADER.size
         for record in records:
             if record.key in seen:
@@ -210,19 +220,15 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
                 parts += [_array_head(TAG_TO_ID[tag], arr.shape), _flat_bytes(arr)]
             length = sum(map(len, parts)) + _CRC.size
             crc = _beside(length, _CRC_BYTES, _crc, parts)
-            pending += parts
-            unwritten += length - _CRC.size
-            if unwritten >= _CRC_BYTES:
-                _move_all(write, pending)
-                pending, unwritten = [], 0
-            pending.append(crc.result())
-            unwritten += _CRC.size
+            f.writelines(parts)
+            f.write(crc.result())
             index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
             pos += length
 
         header = _HEADER.pack(MAGIC_HEAD, VERSION, len(seen))
-        _move_all(write, [*pending, index, _FOOTER.pack(pos, zlib.crc32(header + index), MAGIC_TAIL)])
-        os.pwrite(fd, header, 0)
+        f.writelines([index, _FOOTER.pack(pos, zlib.crc32(header + index), MAGIC_TAIL)])
+        f.seek(0)
+        f.write(header)
     return StoreSummary(path, len(seen), path.stat().st_size)
 
 
@@ -348,7 +354,7 @@ class Store:
                 stored = bytearray(_CRC.size)
                 same = sum(map(len, parts)) + _CRC.size == length
                 if same:
-                    _move_all(lambda views, done: os.preadv(fd, views, off + done), [*parts, stored])
+                    _read_all(fd, [*parts, stored], off)
                     self.bytes_read += length
                     same = count == struct.pack("<H", len(out)) and all(
                         head[0] in ID_TO_TAG and head == _array_head(head[0], a.shape)

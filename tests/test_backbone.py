@@ -511,7 +511,9 @@ class TestAdamW:
         assert p[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
 
     def test_nonfinite_grad_refused(self):
-        for bad in (np.nan, np.inf, -np.inf):
+        # 2e19 and 1e21 are finite, but their squares overflow v / bc2 (and at 1e21 v),
+        # which would stop the parameter for good
+        for bad in (np.nan, np.inf, -np.inf, 2e19, -2e19, 1e21):
             m = Model(TINY, seed=0)
             opt = AdamW(m)
             p = m.params()[5]
@@ -993,6 +995,21 @@ class TestCheckpoint:
         if beside:   # every record's CRC on the worker
             always_beside(monkeypatch)
         with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("char, bad", [("o", 367.0), ("d", 100.7)])
+    def test_config_text_that_is_not_bytes_refused(self, tmp_path, char, bad):
+        # a cast to uint8 would read ``bad`` as ``char`` and load the model
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+
+        def edit(recs):
+            text = recs[0].arrays[0][1].copy()
+            text[text.tolist().index(ord(char))] = bad
+            return [EmbeddingRecord(recs[0].key, (("raw", text),)), *recs[1:]]
+
+        self.rewrite(path, edit)
+        with pytest.raises(CorruptionError, match="record '__model_config__': text values"):
             load_checkpoint(path)
 
     def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):

@@ -124,3 +124,23 @@ def test_summary_applies_the_gain_rule_and_bounds(tmp_path, capsys, monkeypatch,
     assert lines["items_per_s"].endswith(f"gain rule {verdict}  within bound 0.25")
     # round_s is 20% worse than the parent's: beyond its bound of 10%
     assert lines["round_s"].endswith("gain rule fails  beyond bound 0.1")
+
+
+@pytest.mark.parametrize("change, verdict", [(100, "unresolved: parent IQR beyond bound 0.25"),
+                                             (200, "within bound 0.25")])
+def test_summary_calls_a_metric_wider_than_its_bound_unresolved(tmp_path, capsys, monkeypatch,
+                                                                change, verdict):
+    tool = load_tool()
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    runs = []
+    for seed in range(10):   # parent items 50 and 150: median 100, IQR 100, beyond 0.25 x 100
+        runs += [run("abc", seed, 50 + 100 * (seed % 2), 1.0), run("change", seed, change, 1.0)]
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"about": "", "parent": "abc", "runs": runs}))
+    monkeypatch.setattr(tool, "BENCHMARK", bench)
+    assert tool.main(["summary", str(path)]) == 0
+    lines = {line.split(":")[0].strip(): line for line in capsys.readouterr().out.splitlines()}
+    # a change that beats every parent run is resolved, however wide the parent's spread
+    assert lines["items_per_s"].endswith(verdict)

@@ -499,6 +499,21 @@ class TestTrainingPipeline:
             assert ex.fused.rows[1].tobytes() == text.tobytes()
             assert np.array_equal(ex.target, tokenize(target, 32))
 
+    def test_pretrain_rejects_caption_text_that_is_not_bytes(self, tmp_path, capsys):
+        # 367.0 would cast to 111, "o", and 100.7 to 100, "d": the run would go on
+        store_path = self.pack_captions(tmp_path, ["a dog runs"])
+        with Store(store_path) as s:
+            record = s.get(0)
+        arrays = dict(record.arrays)
+        text = arrays["raw"].copy()
+        text[[2, 3]] = 100.7, 367.0
+        write_store([EmbeddingRecord(record.key, tuple({**arrays, "raw": text}.items()))],
+                    store_path)
+        rc = main(["pretrain", "--store", str(store_path), "--out-dir", str(tmp_path / "run"),
+                   "--steps", "1", "--objective", "full_caption", *TINY_MODEL])
+        assert rc == 1
+        assert "record 'v:0': text values must be whole numbers" in capsys.readouterr().err
+
     def test_pretrain_rejects_store_without_captions(self, tmp_path, capsys):
         images = tmp_path / "images.store"
         write_vqa_image_store(make_mini_vqa(2, seed=0), StubEncoders(d=32, seed=0), images)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import struct
 import threading
@@ -10,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalfuse import store
+from modalfuse.backbone import Model, ModelConfig, save_checkpoint
+from modalfuse.cli import main
 from modalfuse.errors import CorruptionError, NotFoundError
 from modalfuse.store import EmbeddingRecord, Store, atomic_commit, write_store
+from modalfuse.synthetic import make_transcript_words
 
 
 def rand_record(rng, key, max_arrays=3):
@@ -191,6 +196,58 @@ class TestLayout:
         assert zlib.crc32(expected[:16] + expected[62:101]) == 0x7C227554
 
 
+class TestText:
+    def test_round_trip(self):
+        for text in ("", "a dog", "h\u00e9llo w\u00f6rld \u2713"):
+            row = store.text_row(text)
+            assert row.dtype == np.float32 and row.tolist() == list(text.encode("utf-8"))
+            assert store.row_text(row, "k") == text
+
+    @pytest.mark.parametrize("values, match", [
+        ([100.7], "whole numbers in 0..255"), ([367.0], "whole numbers in 0..255"),
+        ([-1.0], "whole numbers in 0..255"), ([np.nan], "whole numbers in 0..255"),
+        ([0xC3, 0x28], "not UTF-8")])
+    def test_values_that_are_not_utf8_bytes_refused(self, values, match):
+        with pytest.raises(CorruptionError, match=f"record 'k': text.*{match}"):
+            store.row_text(np.array(values, np.float32), "k")
+
+
+def pack_seeded_store(tmp_path):
+    """Two videos' transcripts, segmented and packed at d=16 with a scene graph
+    for one segment; the store's path."""
+    rng = np.random.default_rng(11)
+    transcripts, graphs = tmp_path / "t.jsonl", tmp_path / "g.jsonl"
+    with open(transcripts, "w", encoding="utf-8") as f:
+        for v in range(2):
+            f.write(json.dumps({"video_id": f"vid{v}", "lang": "en"}) + "\n")
+            for w, start, end in make_transcript_words(rng, 30, wpm=45.0):
+                f.write(json.dumps({"w": w, "s": start, "e": end}) + "\n")
+    graphs.write_text(json.dumps({"key": "vid1:0", "objects": ["dog", "cat"],
+                                  "relations": [[0, "chasing", 1]]}) + "\n")
+    segments, path = tmp_path / "s.jsonl", tmp_path / "emb.store"
+    assert main(["segment", "--transcripts", str(transcripts), "--out", str(segments)]) == 0
+    assert main(["encode-pack", "--segments", str(segments), "--graphs", str(graphs),
+                 "--out", str(path), "--d", "16", "--seed", "3"]) == 0
+    return path
+
+
+class TestPinnedBytes:
+    """SHA-256 of two files the store must keep writing byte for byte; a
+    change to the format, the encoders or the model's draws shows here too."""
+
+    def test_encode_pack_store(self, tmp_path):
+        digest = hashlib.sha256(pack_seeded_store(tmp_path).read_bytes()).hexdigest()
+        assert digest == "6b7eebb179474bb33a92708c8ca5e30c737f4c1ed7c9b4e3669cae3e489ac109"
+
+    def test_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=32, max_target_len=16),
+                              seed=7), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d4a6432f5e0baf4469887cb9470d6c7862e4465647010b0ab4479f7cd5ecbc2f"
+
+
 class TestIndexIntegrity:
     def test_v1_store_refused(self, tmp_path):
         # an empty store as the version-1 writer laid it out: a header with a
@@ -311,8 +368,8 @@ def big_and_small_records():
 
 
 def short_moves(move):
-    """``move``, os.writev or os.preadv, cut to at most 3 and 1,000 bytes on
-    alternate calls, so that a move ends inside a header, a payload or a CRC."""
+    """``move``, os.preadv, cut to at most 3 and 1,000 bytes on alternate
+    calls, so that a move ends inside a header, a payload or a CRC."""
     caps = itertools.cycle((3, 1000))
 
     def short(fd, views, *offset):
@@ -333,12 +390,37 @@ class TestVectoredIO:
         """The large records' CRCs run on the worker, whatever the machine."""
         monkeypatch.setattr("modalfuse.worker.os.sched_getaffinity", lambda pid: {0, 1})
 
-    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
-        recs = big_and_small_records()
-        write_store(recs, tmp_path / "whole.store")
-        monkeypatch.setattr(os, "writev", short_moves(os.writev))
-        write_store(recs, tmp_path / "short.store")
-        assert (tmp_path / "short.store").read_bytes() == (tmp_path / "whole.store").read_bytes()
+    def test_records_around_the_write_buffer_round_trip(self, tmp_path, monkeypatch):
+        # payloads just below, at and above the buffer's size, between small
+        # records that leave it partly full: copied into it, or written from the array
+        n = store._WRITE_BUFFER // 4
+        rng = np.random.default_rng(8)
+        recs = [EmbeddingRecord(key, (("frame", rng.normal(size=size).astype(np.float32)),))
+                for key, size in (("s0", 3), ("below", n - 1), ("s1", 5), ("at", n),
+                                  ("above", n + 1), ("s2", 0))]
+        monkeypatch.setattr(store, "_CRC_BYTES", 0)   # every record's CRC on the worker
+        where, crc = [], store._crc
+        monkeypatch.setattr(store, "_crc", lambda parts: where.append(threading.current_thread())
+                            or crc(parts))
+        path = tmp_path / "s.store"
+        write_store(recs, path)
+        assert len(where) == len(recs) and threading.current_thread() not in where
+        body, index = b"", b""   # the file, from the layout alone
+        for r in recs:
+            [(tag, arr)] = r.arrays
+            record = struct.pack("<HBBI", 1, store.TAG_TO_ID[tag], 1, arr.size) + arr.tobytes()
+            record += struct.pack("<I", zlib.crc32(record))
+            index += struct.pack("<QQH", 16 + len(body), len(record), len(r.key)) + r.key.encode()
+            body += record
+        header = struct.pack("<4sIQ", b"VPTS", 2, len(recs))
+        assert path.read_bytes() == header + body + index + struct.pack(
+            "<QI4s", 16 + len(body), zlib.crc32(header + index), b"SPTV")
+        outs = [(r.key, [np.full_like(arr, np.nan) for _, arr in r.arrays]) for r in recs]
+        with Store(path) as s:
+            assert all(records_equal(s.get(i), r) for i, r in enumerate(recs))
+            s.read_into(outs)
+        for (_, out), r in zip(outs, recs):
+            assert out[0].tobytes() == r.arrays[0][1].tobytes()
 
     def test_short_reads_fill_the_same_arrays(self, tmp_path, monkeypatch):
         recs = big_and_small_records()
@@ -352,7 +434,7 @@ class TestVectoredIO:
             assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(out, r.arrays))
 
     def test_600_array_record_round_trips(self, tmp_path):
-        # 1,201 header and payload buffers: more than one writev or preadv takes
+        # 1,201 header and payload buffers: more than one preadv takes
         rng = np.random.default_rng(6)
         arrays = tuple(("frame", rng.normal(size=(i % 4, 3)[: i % 3]).astype(np.float32))
                        for i in range(600))

@@ -27,7 +27,9 @@ Each metric's direction and bound come from ``BENCHMARK.json``'s
 change wins at least 9 in 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range) and whether the
 change stays within the bound (its median is worse than the parent's by at
-most ``bound`` times the parent's median). ``about`` sets the file's
+most ``bound`` times the parent's median). Where the parent's interquartile
+range is wider than that bound, the metric is unresolved, unless every
+change run is better than every parent run. ``about`` sets the file's
 description, which is best written once the runs are in.
 """
 
@@ -163,12 +165,16 @@ def _rules() -> dict[str, tuple[int, float]]:
     return {m["name"]: (1 if m["better"] == "higher" else -1, m["bound"]) for m in metrics}
 
 
-def _verdict(sign: int, bound: float, wins: int, pairs: int, pq, cq) -> str:
+def _verdict(sign: int, bound: float, wins: int, parent: list, change: list) -> str:
+    pq, cq = _quartiles(parent), _quartiles(change)
     gap = sign * (cq[1] - pq[1])   # above 0 where the change's median is better
-    gain = wins * 10 >= 9 * pairs and gap > pq[2] - pq[0]
-    within = gap >= -bound * abs(pq[1])
-    return (f"  gain rule {'holds' if gain else 'fails'}"
-            f"  {'within' if within else 'beyond'} bound {bound:g}")
+    gain = wins * 10 >= 9 * len(parent) and gap > pq[2] - pq[0]
+    if pq[2] - pq[0] > bound * abs(pq[1]) and not all(
+            sign * (c - p) > 0 for c in change for p in parent):
+        reach = "unresolved: parent IQR beyond"
+    else:
+        reach = "within" if gap >= -bound * abs(pq[1]) else "beyond"
+    return f"  gain rule {'holds' if gain else 'fails'}  {reach} bound {bound:g}"
 
 
 def cmd_summary(args) -> int:
@@ -194,7 +200,8 @@ def cmd_summary(args) -> int:
             print(f"  {name}: parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  change {cq[1]:.4g}"
                   f" [{cq[0]:.4g}, {cq[2]:.4g}]  {100 * (cq[1] / pq[1] - 1):+.1f}%"
                   f"  change better in {wins}/{len(full)}  parent IQR {pq[2] - pq[0]:.4g}"
-                  + ("" if bound is None else _verdict(sign, bound, wins, len(full), pq, cq)))
+                  + ("" if bound is None else _verdict(sign, bound, wins, vals["parent"],
+                                                       vals["change"])))
         faults = {side: statistics.median(p[side]["rusage"]["minflt"] for p in full)
                   for side in ("parent", "change") if full and "rusage" in full[0][side]}
         if faults:
