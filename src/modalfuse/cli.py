@@ -59,7 +59,7 @@ _TRAIN_FIELDS = {"steps": "steps", "batch-size": "batch_size", "lr": "lr",
                  "weight-decay": "weight_decay", "seed": "seed",
                  "checkpoint-every": "checkpoint_every"}
 _TRAIN_DEFAULTS = {**{flag: getattr(objectives.TrainConfig, name)
-                      for flag, name in _TRAIN_FIELDS.items()}, "stub-seed": 0, "svg": False}
+                      for flag, name in _TRAIN_FIELDS.items()}, "svg": False}
 _CHOICES = {"objective": objectives.OBJECTIVES}
 
 
@@ -215,18 +215,18 @@ def cmd_encode_pack(cfg: dict) -> int:
                     arrays.append(("raw", text_row(seg.caption)))
                     yield EmbeddingRecord(key, tuple(arrays))
 
-    summary = write_store(records(), cfg["out"])
+    summary = write_store(records(), cfg["out"], encoders)
     print(f"packed {summary.count} records into {summary.path} "
           f"({summary.file_bytes} bytes); {missing_graphs} segments without a scene graph")
     return 0
 
 
-def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
-                         max_target_len: int) -> tuple[list[objectives.PretrainExample], int]:
+def _examples_from_store(store: Store, objective: str, model_cfg: ModelConfig
+                         ) -> tuple[list[objectives.PretrainExample], int]:
     """One example per encode-pack record, and the number of records skipped:
     split_half skips one-word captions and encodes the first halves of the
-    rest as lists."""
-    skipped = 0
+    rest as lists, with the encoders the store names."""
+    encoders, skipped = store.encoders(model_cfg.d_model), 0
 
     def read():
         nonlocal skipped
@@ -251,7 +251,8 @@ def _examples_from_store(store: Store, objective: str, encoders: StubEncoders,
             text_rows = [rows["caption"] for _, _, rows in chunk]
         for (frames, caption, rows), text_row in zip(chunk, text_rows):
             fused = objectives.fused_input(frames, text_row, "caption", rows.get("scene_graph"))
-            out.append(objectives.pretrain_example(objective, caption, fused, max_target_len))
+            out.append(objectives.pretrain_example(objective, caption, fused,
+                                                   model_cfg.max_target_len))
     return out, skipped
 
 
@@ -266,12 +267,10 @@ def cmd_pretrain(cfg: dict) -> int:
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
-    encoders = StubEncoders(d=cfg["d-model"], seed=cfg["stub-seed"])
     model = Model.__new__(Model)._build(model_cfg, np.float32)
     drawing = model._draw(cfg["seed"])   # on the worker while the store is read, for a large model
     with Store(cfg["store"]) as store:
-        examples, skipped = _examples_from_store(store, cfg["objective"], encoders,
-                                                 model_cfg.max_target_len)
+        examples, skipped = _examples_from_store(store, cfg["objective"], model_cfg)
     drawing.result()
     if skipped:
         if not examples:
@@ -329,10 +328,11 @@ def _load_vqa_records(path: str) -> list[dict]:
 
 def _vqa_examples(cfg: dict, model_cfg: ModelConfig, seed: int) -> list[objectives.VqaExample]:
     """The --vqa records as examples, targets drawn by ``seed``, filtered by --yes-no-only."""
-    encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
     records = _load_vqa_records(cfg["vqa"])
-    with Store(cfg["image-store"]) as image_store:
-        examples = objectives.vqa_examples(records, image_store, encoders,
+    if not records:
+        raise ValidationError(f"{cfg['vqa']} holds no VQA records")
+    with Store(cfg["image-store"]) as images:
+        examples = objectives.vqa_examples(records, images, images.encoders(model_cfg.d_model),
                                            np.random.default_rng(seed), cfg["graph"],
                                            model_cfg.max_target_len)
     return evaluation.yes_no_examples(examples) if cfg["yes-no-only"] else examples
@@ -355,8 +355,7 @@ def cmd_finetune(cfg: dict) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {"stub-seed": 0, "graph": True, "yes-no-only": False,
-                  "max-decode-len": evaluation.EVAL_DECODE_LEN}
+_EVAL_DEFAULTS = {"graph": True, "yes-no-only": False, "max-decode-len": evaluation.EVAL_DECODE_LEN}
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -388,7 +387,7 @@ def cmd_eval(cfg: dict) -> int:
 
 _ABLATE_DEFAULTS = {
     **_MODEL_DEFAULTS,
-    **{flag: _TRAIN_DEFAULTS[flag] for flag in ("batch-size", "lr", "seed", "stub-seed")},
+    **{flag: _TRAIN_DEFAULTS[flag] for flag in ("batch-size", "lr", "seed")}, "stub-seed": 0,
     "n-segments": 64, "n-vqa": 32, "pretrain-steps": 50, "finetune-steps": 50,
 }
 
@@ -431,6 +430,8 @@ def cmd_inspect(args) -> int:
         info = store.inspect()
     print(f"{info['path']}: version {info['version']}, {info['count']} records, "
           f"{info['file_bytes']} bytes")
+    enc = info["encoders"]
+    print(f"stub encoders: d={enc['d']}, seed={enc['seed']}" if enc else "no encoders")
     for rec in info["records"]:
         shapes = ", ".join(f"{tag}{shape}" for tag, shape in rec["arrays"])
         print(f"  {rec['key']}: {shapes}")

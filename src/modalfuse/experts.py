@@ -107,8 +107,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 def _unit_rows(payloads: Sequence[bytes], d: int, seed: int) -> np.ndarray:
     """One float32 row per payload: d standard normals from Philox keyed by
     the payload's hash, scaled to unit length by ``l2_normalize``."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
     rows = np.empty((len(payloads), d), dtype=np.float32)
     if not payloads:
         return rows
@@ -141,6 +139,10 @@ class StubEncoders:
     """Bundle of stub experts sharing one dimension and corpus seed."""
     d: int = DEFAULT_DIM
     seed: int = 0
+
+    def __post_init__(self):
+        if not 1 <= self.d < 2**32:   # a store's header: a u32, and 0 means "no encoders"
+            raise ValueError(f"dimension must be >= 1 and below 2**32, got {self.d}")
 
     # One method per modality for a list of payloads: (n, d) float32 rows.
 

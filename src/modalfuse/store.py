@@ -6,7 +6,9 @@ rename, and unlimited concurrent readers over the immutable committed file.
 
 On-disk layout (all little-endian):
 
-  header   magic "VPTS" | u32 version=2 | u64 record count
+  header   magic "VPTS" | u32 version=3 | u64 record count
+           | u32 width | u64 seed & (2**64 - 1): the stub encoders that made the
+             rows, as ``Store.encoders`` returns them (width 0: none, as in a checkpoint)
   records  per record:
              u16 array count
              per array: u8 modality tag | u8 rank | rank x u32 dims
@@ -42,21 +44,21 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, CorruptionError, NotFoundError
+from .errors import ConfigError, CorruptionError, NotFoundError, ValidationError
 # hash_bytes is unused here but stays importable as store.hash_bytes,
 # where the benchmark's call tracer patches it.
-from .experts import hash_bytes  # noqa: F401
+from .experts import StubEncoders, hash_bytes  # noqa: F401
 from .worker import _beside
 
 MAGIC_HEAD = b"VPTS"
 MAGIC_TAIL = b"SPTV"
-VERSION = 2
+VERSION = 3   # bumped by any change to a stub's output too: a header's encoders reproduce its rows
 
 # u8 modality tags; "raw" covers non-modality payloads such as checkpoints
 TAG_TO_ID = {"frame": 0, "caption": 1, "scene_graph": 2, "question": 3, "raw": 4}
 ID_TO_TAG = {v: k for k, v in TAG_TO_ID.items()}
 
-_HEADER = struct.Struct("<4sIQ")
+_HEADER = struct.Struct("<4sIQIQ")
 _FOOTER = struct.Struct("<QI4s")
 _INDEX_ENTRY = struct.Struct("<QQH")   # followed by the key bytes
 _CRC = struct.Struct("<I")
@@ -78,7 +80,10 @@ class EmbeddingRecord:
             if tag not in TAG_TO_ID:
                 raise ConfigError(f"unknown modality tag {tag!r}")
             # not ascontiguousarray, which turns a 0-d array into shape (1,)
-            fixed.append((tag, np.asarray(arr, dtype=np.float32, order="C")))
+            cast = np.asarray(arr, dtype=np.float32, order="C")
+            if cast is not arr and not np.array_equal(cast, arr, equal_nan=True):
+                raise ConfigError(f"record {self.key!r}: {tag} values change in a float32 cast")
+            fixed.append((tag, cast))
         object.__setattr__(self, "arrays", tuple(fixed))
 
 
@@ -196,8 +201,10 @@ def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSummary:
-    """Stream records into a new store, committed through ``atomic_commit``.
+def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
+                encoders: StubEncoders | None = None) -> StoreSummary:
+    """Stream records into a new store, committed through ``atomic_commit``;
+    the header names ``encoders``, those that made the rows, or none.
 
     A record's CRC is computed beside the write of its bytes, on the worker
     for a record of at least _CRC_BYTES."""
@@ -206,7 +213,8 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
     index = bytearray()
     with atomic_commit(path) as f:
         # count is unknown until the stream ends; the header is written again last
-        f.write(_HEADER.pack(MAGIC_HEAD, VERSION, 0))
+        names = (encoders.d, encoders.seed & (2**64 - 1)) if encoders is not None else (0, 0)
+        f.write(_HEADER.pack(MAGIC_HEAD, VERSION, 0, *names))
         pos = _HEADER.size
         for record in records:
             if record.key in seen:
@@ -225,7 +233,7 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path) -> StoreSu
             index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
             pos += length
 
-        header = _HEADER.pack(MAGIC_HEAD, VERSION, len(seen))
+        header = _HEADER.pack(MAGIC_HEAD, VERSION, len(seen), *names)
         f.writelines([index, _FOOTER.pack(pos, zlib.crc32(header + index), MAGIC_TAIL)])
         f.seek(0)
         f.write(header)
@@ -254,17 +262,18 @@ class Store:
     def _load_index(self):
         fd = self._f.fileno()
         file_size = os.fstat(fd).st_size
-        if file_size < _HEADER.size + _FOOTER.size:
-            raise CorruptionError(f"{self.path}: too small to be a store")
         header = os.pread(fd, _HEADER.size, 0)
-        magic, version, count = _HEADER.unpack(header)
-        if magic != MAGIC_HEAD:
+        if header[:4] != MAGIC_HEAD:
             raise CorruptionError(f"{self.path}: bad header magic")
-        if version != VERSION:
+        # read before the size: an empty version-2 store is smaller than this header
+        if (version := int.from_bytes(header[4:8], "little")) != VERSION:
             raise CorruptionError(
                 f"{self.path}: store format version {version} is not read (this reader "
                 f"reads version {VERSION}); re-run the stage that wrote this file "
                 "(encode-pack for an embedding store, pretrain or finetune for a checkpoint)")
+        if file_size < _HEADER.size + _FOOTER.size:
+            raise CorruptionError(f"{self.path}: too small to be a store")
+        _, _, count, *self._encoders = _HEADER.unpack(header)
 
         index_end = file_size - _FOOTER.size
         index_offset, crc, tail = _FOOTER.unpack(os.pread(fd, _FOOTER.size, index_end))
@@ -311,6 +320,15 @@ class Store:
 
     def __len__(self):
         return self.count
+
+    def encoders(self, d_model: int) -> StubEncoders:
+        """The stub encoders that made the rows, checked to be ``d_model`` wide."""
+        d, seed = self._encoders
+        if not d:
+            raise ValidationError(f"{self.path} names no encoders (a checkpoint names none)")
+        if d != d_model:
+            raise ConfigError(f"{self.path} holds rows of width {d}, the model's is {d_model}")
+        return StubEncoders(d, seed)
 
     def get(self, index: int) -> EmbeddingRecord:
         if not (0 <= index < self.count):
@@ -380,10 +398,12 @@ class Store:
                 "key": r.key,
                 "arrays": [(tag, list(arr.shape)) for tag, arr in r.arrays],
             })
+        d, seed = self._encoders
         return {
             "path": str(self.path),
             "version": VERSION,
             "count": self.count,
+            "encoders": {"d": d, "seed": seed} if d else None,
             "file_bytes": self.path.stat().st_size,
             "records": records,
         }

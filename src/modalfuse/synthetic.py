@@ -142,4 +142,4 @@ def write_vqa_image_store(records: list[dict], encoders: StubEncoders, path):
     """Stub image embeddings keyed by image_key, one store record each."""
     rows = encoders.encode_frames([(rec["image_key"], 0.0) for rec in records])
     return write_store((EmbeddingRecord(rec["image_key"], (("frame", row),))
-                        for rec, row in zip(records, rows)), path)
+                        for rec, row in zip(records, rows)), path, encoders)

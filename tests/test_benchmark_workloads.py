@@ -1,9 +1,11 @@
 """The benchmark (benchmarks/workloads.py) calls the package by name:
 ``objectives.build_split_half_example``, ``objectives.build_vqa_example``,
-``evaluation.evaluate``, ``VqaExample.fused.rows``. One round of each of its
-two small workloads here keeps a renamed or changed name from passing this
-suite while every benchmark run fails. The demo that no other test runs is
-imported for the same reason."""
+``evaluation.evaluate``, ``VqaExample.fused.rows``, and the CLI's stages. One
+round of each of its workloads here keeps a renamed or changed name from
+passing this suite while every benchmark run fails. The paper-pipeline round
+also runs the benchmark's store oracle, which compares sampled records of the
+packed store with a fresh encode, so a store change that breaks it fails here.
+The demo that no other test runs is imported for the same reason."""
 
 import importlib.util
 from pathlib import Path
@@ -20,7 +22,7 @@ def load(path: Path, name: str):
     return module
 
 
-@pytest.mark.parametrize("workload", ["TrainSmall", "DecodeLong"])
+@pytest.mark.parametrize("workload", ["TrainSmall", "DecodeLong", "PaperPipeline"])
 def test_one_round_without_failures(tmp_path, workload):
     workloads = load(ROOT / "benchmarks" / "workloads.py", "benchmark_workloads")
     out = workloads.Outcome()

@@ -217,6 +217,21 @@ class TestEncodePack:
         out = capsys.readouterr().out
         assert "4 records" in out
         assert "caption" in out
+        assert out.splitlines()[1] == "stub encoders: d=32, seed=0"
+        save_checkpoint(Model(TINY_CONFIG), store_path)
+        assert main(["inspect", "--store", str(store_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "no encoders"
+
+    @pytest.mark.parametrize("d", [0, 2**32])
+    def test_dimension_outside_the_header_exits_nonzero(self, tmp_path, capsys, d):
+        """The header holds the width as a u32, and width 0 names no encoders:
+        no store is written, even for no segments."""
+        segs, out = tmp_path / "segments.jsonl", tmp_path / "emb.store"
+        segs.write_text("")
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(out), "--d", str(d)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: dimension must be >= 1 and below 2**32, got {d}\n"
+        assert not out.exists()
 
     def test_graph_manifest_attached(self, tmp_path, transcripts, capsys):
         segs = tmp_path / "segments.jsonl"
@@ -465,10 +480,14 @@ class TestTrainingPipeline:
         assert "accuracy" in capsys.readouterr().out
 
     @pytest.mark.parametrize("objective", ["full_caption", "split_half"])
-    def test_pretrain_examples_follow_the_objective(self, tmp_path, packed, monkeypatch,
+    def test_pretrain_examples_follow_the_objective(self, tmp_path, transcripts, monkeypatch,
                                                     objective):
-        """The store was packed with --seed 0; pretrain reads it with --stub-seed 1,
-        encoding first halves in chunks of 3 of the 4 records."""
+        """The store was packed with --seed 1, which its header names; pretrain
+        encodes first halves with those encoders, in chunks of 3 of the 4 records."""
+        segs, packed = tmp_path / "segments.jsonl", tmp_path / "seed1.store"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(packed),
+                     "--d", "32", "--seed", "1"]) == 0
         monkeypatch.setattr(cli, "_ENCODE_CHUNK", 3)
         seen = []
         real_train = objectives.train
@@ -479,7 +498,7 @@ class TestTrainingPipeline:
 
         monkeypatch.setattr(objectives, "train", spy)
         assert main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
-                     "--objective", objective, "--stub-seed", "1", "--steps", "1",
+                     "--objective", objective, "--steps", "1",
                      "--batch-size", "2", *TINY_MODEL]) == 0
         stub = StubEncoders(d=32, seed=1)
         with Store(packed) as store:
@@ -491,10 +510,12 @@ class TestTrainingPipeline:
             assert np.array_equal(ex.fused.rows[0], rec["frame"])
             if objective == "full_caption":
                 text, target = rec["caption"], ex.caption
-                assert not np.array_equal(text, stub.encode_caption(ex.caption).values)
+                assert text.tobytes() == stub.encode_caption(ex.caption).values.tobytes()
             else:
                 first, second = objectives.split_caption(ex.caption.split(" "))
                 text = stub.encode_caption(" ".join(first)).values
+                assert not np.array_equal(text, StubEncoders(d=32).encode_caption(
+                    " ".join(first)).values)
                 target = " ".join(second)
             assert ex.fused.rows[1].tobytes() == text.tobytes()
             assert np.array_equal(ex.target, tokenize(target, 32))
@@ -503,12 +524,12 @@ class TestTrainingPipeline:
         # 367.0 would cast to 111, "o", and 100.7 to 100, "d": the run would go on
         store_path = self.pack_captions(tmp_path, ["a dog runs"])
         with Store(store_path) as s:
-            record = s.get(0)
+            record, encoders = s.get(0), s.encoders(32)
         arrays = dict(record.arrays)
         text = arrays["raw"].copy()
         text[[2, 3]] = 100.7, 367.0
         write_store([EmbeddingRecord(record.key, tuple({**arrays, "raw": text}.items()))],
-                    store_path)
+                    store_path, encoders)
         rc = main(["pretrain", "--store", str(store_path), "--out-dir", str(tmp_path / "run"),
                    "--steps", "1", "--objective", "full_caption", *TINY_MODEL])
         assert rc == 1
@@ -566,18 +587,45 @@ class TestTrainingPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
-    @pytest.mark.parametrize("objective, message", [
-        ("split_half", "error: mixed embedding dimensions: [16, 32]"),
-        ("full_caption", "error: fused rows have dimension 32, model expects 16"),
-    ])
-    def test_store_dimension_differs_from_model(self, tmp_path, packed, capsys, objective,
-                                                message):
-        """The store holds d=32 rows; split_half encodes its first halves at
-        --d-model 16 and full_caption feeds the stored rows as they are."""
+    @pytest.mark.parametrize("objective", ["split_half", "full_caption"])
+    def test_store_dimension_differs_from_model(self, tmp_path, packed, capsys, objective):
+        """The store names d=32 encoders: a --d-model 16 run stops before any
+        step, whether it encodes first halves or feeds the stored rows."""
         rc = main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
                    "--objective", objective, "--steps", "1", *TINY_MODEL, "--d-model", "16"])
         assert rc == 1
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == \
+            f"error: {packed} holds rows of width 32, the model's is 16\n"
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_image_store_dimension_differs_from_model(self, tmp_path, stage_argv, capsys,
+                                                      command):
+        img_store = tmp_path / "images.store"   # the file stage_argv passes as --image-store
+        write_vqa_image_store(make_mini_vqa(8, seed=0), StubEncoders(d=16, seed=0), img_store)
+        assert main(stage_argv[command]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {img_store} holds rows of width 16, the model's is 32\n"
+        assert not (tmp_path / "out" / "run" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("command, flag", [("pretrain", "--store"),
+                                               ("finetune", "--image-store"),
+                                               ("eval", "--image-store")])
+    def test_checkpoint_as_embedding_store_exits_nonzero(self, tmp_path, stage_argv, capsys,
+                                                         command, flag):
+        ckpt = str(tmp_path / "ckpt.store")
+        argv = stage_argv[command]
+        argv[argv.index(flag) + 1] = ckpt
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {ckpt} names no encoders (a checkpoint names none)\n"
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_empty_vqa_file_exits_nonzero(self, tmp_path, stage_argv, capsys, command):
+        vqa = tmp_path / "vqa.jsonl"   # the file stage_argv passes as --vqa
+        vqa.write_text("")
+        assert main(stage_argv[command]) == 1
+        assert capsys.readouterr().err == f"error: {vqa} holds no VQA records\n"
 
     @pytest.mark.parametrize("command", ["finetune", "eval"])
     def test_yes_no_only_without_yes_no_questions(self, tmp_path, capsys, command):
@@ -710,10 +758,10 @@ class TestTrainingPipeline:
                                                         command, arrays):
         img_store = tmp_path / "images.store"   # the file stage_argv passes as --image-store
         with Store(img_store) as s:
-            records = [s.get(i) for i in range(len(s))]
+            records, encoders = [s.get(i) for i in range(len(s))], s.encoders(32)
         key = records[2].key
         records[2] = EmbeddingRecord(key, arrays)
-        write_store(records, img_store)
+        write_store(records, img_store, encoders)
         assert main(stage_argv[command]) == 1
         assert capsys.readouterr().err == \
             f"error: image record {key!r} does not start with a frame\n"
@@ -919,8 +967,7 @@ class TestSettings:
 
     def test_surface(self):
         model = ["d-ff", "d-model", "dec-layers", "enc-layers", "max-target-len", "n-heads"]
-        train = ["batch-size", "checkpoint-every", "lr", "seed", "steps", "stub-seed", "svg",
-                 "weight-decay"]
+        train = ["batch-size", "checkpoint-every", "lr", "seed", "steps", "svg", "weight-decay"]
         surface = {name: (paths, sorted(defaults or ()))
                    for name, (_, _, paths, defaults) in cli._COMMANDS.items()}
         assert surface == {
@@ -931,18 +978,20 @@ class TestSettings:
             "finetune": ({"checkpoint-in": True, "vqa": True, "image-store": True,
                           "out-dir": True}, sorted([*train, "graph", "yes-no-only"])),
             "eval": ({"checkpoint": True, "vqa": True, "image-store": True, "out-dir": True},
-                     ["graph", "max-decode-len", "stub-seed", "yes-no-only"]),
+                     ["graph", "max-decode-len", "yes-no-only"]),
             "ablate": ({"out-dir": True},
                        sorted([*model, "batch-size", "finetune-steps", "lr", "n-segments",
                                "n-vqa", "pretrain-steps", "seed", "stub-seed"])),
             "inspect": ({"store": True}, []),
         }
-        assert sum(len(settings) for _, settings in surface.values()) == 49
+        assert sum(len(settings) for _, settings in surface.values()) == 46
 
     @pytest.mark.parametrize("command, key", [
         *(("finetune", key) for key in ["d-model", "n-heads", "enc-layers", "dec-layers",
                                         "d-ff", "max-target-len"]),
         ("eval", "seed"),
+        # the store a stage reads names its encoders
+        *((command, "stub-seed") for command in ["pretrain", "finetune", "eval"]),
     ])
     def test_dropped_settings_rejected(self, tmp_path, stage_argv, capsys, command, key):
         with pytest.raises(SystemExit):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from modalfuse import store
 from modalfuse.backbone import Model, ModelConfig, save_checkpoint
 from modalfuse.cli import main
-from modalfuse.errors import CorruptionError, NotFoundError
+from modalfuse.errors import ConfigError, CorruptionError, NotFoundError, ValidationError
+from modalfuse.experts import StubEncoders
 from modalfuse.store import EmbeddingRecord, Store, atomic_commit, write_store
 from modalfuse.synthetic import make_transcript_words
 
@@ -74,8 +75,8 @@ class TestRoundtrip:
         assert rec.arrays[0][1].shape == ()
         path = tmp_path / "s.store"
         write_store([rec], path)
-        # after the 16-byte header: u16 array count, u8 tag, u8 rank, payload
-        assert path.read_bytes()[16:24] == struct.pack("<HBBf", 1, 4, 0, 0.5)
+        # after the 28-byte header: u16 array count, u8 tag, u8 rank, payload
+        assert path.read_bytes()[28:36] == struct.pack("<HBBf", 1, 4, 0, 0.5)
         with Store(path) as s:
             back = s.get(0).arrays[0][1]
         assert back.shape == () and back == np.float32(0.5)
@@ -85,6 +86,40 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="dup"):
             write_store(recs, tmp_path / "s.store")
         assert not (tmp_path / "s.store").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_lossy_float32_cast_refused(self):
+        for values in ([0.1], [1e40], [16777217]):
+            with pytest.raises(ConfigError, match="record 'k': frame values change"):
+                EmbeddingRecord("k", (("frame", np.array(values)),))
+        exact = EmbeddingRecord("k", (("raw", np.array([np.nan, 0.5, 16777216, 255])),))
+        assert exact.arrays[0][1].tobytes() == np.array([np.nan, 0.5, 16777216, 255],
+                                                        np.float32).tobytes()
+
+
+class TestEncoders:
+    def test_header_names_the_encoders(self, tmp_path):
+        path = tmp_path / "s.store"
+        write_store([], path, StubEncoders(d=4, seed=-1))
+        with Store(path) as s:
+            encoders = s.encoders(4)
+            assert s.inspect()["encoders"] == {"d": 4, "seed": 2**64 - 1}
+        # the seed as hash_bytes takes it, so the rows are those of seed -1
+        assert encoders == StubEncoders(d=4, seed=2**64 - 1)
+        assert (encoders.encode_captions(["a dog"]).tobytes()
+                == StubEncoders(d=4, seed=-1).encode_captions(["a dog"]).tobytes())
+
+    def test_width_mismatch_and_no_encoders_refused(self, tmp_path):
+        path = tmp_path / "s.store"
+        write_store([], path, StubEncoders(d=4, seed=0))
+        with Store(path) as s, pytest.raises(ConfigError, match="width 4, the model's is 8"):
+            s.encoders(8)
+        save_checkpoint(Model(ModelConfig(d_model=4, n_heads=1, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=8, max_target_len=8)), path)
+        with Store(path) as s:
+            assert s.inspect()["encoders"] is None
+            with pytest.raises(ValidationError, match=f"{path} names no encoders"):
+                s.encoders(4)
 
 
 class TestGet:
@@ -146,7 +181,7 @@ class TestGet:
                 assert all(not arr.flags.writeable for _, arr in rec.arrays)
 
 
-HEADER = FOOTER = 16
+HEADER, FOOTER = 28, 16
 
 
 def index_offset(blob):
@@ -156,7 +191,8 @@ def index_offset(blob):
 def with_index(blob, index, count=None):
     """``blob`` with its index (and, given ``count``, its record count) replaced
     and the footer CRC recomputed, so only the edited bytes are wrong."""
-    header = blob[:8] + struct.pack("<Q", count) if count is not None else blob[:HEADER]
+    header = (blob[:8] + struct.pack("<Q", count) + blob[16:HEADER] if count is not None
+              else blob[:HEADER])
     return (header + blob[HEADER : index_offset(blob)] + index
             + struct.pack("<QI4s", index_offset(blob), zlib.crc32(header + index), b"SPTV"))
 
@@ -175,25 +211,25 @@ class TestLayout:
                 EmbeddingRecord("bc", (("caption", np.zeros((0, 3), np.float32)),
                                        ("raw", np.array([0.5], np.float32))))]
         path = tmp_path / "s.store"
-        write_store(recs, path)
+        write_store(recs, path, StubEncoders(d=2, seed=-1))
         expected = bytes.fromhex(
-            # header: magic, version 2, 2 records
-            "56505453 02000000 0200000000000000"
-            # record 0 at 16: 1 array | frame, rank 1, dims 2 | 1.0, -2.0 | CRC32
+            # header: magic, version 3, 2 records, encoders' width 2 and seed -1 & (2**64 - 1)
+            "56505453 03000000 0200000000000000 02000000 ffffffffffffffff"
+            # record 0 at 28: 1 array | frame, rank 1, dims 2 | 1.0, -2.0 | CRC32
             "0100 00 01 02000000 0000803f 000000c0 e164dbd5"
-            # record 1 at 36: 2 arrays | caption, rank 2, dims 0 3, no payload
+            # record 1 at 48: 2 arrays | caption, rank 2, dims 0 3, no payload
             # | raw, rank 1, dims 1 | 0.5 | CRC32
             "0200 01 02 00000000 03000000 04 01 01000000 0000003f 96f9978f"
-            # index at 62: offset | length | key length | key, per record
-            "1000000000000000 1400000000000000 0100 61"
-            "2400000000000000 1a00000000000000 0200 6263"
-            # footer: index offset 62 | CRC32(header + index) | tail magic
-            "3e00000000000000 5475227c 53505456")
+            # index at 74: offset | length | key length | key, per record
+            "1c00000000000000 1400000000000000 0100 61"
+            "3000000000000000 1a00000000000000 0200 6263"
+            # footer: index offset 74 | CRC32(header + index) | tail magic
+            "4a00000000000000 f973e186 53505456")
         assert path.read_bytes() == expected
-        for start, end in ((16, 36), (36, 62)):
+        for start, end in ((28, 48), (48, 74)):
             assert zlib.crc32(expected[start : end - 4]) == int.from_bytes(
                 expected[end - 4 : end], "little")
-        assert zlib.crc32(expected[:16] + expected[62:101]) == 0x7C227554
+        assert zlib.crc32(expected[:28] + expected[74:113]) == 0x86E173F9
 
 
 class TestText:
@@ -237,7 +273,7 @@ class TestPinnedBytes:
 
     def test_encode_pack_store(self, tmp_path):
         digest = hashlib.sha256(pack_seeded_store(tmp_path).read_bytes()).hexdigest()
-        assert digest == "6b7eebb179474bb33a92708c8ca5e30c737f4c1ed7c9b4e3669cae3e489ac109"
+        assert digest == "87602b08142e8d0328f0b95cd1e14ce8d7ef111030bf40d6dd985778a13f6a0c"
 
     def test_checkpoint(self, tmp_path):
         path = tmp_path / "ckpt.store"
@@ -245,7 +281,7 @@ class TestPinnedBytes:
                                           n_decoder_layers=1, d_ff=32, max_target_len=16),
                               seed=7), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "d4a6432f5e0baf4469887cb9470d6c7862e4465647010b0ab4479f7cd5ecbc2f"
+        assert digest == "dd2b7cd852c1d503e92458bea50d701b01b1bbb63e5b73e202d0a2b2406eb4b6"
 
 
 class TestIndexIntegrity:
@@ -258,6 +294,19 @@ class TestIndexIntegrity:
         path.write_bytes(header + index + struct.pack(
             "<QI4s", len(header), zlib.crc32(header + index), b"SPTV"))
         with pytest.raises(CorruptionError, match="version 1.*re-run"):
+            Store(path)
+
+    @pytest.mark.parametrize("records", [0, 1])
+    def test_v2_store_refused(self, tmp_path, records):
+        # the version-2 layout: a 16-byte header without the encoders; an
+        # empty one is smaller than a version-3 header and footer
+        header = struct.pack("<4sIQ", b"VPTS", 2, records)
+        body = struct.pack("<HI", 0, zlib.crc32(struct.pack("<H", 0))) if records else b""
+        index = struct.pack("<QQH", len(header), len(body), 1) + b"k" if records else b""
+        path = tmp_path / "v2.store"
+        path.write_bytes(header + body + index + struct.pack(
+            "<QI4s", len(header) + len(body), zlib.crc32(header + index), b"SPTV"))
+        with pytest.raises(CorruptionError, match="version 2 is not read.*re-run the stage"):
             Store(path)
 
     @pytest.mark.parametrize("edit, match", [
@@ -410,11 +459,11 @@ class TestVectoredIO:
             [(tag, arr)] = r.arrays
             record = struct.pack("<HBBI", 1, store.TAG_TO_ID[tag], 1, arr.size) + arr.tobytes()
             record += struct.pack("<I", zlib.crc32(record))
-            index += struct.pack("<QQH", 16 + len(body), len(record), len(r.key)) + r.key.encode()
+            index += struct.pack("<QQH", 28 + len(body), len(record), len(r.key)) + r.key.encode()
             body += record
-        header = struct.pack("<4sIQ", b"VPTS", 2, len(recs))
+        header = struct.pack("<4sIQIQ", b"VPTS", 3, len(recs), 0, 0)
         assert path.read_bytes() == header + body + index + struct.pack(
-            "<QI4s", 16 + len(body), zlib.crc32(header + index), b"SPTV")
+            "<QI4s", 28 + len(body), zlib.crc32(header + index), b"SPTV")
         outs = [(r.key, [np.full_like(arr, np.nan) for _, arr in r.arrays]) for r in recs]
         with Store(path) as s:
             assert all(records_equal(s.get(i), r) for i, r in enumerate(recs))
