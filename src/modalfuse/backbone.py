@@ -468,10 +468,11 @@ class Model:
 
     def _decode_len(self, max_len: int | None) -> int:
         """``max_len`` (default max_target_len), checked to lie in 1..max_target_len."""
+        limit = self.config.max_target_len
         if max_len is None:
-            max_len = self.config.max_target_len
-        if max_len > self.config.max_target_len:
-            raise ValueError("max_len exceeds max_target_len")
+            max_len = limit
+        if max_len > limit:
+            raise ValueError(f"max_len {max_len} exceeds max_target_len {limit}")
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         return max_len

@@ -11,17 +11,19 @@ payload + seed gives bitwise-identical vectors on every platform numpy
 supports.
 
 Each modality encodes a list of payloads (``StubEncoders.encode_captions``)
-into (n, d) rows: ``hash_many`` keys them and one generator, re-keyed per
-row, draws them. The single-payload methods (``StubEncoders.encode_caption``)
-are one-row calls of the list methods. ``hash_many`` takes the scalar
-``hash_bytes`` per payload for a list shorter than ``_FOLD_MIN`` and folds the
-hash over every payload at once with numpy for a longer one; the fold's fixed
-cost outweighs the per-payload cost below that length.
+into (n, d) rows: ``hash_many`` keys them, and one generator per thread,
+kept across calls and re-keyed for every row, draws them. The single-payload
+methods (``StubEncoders.encode_caption``) are one-row calls of the list
+methods. ``hash_many`` takes the scalar ``hash_bytes`` per payload for a list
+shorter than ``_FOLD_MIN`` and folds the hash over every payload at once with
+numpy for a longer one; the fold's fixed cost outweighs the per-payload cost
+below that length.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,23 +106,24 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return x.astype(v.dtype)
 
 
+_philox = threading.local()   # per thread, on first use: (Philox, Generator, fresh state)
+
+
 def _unit_rows(payloads: Sequence[bytes], d: int, seed: int) -> np.ndarray:
     """One float32 row per payload: d standard normals from Philox keyed by
     the payload's hash, scaled to unit length by ``l2_normalize``."""
     rows = np.empty((len(payloads), d), dtype=np.float32)
     if not payloads:
         return rows
-    keys = hash_many(payloads, seed).tolist()
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    # A fresh generator's state: counter 0, an empty buffer, no spare 32-bit
-    # word. Set with another key, it gives the stream a new Philox(key=key)
-    # gives, for a fifth of the cost of building one; a one-row list reads none.
-    fresh = bitgen.state if len(keys) > 1 else None
-    for i, key in enumerate(keys):
-        if i:
-            fresh["state"]["key"][0] = key
-            bitgen.state = fresh
+    if not hasattr(_philox, "kept"):
+        bitgen = np.random.Philox(key=0)
+        _philox.kept = bitgen, np.random.Generator(bitgen), bitgen.state
+    bitgen, gen, fresh = _philox.kept
+    # A fresh state (counter 0, an empty buffer, no spare 32-bit word) set with
+    # a key gives the stream a new Philox(key=key) gives, without building one.
+    for i, key in enumerate(hash_many(payloads, seed).tolist()):
+        fresh["state"]["key"][0] = key
+        bitgen.state = fresh
         gen.standard_normal(dtype=np.float32, out=rows[i])
         rows[i] = l2_normalize(rows[i])
     if not np.isfinite(rows).all():

@@ -222,8 +222,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("steps", "checkpoint_every"):

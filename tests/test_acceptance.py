@@ -8,7 +8,9 @@ diagnostic. The suite is CPU-only, deterministic, and network-free.
 """
 
 import json
+import multiprocessing as mp
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,28 +98,36 @@ def test_criterion_2_overfit_and_exact_decode():
 # 3. Leakage ordering
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_leakage_ordering():
-    """On a 256-segment synthetic corpus, for 3 seeds at 500 steps each, the
-    final training loss of the leaky full-caption objective is strictly below
-    the split-half loss. Direction only: the input of full_caption fully
-    determines its target, while split-half groups share first halves across
-    several continuations and so carry an irreducible entropy floor."""
+def _leakage_final_loss(seed: int, name: str) -> float:
+    """corpus_loss after one 500-step d=64 training of objective ``name``."""
     d = 64
     cfg = ModelConfig(d_model=d, n_heads=4, n_encoder_layers=1,
                       n_decoder_layers=1, d_ff=128, max_target_len=64)
     enc = StubEncoders(d=d, seed=0)
     corpus = make_leakage_corpus(n_segments=256, seed=0)
+    examples = pretrain_examples(name, corpus, enc, max_target_len=64)
+    model = Model(cfg, seed=seed)
+    train(examples, model, TrainConfig(steps=500, batch_size=16, lr=3e-3, seed=seed))
+    return corpus_loss(model, examples)
 
+
+def test_criterion_3_leakage_ordering(monkeypatch):
+    """On a 256-segment synthetic corpus, for 3 seeds at 500 steps each, the
+    final training loss of the leaky full-caption objective is strictly below
+    the split-half loss. Direction only: the input of full_caption fully
+    determines its target, while split-half groups share first halves across
+    several continuations and so carry an irreducible entropy floor.
+
+    The six trainings are independent and Python-bound, so they run in two
+    spawned processes, each with one BLAS thread so that the two do not
+    oversubscribe the CPUs."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")   # read by the children's numpy
+    runs = [(seed, name) for seed in (0, 1, 2) for name in ("full_caption", "split_half")]
+    with ProcessPoolExecutor(max_workers=2, mp_context=mp.get_context("spawn")) as pool:
+        losses = list(pool.map(_leakage_final_loss, *zip(*runs)))
     results = {}
-    for seed in (0, 1, 2):
-        finals = {}
-        for name in ("full_caption", "split_half"):
-            examples = pretrain_examples(name, corpus, enc, max_target_len=64)
-            model = Model(cfg, seed=seed)
-            train(examples, model,
-                  TrainConfig(steps=500, batch_size=16, lr=3e-3, seed=seed))
-            finals[name] = corpus_loss(model, examples)
-        results[seed] = finals
+    for (seed, name), loss in zip(runs, losses):
+        results.setdefault(seed, {})[name] = loss
 
     for seed, finals in results.items():
         assert finals["full_caption"] < finals["split_half"], (

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the seed ranges it accepts, the running order of a
-pair, its exports of the trees, and the summary it prints from a file of runs."""
+pair, its exports of the trees, the summary it prints from a file of runs, and
+the first moved digest that ``exact`` reports."""
 
 import importlib.util
 import json
@@ -144,3 +145,35 @@ def test_summary_calls_a_metric_wider_than_its_bound_unresolved(tmp_path, capsys
     lines = {line.split(":")[0].strip(): line for line in capsys.readouterr().out.splitlines()}
     # a change that beats every parent run is resolved, however wide the parent's spread
     assert lines["items_per_s"].endswith(verdict)
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ("bits = 2\n", "outputs differ: first pretrain/metrics.jsonl loss, on 1 CPU(s)"),
+    ("bits = 1\n", "outputs identical: 2 artifacts on 2 and 1 CPU(s)")])
+def test_exact_reports_the_first_moved_digest(tmp_path, monkeypatch, capsys, change, verdict):
+    tool = load_tool()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "benchmarks").mkdir()
+    (repo / "benchmarks" / "run.py").write_text("pass\n")
+    monkeypatch.chdir(repo)
+    for i, bits in enumerate(("bits = 1\n", change)):
+        (repo / "src" / "a.py").write_text(bits)
+        (repo / "README").write_text(f"commit {i}\n")
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", str(i)]):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                            "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+    def digests(tree, seed, pin):   # a seeded bit that only moves on one CPU
+        bits = (tree / "src" / "a.py").read_text() if pin else "bits = 1\n"
+        return {"cpus": 1 if pin else 2,
+                "artifacts": {"embeddings.store": "e", "pretrain/metrics.jsonl loss": bits}}
+
+    monkeypatch.setattr(tool, "_digests", digests)
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["exact", "--parent", "HEAD~1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == verdict + "\n"
+    doc = json.loads(out.read_text())
+    assert [run["cpus"] for run in doc["exact"]["change"]] == [2, 1]
+    assert tool.main(["summary", str(out)]) == 0
+    assert verdict in capsys.readouterr().out.splitlines()

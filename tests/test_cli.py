@@ -675,6 +675,8 @@ class TestTrainingPipeline:
         ("--lr", "nan", "lr must be finite, got nan"),
         ("--weight-decay", "nan", "weight_decay must be finite, got nan"),
         ("--weight-decay", "inf", "weight_decay must be finite, got inf"),
+        ("--lr", "-0.01", "lr must be >= 0, got -0.01"),
+        ("--weight-decay", "-5", "weight_decay must be >= 0, got -5.0"),
     ])
     def test_bad_train_setting_exits_nonzero(self, tmp_path, stage_argv, capsys, flag, value,
                                              message):
@@ -695,9 +697,14 @@ class TestTrainingPipeline:
         assert set(last) == {*first, "error"}
         assert first["examples_seen"] == last["examples_seen"] == 2   # step 1 is not taken
 
-    def test_decode_length_below_one_exits_nonzero(self, tmp_path, stage_argv, capsys):
-        assert main([*stage_argv["eval"], "--max-decode-len", "-3"]) == 1
-        assert "max_len must be >= 1, got -3" in capsys.readouterr().err
+    @pytest.mark.parametrize("value, message", [
+        ("-3", "max_len must be >= 1, got -3"),
+        ("64", "max_len 64 exceeds max_target_len 32"),
+    ], ids=["below-one", "over-max-target-len"])
+    def test_decode_length_out_of_range_exits_nonzero(self, tmp_path, stage_argv, capsys, value,
+                                                      message):
+        assert main([*stage_argv["eval"], "--max-decode-len", value]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "run" / "eval.json").exists()
 
     @pytest.mark.parametrize("edit, message", [

@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -237,6 +240,36 @@ class TestListEncode:
                 (enc.encode_graphs(graphs), [enc.encode_graph(g) for g in graphs])):
             assert rows.dtype == np.float32 and rows.shape == (len(singles), d)
             assert all(row.tobytes() == e.values.tobytes() for row, e in zip(rows, singles))
+
+    def test_row_after_an_encode_equals_a_fresh_generator_draw(self):
+        d, seed = 65, 3
+        spent = np.random.Philox(key=hash_bytes(b"a list", seed))
+        np.random.Generator(spent).standard_normal(d, dtype=np.float32)
+        assert spent.state["has_uint32"] == 1   # an odd d leaves a spare 32-bit word
+        enc = StubEncoders(d=d, seed=seed)
+        enc.encode_caption("a list")   # leaves the spare word in this thread's generator
+        fresh = np.random.Generator(np.random.Philox(key=hash_bytes(b"after", seed)))
+        expected = l2_normalize(fresh.standard_normal(d, dtype=np.float32))
+        assert enc.encode_caption("after").values.tobytes() == expected.tobytes()
+
+    def test_threads_encoding_at_once_get_their_serial_rows(self):
+        enc = StubEncoders(d=33, seed=1)
+        lists = [[f"thread {t} row {i}" for i in range(40)] for t in range(2)]
+        serial = [enc.encode_captions(texts).tobytes() for texts in lists]
+        start = threading.Barrier(2)
+
+        def encode(texts):
+            start.wait()
+            return [enc.encode_captions(texts).tobytes() for _ in range(30)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # the threads take turns within every row
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                rows = list(pool.map(encode, lists))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [set(r) for r in rows] == [{serial[0]}, {serial[1]}]
 
     def test_dimension_below_one_rejected(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):

@@ -253,6 +253,8 @@ class TestTrain:
         ("lr", float("inf"), "lr must be finite, got inf"),
         ("weight_decay", float("nan"), "weight_decay must be finite, got nan"),
         ("weight_decay", float("-inf"), "weight_decay must be finite, got -inf"),
+        ("lr", -0.01, "lr must be >= 0, got -0.01"),
+        ("weight_decay", -5.0, "weight_decay must be >= 0, got -5.0"),
     ])
     def test_config_ranges(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py run --parent REV --workload NAME \\
         --seeds 101-110 [--seconds 30] --out BENCH_prN.json [--work DIR]
+    python3 tools/bench_pairs.py exact --parent REV --out BENCH_prN.json [--seed 4242]
     python3 tools/bench_pairs.py summary BENCH_prN.json
     python3 tools/bench_pairs.py about BENCH_prN.json TEXT
 
@@ -18,7 +19,13 @@ trees and the line count of the Python files under ``src/`` in each export.
 An existing ``--out`` file for the same parent, change and benchmark trees is
 extended, so several workloads can share one file.
 
-``summary`` prints both ``src/`` line counts, then, per workload, each
+``exact`` runs one round of each workload at ``--seed`` in both exports, in
+a child process with one BLAS thread on every CPU it may use, then in one
+pinned to one CPU, and writes the digests of the outputs (SHA-256 or float
+hex; see ``_EXACT_CHILD``) into the header's ``exact``.
+
+``summary`` prints both ``src/`` line counts, "outputs identical" or the
+first artifact that differs and on how many CPUs, then, per workload, each
 end-to-end metric's median and quartiles for both sides, the change's wins
 out of the pairs, and the median minor faults and user and system CPU
 seconds per run, which show a change that trades CPU time for wall time.
@@ -109,7 +116,9 @@ def _order(pair: int, parent: str) -> list[str]:
     return [parent, CHANGE] if pair % 2 == 0 else [CHANGE, parent]
 
 
-def cmd_run(args) -> int:
+def _with_exports(args, fill) -> int:
+    """Exports both trees, opens the ``--out`` document of the same trees or
+    starts one, and calls ``fill(args, parent, trees by commit, doc)``."""
     parent = _git("rev-parse", f"{args.parent}^{{commit}}")
     work = Path(args.work or tempfile.mkdtemp(prefix="bench-pairs-"))
     work.mkdir(parents=True, exist_ok=True)
@@ -129,21 +138,85 @@ def cmd_run(args) -> int:
         if any(doc.get(k) != v for k, v in header.items()):
             print(f"error: {out} records other trees than {header}", file=sys.stderr)
             return 2
-        pairs_before = len(doc["runs"]) // 2
-        for i, seed in enumerate(_seeds(args.seeds)):
-            for commit in _order(pairs_before + i, parent):
-                run = _run_one(trees[commit], args.workload, seed, args.seconds)
-                doc["runs"].append({"commit": commit, "workload": args.workload, "seed": seed,
-                                    **run})
-                m = run["stdout_tail"][-1]["metrics"]
-                print(f"{args.workload} seed {seed} {'parent' if commit == parent else CHANGE}: "
-                      + " ".join(f"{k}={v['value']:.4g}" for k, v in m.items())
-                      + f" minflt={run['rusage']['minflt']}", file=sys.stderr)
-                out.write_text(json.dumps(doc, indent=1) + "\n")   # kept after every run
+        fill(args, parent, trees, doc)
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
     return 0
+
+
+def _pairs(args, parent: str, trees: dict, doc: dict):
+    out = Path(args.out)
+    pairs_before = len(doc["runs"]) // 2
+    for i, seed in enumerate(_seeds(args.seeds)):
+        for commit in _order(pairs_before + i, parent):
+            run = _run_one(trees[commit], args.workload, seed, args.seconds)
+            doc["runs"].append({"commit": commit, "workload": args.workload, "seed": seed,
+                                **run})
+            m = run["stdout_tail"][-1]["metrics"]
+            print(f"{args.workload} seed {seed} {'parent' if commit == parent else CHANGE}: "
+                  + " ".join(f"{k}={v['value']:.4g}" for k, v in m.items())
+                  + f" minflt={run['rusage']['minflt']}", file=sys.stderr)
+            out.write_text(json.dumps(doc, indent=1) + "\n")   # kept after every run
+
+
+# ``exact``'s child, run in an export with the seed, a work directory and "pin"
+# (to one CPU) or "all": one round per workload, then {"cpus", "artifacts"}.
+_EXACT_CHILD = r"""
+import hashlib, json, os, sys
+from pathlib import Path
+if sys.argv[3] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path[:0] = ["src", "benchmarks"]
+from workloads import WORKLOADS, Outcome
+runs = {}
+for name, workload in WORKLOADS.items():
+    (Path(sys.argv[2]) / name).mkdir(parents=True)
+    runs[name] = workload(int(sys.argv[1]), Path(sys.argv[2]) / name, Outcome())
+    runs[name].setup()
+    runs[name].run_round(0)
+rd = Path(sys.argv[2]) / "paper-pipeline" / "round0"
+found = {rel: hashlib.sha256((rd / rel).read_bytes()).hexdigest() for rel in (
+    "embeddings.store", "pretrain/checkpoint.store", "finetune/checkpoint.store", "eval/eval.json")}
+for rel in ("pretrain/metrics.jsonl", "finetune/metrics.jsonl"):
+    records = [json.loads(line) for line in (rd / rel).read_text().splitlines()]
+    for k in ("loss", "grad_norm"):
+        found[f"{rel} {k}"] = [r[k] if r[k] is None else r[k].hex() for r in records]
+found["train-small final loss"] = runs["train-small"].final_losses[-1].hex()
+found["decode-long predictions"] = hashlib.sha256(
+    json.dumps(runs["decode-long"].predictions).encode()).hexdigest()
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "artifacts": found}))
+"""
+
+
+def _digests(tree: Path, seed: int, pin: bool) -> dict:
+    """What ``_EXACT_CHILD`` prints, run in ``tree`` with one BLAS thread."""
+    work = tree / ".exact_work"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", _EXACT_CHILD, str(seed), str(work), "pin" if pin else "all"]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    shutil.rmtree(work, ignore_errors=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"exact child exited {proc.returncode} in {tree}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _exact(args, parent: str, trees: dict, doc: dict):
+    doc["exact"] = {"seed": args.seed, **{
+        side: [_digests(trees[commit], args.seed, pin) for pin in (False, True)]
+        for side, commit in (("parent", parent), (CHANGE, CHANGE))}}
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    print(_exact_verdict(doc["exact"]))
+
+
+def _exact_verdict(exact: dict) -> str:
+    for parent, change in zip(exact["parent"], exact[CHANGE]):
+        for name, digest in parent["artifacts"].items():
+            if change["artifacts"].get(name) != digest:
+                return f"outputs differ: first {name}, on {parent['cpus']} CPU(s)"
+    cpus = " and ".join(str(run["cpus"]) for run in exact["parent"])
+    return f"outputs identical: {len(exact['parent'][0]['artifacts'])} artifacts on {cpus} CPU(s)"
 
 
 def cmd_about(args) -> int:
@@ -184,6 +257,8 @@ def cmd_summary(args) -> int:
         lines = doc["src_lines"]
         print(f"src/ lines: parent {lines['parent']}  change {lines['change']}"
               f"  ({lines['change'] - lines['parent']:+d})")
+    if "exact" in doc:
+        print(_exact_verdict(doc["exact"]))
     groups: dict[tuple, dict[int, dict]] = {}
     for run in doc["runs"]:
         side = "change" if run["commit"] == CHANGE else "parent"
@@ -218,19 +293,24 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run")
-    r.add_argument("--parent", required=True, help="parent commit")
     r.add_argument("--workload", required=True)
     r.add_argument("--seeds", required=True, help="a seed, or an inclusive range A-B")
     r.add_argument("--seconds", type=float, default=30.0)
-    r.add_argument("--out", required=True)
-    r.add_argument("--work", help="directory for the exported trees (default: a temporary one)")
+    e = sub.add_parser("exact", help="digest both trees' seeded outputs, on all CPUs and on one")
+    e.add_argument("--seed", type=int, default=4242)
+    for q in (r, e):
+        q.add_argument("--parent", required=True, help="parent commit")
+        q.add_argument("--out", required=True)
+        q.add_argument("--work", help="directory for the exported trees (default: a temporary one)")
     s = sub.add_parser("summary")
     s.add_argument("file")
     a = sub.add_parser("about", help="replace the file's 'about' text")
     a.add_argument("file")
     a.add_argument("text")
     args = p.parse_args(argv)
-    return {"run": cmd_run, "summary": cmd_summary, "about": cmd_about}[args.command](args)
+    if args.command in ("run", "exact"):
+        return _with_exports(args, _pairs if args.command == "run" else _exact)
+    return {"summary": cmd_summary, "about": cmd_about}[args.command](args)
 
 
 if __name__ == "__main__":
