@@ -164,7 +164,7 @@ def test_exact_reports_the_first_moved_digest(tmp_path, monkeypatch, capsys, cha
             subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
                             "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
 
-    def digests(tree, seed, pin):   # a seeded bit that only moves on one CPU
+    def digests(tree, pin):   # a seeded bit that only moves on one CPU
         bits = (tree / "src" / "a.py").read_text() if pin else "bits = 1\n"
         return {"cpus": 1 if pin else 2,
                 "artifacts": {"embeddings.store": "e", "pretrain/metrics.jsonl loss": bits}}

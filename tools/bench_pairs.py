@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py run --parent REV --workload NAME \\
         --seeds 101-110 [--seconds 30] --out BENCH_prN.json [--work DIR]
-    python3 tools/bench_pairs.py exact --parent REV --out BENCH_prN.json [--seed 4242]
+    python3 tools/bench_pairs.py exact --parent REV --out BENCH_prN.json
     python3 tools/bench_pairs.py summary BENCH_prN.json
     python3 tools/bench_pairs.py about BENCH_prN.json TEXT
 
@@ -19,7 +19,7 @@ trees and the line count of the Python files under ``src/`` in each export.
 An existing ``--out`` file for the same parent, change and benchmark trees is
 extended, so several workloads can share one file.
 
-``exact`` runs one round of each workload at ``--seed`` in both exports, in
+``exact`` runs one round of each workload at seed ``EXACT_SEED`` in both exports, in
 a child process with one BLAS thread on every CPU it may use, then in one
 pinned to one CPU, and writes the digests of the outputs (SHA-256 or float
 hex; see ``_EXACT_CHILD``) into the header's ``exact``.
@@ -55,6 +55,7 @@ from pathlib import Path
 
 CHANGE = "change"   # the ``commit`` of a change-side run
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+EXACT_SEED = 4242   # the one seeded round ``exact`` runs
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -189,11 +190,11 @@ print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "artifacts": found}))
 """
 
 
-def _digests(tree: Path, seed: int, pin: bool) -> dict:
+def _digests(tree: Path, pin: bool) -> dict:
     """What ``_EXACT_CHILD`` prints, run in ``tree`` with one BLAS thread."""
     work = tree / ".exact_work"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-c", _EXACT_CHILD, str(seed), str(work), "pin" if pin else "all"]
+    cmd = [sys.executable, "-c", _EXACT_CHILD, str(EXACT_SEED), str(work), "pin" if pin else "all"]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     shutil.rmtree(work, ignore_errors=True)
     if proc.returncode != 0:
@@ -203,8 +204,8 @@ def _digests(tree: Path, seed: int, pin: bool) -> dict:
 
 
 def _exact(args, parent: str, trees: dict, doc: dict):
-    doc["exact"] = {"seed": args.seed, **{
-        side: [_digests(trees[commit], args.seed, pin) for pin in (False, True)]
+    doc["exact"] = {"seed": EXACT_SEED, **{
+        side: [_digests(trees[commit], pin) for pin in (False, True)]
         for side, commit in (("parent", parent), (CHANGE, CHANGE))}}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(_exact_verdict(doc["exact"]))
@@ -297,7 +298,6 @@ def main(argv=None) -> int:
     r.add_argument("--seeds", required=True, help="a seed, or an inclusive range A-B")
     r.add_argument("--seconds", type=float, default=30.0)
     e = sub.add_parser("exact", help="digest both trees' seeded outputs, on all CPUs and on one")
-    e.add_argument("--seed", type=int, default=4242)
     for q in (r, e):
         q.add_argument("--parent", required=True, help="parent commit")
         q.add_argument("--out", required=True)
