@@ -404,9 +404,9 @@ def cmd_ablate(cfg: dict) -> int:
     synthetic.write_vqa_image_store(vqa_records, encoders, image_store_path)
     with Store(image_store_path) as image_store:
         rows = evaluation.run_ablation(
-            evaluation.default_ablation_grid(), model_cfg, corpus, vqa_records, image_store,
-            encoders, pretrain_steps=cfg["pretrain-steps"], finetune_steps=cfg["finetune-steps"],
-            seed=cfg["seed"], batch_size=cfg["batch-size"], lr=cfg["lr"])
+            model_cfg, corpus, vqa_records, image_store, pretrain_steps=cfg["pretrain-steps"],
+            finetune_steps=cfg["finetune-steps"], seed=cfg["seed"], batch_size=cfg["batch-size"],
+            lr=cfg["lr"])
     buf = io.StringIO()
     evaluation.write_ablation_table(rows, buf)
     atomic_write_text(run_dir / "ablation.tsv", buf.getvalue())

@@ -177,21 +177,6 @@ def evaluate(model: Model, examples: list[VqaExample],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AblationConfig:
-    """One grid row: whether to pretrain, feed the scene-graph row and keep
-    only the yes/no questions."""
-    pretrain: bool
-    include_graph: bool
-    yes_no_only: bool
-
-    @property
-    def label(self) -> str:
-        return "+".join(["pretrain" if self.pretrain else "scratch",
-                         "graph" if self.include_graph else "no-graph",
-                         "yes-no-only" if self.yes_no_only else "all-questions"])
-
-
-@dataclass(frozen=True)
 class AblationRow:
     label: str
     accuracy: float | None
@@ -199,50 +184,54 @@ class AblationRow:
     status: str = "ok"
 
 
-def default_ablation_grid() -> list[AblationConfig]:
-    """{pretrain off/on} x {graph on/off} x {yes/no-only off/on}, in that
-    order, the first axis slowest."""
-    return [AblationConfig(*flags)
-            for flags in itertools.product((False, True), (True, False), (False, True))]
-
-
-def run_ablation(grid: list[AblationConfig], model_config: ModelConfig,
-                 corpus: list, vqa_records: list[dict], image_store, encoders, *,
-                 pretrain_steps: int, finetune_steps: int, seed: int,
+def run_ablation(model_config: ModelConfig, corpus: list, vqa_records: list[dict], image_store,
+                 *, pretrain_steps: int, finetune_steps: int, seed: int,
                  batch_size: int = 16, lr: float = 1e-4) -> list[AblationRow]:
-    """One row per config; each run is independent and fully seeded.
+    """One row for each of {pretrain off/on} x {graph on/off} x {yes/no-only
+    off/on}, in that order, the first axis slowest; every run fully seeded.
 
-    Each run starts from ``Model(model_config, seed=seed)``. A pretraining
-    run first trains ``pretrain_steps`` split-half steps, training seed
-    ``seed``, on ``corpus``, a list of (segment, graph) pairs. Every run then
-    finetunes ``finetune_steps`` steps, training seed ``seed + 1``, on
-    ``vqa_records``, raw {image_key, question, answers, graph} dicts rebuilt
-    per config, and is scored on the same examples. A run that raises gives
-    a row whose status names the error.
+    Each (pretrain, graph) pair makes one start, ``Model(model_config,
+    seed=seed)``, which a pretrain pair first trains ``pretrain_steps``
+    split-half steps, training seed ``seed``, on ``corpus``, a list of
+    (segment, graph) pairs. The pair builds its examples once from
+    ``vqa_records``, raw {image_key, question, answers, graph} dicts, with the
+    encoders ``image_store`` names. From the start, all the questions and then
+    the yes/no ones finetune ``finetune_steps`` steps, training seed
+    ``seed + 1``, and are scored on the examples they trained on. The filter
+    does not touch the start, so each row equals a run from a fresh model. A
+    run that raises gives a row whose status names the error; an error before
+    the finetune fails both rows of its pair.
     """
-    def accuracy(cfg: AblationConfig) -> float:
-        model = Model(model_config, seed=seed)
-        if cfg.pretrain:
-            pairs = [(seg, graph if cfg.include_graph else None) for seg, graph in corpus]
-            examples = pretrain_examples("split_half", pairs, encoders,
-                                         model_config.max_target_len)
-            train(examples, model,
-                  TrainConfig(steps=pretrain_steps, batch_size=batch_size, lr=lr, seed=seed))
-        examples = vqa_examples(vqa_records, image_store, encoders, np.random.default_rng(seed),
-                                cfg.include_graph, model_config.max_target_len)
-        if cfg.yes_no_only:
-            examples = yes_no_examples(examples)
-        train(examples, model,
-              TrainConfig(steps=finetune_steps, batch_size=batch_size, lr=lr, seed=seed + 1))
-        return evaluate(model, examples, max_decode_len=EVAL_DECODE_LEN).mean_accuracy
-
     rows: list[AblationRow] = []
-    for cfg in grid:
-        iterations = finetune_steps + (pretrain_steps if cfg.pretrain else 0)
+    for pretrain, include_graph in itertools.product((False, True), (True, False)):
+        pair = ["pretrain" if pretrain else "scratch", "graph" if include_graph else "no-graph"]
+        labels = ["+".join([*pair, questions]) for questions in ("all-questions", "yes-no-only")]
+        iterations = finetune_steps + (pretrain_steps if pretrain else 0)
         try:
-            rows.append(AblationRow(cfg.label, accuracy(cfg), iterations))
+            encoders = image_store.encoders(model_config.d_model)
+            model = Model(model_config, seed=seed)
+            if pretrain:
+                pairs = [(seg, graph if include_graph else None) for seg, graph in corpus]
+                examples = pretrain_examples("split_half", pairs, encoders,
+                                             model_config.max_target_len)
+                train(examples, model,
+                      TrainConfig(steps=pretrain_steps, batch_size=batch_size, lr=lr, seed=seed))
+            examples = vqa_examples(vqa_records, image_store, encoders, np.random.default_rng(seed),
+                                    include_graph, model_config.max_target_len)
+            start = model.value.copy()
         except Exception as e:
-            rows.append(AblationRow(cfg.label, None, iterations, status=f"failed: {e}"))
+            rows += [AblationRow(label, None, iterations, status=f"failed: {e}") for label in labels]
+            continue
+        for label, yes_no_only in zip(labels, (False, True)):
+            try:
+                model.value[...] = start
+                subset = yes_no_examples(examples) if yes_no_only else examples
+                train(subset, model,
+                      TrainConfig(steps=finetune_steps, batch_size=batch_size, lr=lr, seed=seed + 1))
+                accuracy = evaluate(model, subset, max_decode_len=EVAL_DECODE_LEN).mean_accuracy
+                rows.append(AblationRow(label, accuracy, iterations))
+            except Exception as e:
+                rows.append(AblationRow(label, None, iterations, status=f"failed: {e}"))
     return rows
 
 

@@ -57,8 +57,12 @@ def make_leakage_corpus(n_segments: int = 256, variants_per_group: int = 8,
     With 8 variants per group the split-half objective faces an entropy floor
     of ln(8) nats spread over the second-half tokens, while the full-caption
     target stays a deterministic function of its caption row."""
+    for name, value in (("n_segments", n_segments), ("variants_per_group", variants_per_group)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if n_segments % variants_per_group != 0:
-        raise ValueError("n_segments must be a multiple of variants_per_group")
+        raise ValueError(f"n_segments {n_segments} must be a multiple of "
+                         f"variants_per_group {variants_per_group}")
     rng = np.random.default_rng(seed)
     first_len = -(-_WORDS_PER_SEGMENT // 2)
     out: list[tuple[Segment, SceneGraph]] = []
@@ -107,6 +111,8 @@ def make_mini_vqa(n_examples: int = 64, seed: int = 0) -> list[dict]:
     counting ("how many dogs are there"). Majorities agree with the scene
     graph; a couple of dissenting answers keep the accuracy metric non-binary.
     """
+    if n_examples < 1:
+        raise ValueError(f"n_examples must be >= 1, got {n_examples}")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_examples):

@@ -847,6 +847,18 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "error: 8 of 8 ablation rows failed" in err and "pretrain+graph" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-segments", "-8", "n_segments must be >= 1, got -8"),
+        ("--n-segments", "0", "n_segments must be >= 1, got 0"),
+        ("--n-segments", "12", "n_segments 12 must be a multiple of variants_per_group 8"),
+        ("--n-vqa", "0", "n_examples must be >= 1, got 0"),
+    ])
+    def test_count_out_of_range_exits_nonzero(self, tmp_path, capsys, flag, value, message):
+        run = tmp_path / "a"
+        assert main(["ablate", flag, value, *TINY_MODEL, "--out-dir", str(run)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (run / "images.store").exists()
+
 
 def run_losses(run_dir):
     return [json.loads(l)["loss"] for l in (run_dir / "metrics.jsonl").read_text().splitlines()]

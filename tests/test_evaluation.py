@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import re
 import string
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from modalfuse import evaluation, tokenizer
 from modalfuse.backbone import Model, ModelConfig
-from modalfuse.evaluation import (AblationRow, collapse_report, default_ablation_grid,
-                                  evaluate, is_yes_no, normalize_answer, run_ablation,
-                                  vqa_accuracy, write_ablation_table)
+from modalfuse.evaluation import (AblationRow, collapse_report, evaluate, is_yes_no,
+                                  normalize_answer, run_ablation, vqa_accuracy,
+                                  write_ablation_table)
 from modalfuse.experts import StubEncoders
-from modalfuse.objectives import TrainConfig, build_vqa_example, train, vqa_examples
+from modalfuse.objectives import (TrainConfig, build_vqa_example, pretrain_examples, train,
+                                  vqa_examples)
 from modalfuse.store import Store
 from modalfuse.synthetic import (make_leakage_corpus, make_mini_vqa,
                                  write_vqa_image_store)
@@ -320,29 +322,27 @@ class TestEvaluate:
 
 
 class TestAblationGrid:
-    def test_eight_rows(self):
-        grid = default_ablation_grid()
-        assert len(grid) == 8
-        assert len({c.label for c in grid}) == 8
-
-    def test_axes_covered(self):
-        grid = default_ablation_grid()
-        combos = {(c.pretrain, c.include_graph, c.yes_no_only) for c in grid}
-        assert len(combos) == 8
-
-    def test_labels_reflect_flags(self):
-        for c in default_ablation_grid():
-            assert ("pretrain" in c.label) == c.pretrain
-            assert ("no-graph" in c.label) == (not c.include_graph)
-            assert ("yes-no-only" in c.label) == c.yes_no_only
+    def test_rows_follow_the_grid(self, vqa_setup):
+        records, store, _, _ = vqa_setup
+        corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
+        rows = run_ablation(SMALL, corpus, records, store,
+                            pretrain_steps=2, finetune_steps=1, seed=0, batch_size=4)
+        assert len({r.label for r in rows}) == 8
+        # pretrain is the slowest axis, then graph, then yes/no-only
+        flags = itertools.product((False, True), (True, False), (False, True))
+        for row, (pretrain, include_graph, yes_no_only) in zip(rows, flags, strict=True):
+            assert row.label.startswith("pretrain+" if pretrain else "scratch+")
+            assert ("no-graph" in row.label) == (not include_graph)
+            assert row.label.endswith("+yes-no-only" if yes_no_only else "+all-questions")
+            assert row.iterations == (3 if pretrain else 1)
 
 
 class TestRunAblation:
     def test_grid_runs_and_is_deterministic(self, vqa_setup):
-        records, store, _, encoders = vqa_setup
+        records, store, _, _ = vqa_setup
         corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
         runs = [
-            run_ablation(default_ablation_grid(), SMALL, corpus, records, store, encoders,
+            run_ablation(SMALL, corpus, records, store,
                          pretrain_steps=2, finetune_steps=2, seed=0, batch_size=4, lr=1e-4)
             for _ in range(2)
         ]
@@ -354,23 +354,54 @@ class TestRunAblation:
                 assert row.iterations in (2, 4)
         assert runs[0] == runs[1]
 
-    def test_failure_becomes_row(self, vqa_setup):
+    def test_shared_start_equals_an_independent_run(self, vqa_setup):
+        """A pair's two question sets finetune from one start; each row equals
+        a run from its own fresh model."""
         records, store, _, encoders = vqa_setup
+        corpus = make_leakage_corpus(n_segments=16, seed=0)
+        seed, shared = 3, dict(batch_size=8, lr=0.01)
+        rows = {r.label: r.accuracy
+                for r in run_ablation(SMALL, corpus, records, store, pretrain_steps=10,
+                                      finetune_steps=30, seed=seed, **shared)}
+
+        def independent(include_graph: bool, yes_no_only: bool) -> float:
+            model = Model(SMALL, seed=seed)
+            pairs = [(seg, graph if include_graph else None) for seg, graph in corpus]
+            train(pretrain_examples("split_half", pairs, encoders, SMALL.max_target_len),
+                  model, TrainConfig(steps=10, seed=seed, **shared))
+            examples = vqa_examples(records, store, encoders, np.random.default_rng(seed),
+                                    include_graph, SMALL.max_target_len)
+            if yes_no_only:
+                examples = [e for e in examples if is_yes_no(e)]
+            train(examples, model, TrainConfig(steps=30, seed=seed + 1, **shared))
+            return evaluate(model, examples,
+                            max_decode_len=evaluation.EVAL_DECODE_LEN).mean_accuracy
+
+        expected = {"pretrain+no-graph+all-questions": independent(False, False),
+                    "pretrain+graph+yes-no-only": independent(True, True)}
+        assert all(expected.values())   # at these settings neither row reads 0
+        assert {label: rows[label] for label in expected} == expected
+
+    def test_failure_becomes_row(self, vqa_setup):
+        records, store, _, _ = vqa_setup
+        corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
         bad = [dict(r, image_key="missing") for r in records]
-        rows = run_ablation(default_ablation_grid()[:1], SMALL, [], bad, store, encoders,
+        rows = run_ablation(SMALL, corpus, bad, store,
                             pretrain_steps=1, finetune_steps=1, seed=0, batch_size=4)
-        assert rows[0].accuracy is None
-        assert rows[0].status.startswith("failed:")
+        assert len(rows) == 8
+        for row in rows:
+            assert row.accuracy is None
+            assert row.status == f"failed: key 'missing' not found in {store.path}"
 
     def test_yes_no_only_without_yes_no_questions(self, vqa_setup):
-        records, store, _, encoders = vqa_setup
+        records, store, _, _ = vqa_setup
+        corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
         counting = [r for r in records if r["question"].startswith("how many")]
-        grid = [c for c in default_ablation_grid() if not c.pretrain]
-        rows = run_ablation(grid, SMALL, [], counting, store, encoders,
+        rows = run_ablation(SMALL, corpus, counting, store,
                             pretrain_steps=1, finetune_steps=1, seed=0, batch_size=4)
         assert [r.status for r in rows if "yes-no-only" in r.label] == [
             f"failed: yes-no-only: the question set ({len(counting)} questions) "
-            "has no yes/no questions"] * 2
+            "has no yes/no questions"] * 4
         assert all(r.status == "ok" for r in rows if "all-questions" in r.label)
 
 

@@ -424,3 +424,19 @@ class TestTrimmedBatch:
             n_tokens += tokens
         assert corpus_loss(model, vqa_batch, batch_size=2) == pytest.approx(
             total / n_tokens, rel=1e-12)
+
+
+class TestSyntheticCounts:
+    @pytest.mark.parametrize("make,kwargs,message", [
+        (make_leakage_corpus, {"n_segments": 0}, "n_segments must be >= 1, got 0"),
+        (make_leakage_corpus, {"n_segments": -8}, "n_segments must be >= 1, got -8"),
+        (make_leakage_corpus, {"variants_per_group": 0}, "variants_per_group must be >= 1, got 0"),
+        (make_leakage_corpus, {"n_segments": 12},
+         "n_segments 12 must be a multiple of variants_per_group 8"),
+        (make_mini_vqa, {"n_examples": 0}, "n_examples must be >= 1, got 0"),
+        (make_mini_vqa, {"n_examples": -1}, "n_examples must be >= 1, got -1"),
+    ])
+    def test_count_refused(self, make, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            make(**kwargs)
+        assert str(err.value) == message

@@ -19,10 +19,11 @@ trees and the line count of the Python files under ``src/`` in each export.
 An existing ``--out`` file for the same parent, change and benchmark trees is
 extended, so several workloads can share one file.
 
-``exact`` runs one round of each workload at seed ``EXACT_SEED`` in both exports, in
-a child process with one BLAS thread on every CPU it may use, then in one
-pinned to one CPU, and writes the digests of the outputs (SHA-256 or float
-hex; see ``_EXACT_CHILD``) into the header's ``exact``.
+``exact`` runs one round of each workload and one small ``modalfuse ablate``
+at seed ``EXACT_SEED`` in both exports, in a child process with one BLAS
+thread on every CPU it may use, then in one pinned to one CPU, and writes the
+digests of the outputs (SHA-256 or float hex; see ``_EXACT_CHILD``) into the
+header's ``exact``.
 
 ``summary`` prints both ``src/`` line counts, "outputs identical" or the
 first artifact that differs and on how many CPUs, then, per workload, each
@@ -55,7 +56,7 @@ from pathlib import Path
 
 CHANGE = "change"   # the ``commit`` of a change-side run
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-EXACT_SEED = 4242   # the one seeded round ``exact`` runs
+EXACT_SEED = 4242   # the seed of ``exact``'s rounds and of its ablate run
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -162,9 +163,10 @@ def _pairs(args, parent: str, trees: dict, doc: dict):
 
 
 # ``exact``'s child, run in an export with the seed, a work directory and "pin"
-# (to one CPU) or "all": one round per workload, then {"cpus", "artifacts"}.
+# (to one CPU) or "all": one round per workload and a d=32 ablate run through
+# that tree's ``cli.main``, then {"cpus", "artifacts"}.
 _EXACT_CHILD = r"""
-import hashlib, json, os, sys
+import contextlib, hashlib, io, json, os, sys
 from pathlib import Path
 if sys.argv[3] == "pin":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -186,6 +188,16 @@ for rel in ("pretrain/metrics.jsonl", "finetune/metrics.jsonl"):
 found["train-small final loss"] = runs["train-small"].final_losses[-1].hex()
 found["decode-long predictions"] = hashlib.sha256(
     json.dumps(runs["decode-long"].predictions).encode()).hexdigest()
+from modalfuse import cli
+ad = Path(sys.argv[2]) / "ablate"
+with contextlib.redirect_stdout(io.StringIO()):   # the table it prints
+    cli.main(["ablate", "--d-model", "32", "--n-heads", "4", "--enc-layers", "1",
+              "--dec-layers", "1", "--d-ff", "64", "--max-target-len", "32",
+              "--n-segments", "16", "--n-vqa", "16", "--pretrain-steps", "10",
+              "--finetune-steps", "30", "--batch-size", "8", "--lr", "0.01",
+              "--seed", sys.argv[1], "--out-dir", str(ad)])
+for name in ("ablation.tsv", "ablation.jsonl"):
+    found[name] = hashlib.sha256((ad / name).read_bytes()).hexdigest()
 print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "artifacts": found}))
 """
 
