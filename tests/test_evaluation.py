@@ -322,19 +322,32 @@ class TestEvaluate:
 
 
 class TestAblationGrid:
-    def test_rows_follow_the_grid(self, vqa_setup):
+    # pretrain is the slowest axis, then graph, then yes/no-only
+    FLAGS = list(itertools.product((False, True), (True, False), (False, True)))
+
+    @pytest.fixture(scope="class")
+    def rows(self, vqa_setup):
         records, store, _, _ = vqa_setup
         corpus = make_leakage_corpus(n_segments=8, variants_per_group=2, seed=0)
-        rows = run_ablation(SMALL, corpus, records, store,
+        return run_ablation(SMALL, corpus, records, store,
                             pretrain_steps=2, finetune_steps=1, seed=0, batch_size=4)
+
+    def test_eight_rows(self, rows):
+        assert len(rows) == 8
         assert len({r.label for r in rows}) == 8
-        # pretrain is the slowest axis, then graph, then yes/no-only
-        flags = itertools.product((False, True), (True, False), (False, True))
-        for row, (pretrain, include_graph, yes_no_only) in zip(rows, flags, strict=True):
+
+    def test_axes_covered(self, rows):
+        combos = {(r.label.startswith("pretrain+"), "no-graph" not in r.label,
+                   r.label.endswith("+yes-no-only")) for r in rows}
+        assert combos == set(self.FLAGS)
+        for row, (pretrain, _, _) in zip(rows, self.FLAGS, strict=True):
+            assert row.iterations == (3 if pretrain else 1)
+
+    def test_labels_reflect_flags(self, rows):
+        for row, (pretrain, include_graph, yes_no_only) in zip(rows, self.FLAGS, strict=True):
             assert row.label.startswith("pretrain+" if pretrain else "scratch+")
             assert ("no-graph" in row.label) == (not include_graph)
             assert row.label.endswith("+yes-no-only" if yes_no_only else "+all-questions")
-            assert row.iterations == (3 if pretrain else 1)
 
 
 class TestRunAblation:
