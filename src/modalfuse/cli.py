@@ -221,39 +221,49 @@ def cmd_encode_pack(cfg: dict) -> int:
     return 0
 
 
-def _examples_from_store(store: Store, objective: str, model_cfg: ModelConfig
-                         ) -> tuple[list[objectives.PretrainExample], int]:
-    """One example per encode-pack record, and the number of records skipped:
-    split_half skips one-word captions and encodes the first halves of the
-    rest as lists, with the encoders the store names."""
-    encoders, skipped = store.encoders(model_cfg.d_model), 0
+class _StoreExamples:
+    """The pretraining examples of an encode-pack store, one per record
+    ``objective`` trains on, each built from its record when indexed: a
+    store read, then, for split_half, the first half encoded as a one-row list
+    with the encoders the store names. Construction reads and checks every
+    record once, so a bad record raises before any step; it counts the
+    records skipped (split_half skips one-word captions) and the targets cut
+    to fit max_target_len, and keeps the indexes of the rest."""
 
-    def read():
-        nonlocal skipped
+    def __init__(self, store: Store, objective: str, model_cfg: ModelConfig):
+        self.store, self.objective, self.max_len = store, objective, model_cfg.max_target_len
+        self.encoders, self.indexes = store.encoders(model_cfg.d_model), []
+        self.skipped = self.truncated = 0
         for i in range(len(store)):
-            rec = store.get(i)
-            frames = [arr.reshape(-1) for tag, arr in rec.arrays if tag == "frame"]
-            rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
-            if "caption" not in rows or "raw" not in rows:
-                raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
-            caption = row_text(rows["raw"], rec.key)
+            frames, caption, rows = self._read(i)
             if objective == "split_half" and len(caption.split(" ")) < 2:
-                skipped += 1
-                continue
-            yield frames, caption, rows
+                self.skipped += 1
+            else:   # the stored caption row stands in for the split_half text row
+                self.truncated += self._example(frames, caption, rows, rows["caption"]).truncated
+                self.indexes.append(i)
 
-    out = []
-    for chunk in _chunks(read(), _ENCODE_CHUNK):
-        if objective == "split_half":
-            text_rows = encoders.encode_captions(
-                [objectives.objective_texts(objective, caption)[0] for _, caption, _ in chunk])
-        else:
-            text_rows = [rows["caption"] for _, _, rows in chunk]
-        for (frames, caption, rows), text_row in zip(chunk, text_rows):
-            fused = objectives.fused_input(frames, text_row, "caption", rows.get("scene_graph"))
-            out.append(objectives.pretrain_example(objective, caption, fused,
-                                                   model_cfg.max_target_len))
-    return out, skipped
+    def _read(self, i: int):
+        rec = self.store.get(i)
+        frames = [arr.reshape(-1) for tag, arr in rec.arrays if tag == "frame"]
+        rows = {tag: arr.reshape(-1) for tag, arr in rec.arrays if tag != "frame"}
+        if "caption" not in rows or "raw" not in rows:
+            raise ValidationError(f"record {rec.key!r} has no caption row or caption text")
+        return frames, row_text(rows["raw"], rec.key), rows
+
+    def _example(self, frames, caption: str, rows: dict, text_row) -> objectives.PretrainExample:
+        fused = objectives.fused_input(frames, text_row, "caption", rows.get("scene_graph"))
+        return objectives.pretrain_example(self.objective, caption, fused, self.max_len)
+
+    def __len__(self) -> int:
+        return len(self.indexes)
+
+    def __getitem__(self, i: int) -> objectives.PretrainExample:
+        frames, caption, rows = self._read(self.indexes[i])
+        text_row = rows["caption"]
+        if self.objective == "split_half":
+            first = objectives.objective_texts(self.objective, caption)[0]
+            text_row = self.encoders.encode_captions([first])[0]
+        return self._example(frames, caption, rows, text_row)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +278,34 @@ def cmd_pretrain(cfg: dict) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
     model = Model.__new__(Model)._build(model_cfg, np.float32)
-    drawing = model._draw(cfg["seed"])   # on the worker while the store is read, for a large model
-    with Store(cfg["store"]) as store:
-        examples, skipped = _examples_from_store(store, cfg["objective"], model_cfg)
-    drawing.result()
-    if skipped:
-        if not examples:
-            raise ValidationError(f"split_half needs captions of at least 2 words; "
-                                  f"all {skipped} records have one")
-        print(f"warning: skipped {skipped} of {skipped + len(examples)} records whose caption"
-              f" has one word (split_half needs at least 2)", file=sys.stderr)
-    final_loss = _run_training(model, examples, cfg, run_dir, skipped)
+    with Store(cfg["store"]) as store:   # open until training ends: it builds each batch
+        drawing = model._draw(cfg["seed"])   # on the worker, for a large model, during the check
+        try:
+            examples = _StoreExamples(store, cfg["objective"], model_cfg)
+        finally:
+            drawing.result()
+        skipped = examples.skipped
+        if skipped:
+            if not examples:
+                raise ValidationError(f"split_half needs captions of at least 2 words; "
+                                      f"all {skipped} records have one")
+            print(f"warning: skipped {skipped} of {skipped + len(examples)} records whose "
+                  f"caption has one word (split_half needs at least 2)", file=sys.stderr)
+        final_loss = _run_training(model, examples, cfg, run_dir, examples.truncated, skipped)
     print(f"pretrained {cfg['steps']} steps{final_loss}")
     return 0
 
 
-def _run_training(model, examples, cfg, run_dir: Path, skipped: int = 0) -> str:
+def _run_training(model, examples, cfg, run_dir: Path, truncated: int, skipped: int = 0) -> str:
     """Train, write the run's files, and return "; final loss X" ("" for 0 steps);
-    ``skipped`` counts the input records that gave no example."""
+    ``truncated`` counts the examples whose target was cut, ``skipped`` the
+    input records that gave no example."""
     ckpt = run_dir / "checkpoint.store"
     train_cfg = objectives.TrainConfig(
         **{name: cfg[flag] for flag, name in _TRAIN_FIELDS.items()}, checkpoint_path=str(ckpt))
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as mf:
         metrics = objectives.train(examples, model, train_cfg, metrics_fp=mf)
     final_loss = metrics[-1]["loss"] if metrics else None
-    truncated = sum(e.truncated for e in examples)
     if truncated:
         n = model.config.max_target_len
         print(f"warning: {truncated} of {len(examples)} targets cut to max-target-len {n}"
@@ -346,7 +359,8 @@ def cmd_finetune(cfg: dict) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(cfg["checkpoint-in"])
     examples = _vqa_examples(cfg, model.config, cfg["seed"])
-    final_loss = _run_training(model, examples, cfg, run_dir)
+    final_loss = _run_training(model, examples, cfg, run_dir,
+                               sum(e.truncated for e in examples))
     print(f"finetuned {cfg['steps']} steps on {len(examples)} examples{final_loss}")
     return 0
 
@@ -396,6 +410,8 @@ def cmd_ablate(cfg: dict) -> int:
     run_dir = Path(cfg["out-dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _model_config(cfg)
+    for steps in (cfg["pretrain-steps"], cfg["finetune-steps"]):   # refused before any work
+        objectives.TrainConfig(steps=steps, batch_size=cfg["batch-size"], lr=cfg["lr"])
     encoders = StubEncoders(d=model_cfg.d_model, seed=cfg["stub-seed"])
     corpus = synthetic.make_leakage_corpus(n_segments=cfg["n-segments"],
                                            seed=cfg["seed"])

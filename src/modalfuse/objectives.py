@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -234,15 +234,17 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def train(examples: list, model: Model, cfg: TrainConfig,
+def train(examples: Sequence, model: Model, cfg: TrainConfig,
           metrics_fp=None) -> list[dict]:
-    """Seeded teacher-forced training; returns one metrics record per step.
+    """Seeded teacher-forced training on a sequence of examples; returns one
+    metrics record per step.
 
-    Batches follow per-epoch seeded permutations of the example list. Each
-    record is {step, loss, lr, examples_seen, tokens, grad_norm, wall_ms}:
-    ``tokens`` counts the batch's non-PAD target tokens the loss averages
-    over, ``grad_norm`` is what ``AdamW.step`` returns, and ``wall_ms`` ends
-    after the update. A non-finite loss or grad_norm is null, beside an
+    Batches follow per-epoch seeded permutations of the example indexes, and
+    ``examples`` is only indexed and measured, so it may build each example
+    when indexed. Each record is {step, loss, lr, examples_seen, tokens,
+    grad_norm, wall_ms}: ``tokens`` counts the batch's non-PAD target tokens
+    the loss averages over, ``grad_norm`` is what ``AdamW.step`` returns, and
+    ``wall_ms`` ends after the update. A non-finite loss or grad_norm is null, beside an
     ``error`` that names it; a non-finite loss is not stepped on, and raises
     after its record. Records stream to ``metrics_fp`` (line-delimited JSON),
     one write per step as it happens, so crashed runs stay parseable.

@@ -81,6 +81,51 @@ def test_run_records_the_src_line_counts_of_both_trees(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.startswith("src/ lines: parent 2  change 6  (+4)\nw: 1 pairs")
 
 
+def test_rerun_records_each_pair_once(tmp_path, monkeypatch, capsys):
+    """A run cut after one side of seed 2 leaves that run in the file; the
+    rerun of seed 2 drops it, says so, and orders its sides by the complete
+    pairs, so each (workload, seed, side) is recorded once."""
+    tool = load_tool()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("a = 1\n")
+    (repo / "benchmarks").mkdir()
+    (repo / "benchmarks" / "run.py").write_text("pass\n")
+    monkeypatch.chdir(repo)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "parent"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+    calls = []
+
+    def run_one(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        if len(calls) == 4 and seed == 2:
+            raise RuntimeError("cut")   # the run stops before seed 2's second side
+        return {"stdout_tail": [{}, {"metrics": {"round_s": {"value": 1.0, "unit": "s"}}}],
+                "rusage": {"minflt": 1, "utime_s": 0.1, "stime_s": 0.0}}
+
+    monkeypatch.setattr(tool, "_run_one", run_one)
+    out = tmp_path / "BENCH.json"
+    argv = ["run", "--parent", "HEAD", "--workload", "w", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="cut"):
+        tool.main([*argv, "--seeds", "1-2"])
+    assert [(r["seed"], r["commit"] == "change") for r in json.loads(out.read_text())["runs"]] \
+        == [(1, False), (1, True), (2, True)]
+    capsys.readouterr()
+    calls.clear()
+    assert tool.main([*argv, "--seeds", "2-3"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == \
+        f"w seed 2: dropped 1 earlier run(s) from {out}"
+    # one complete pair before seed 2: the change runs first, and seed 3 alternates
+    assert calls == [("change", 2), ("parent", 2), ("parent", 3), ("change", 3)]
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted((r["seed"], r["commit"] == "change") for r in runs) == \
+        [(s, c) for s in (1, 2, 3) for c in (False, True)]
+    assert tool.main(["summary", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "w: 3 pairs" in summary and "duplicate" not in summary
+
+
 def run(commit, seed, items, round_s):
     metrics = {"items_per_s": {"value": items, "unit": "1/s"},
                "round_s": {"value": round_s, "unit": "s"}}
@@ -103,6 +148,21 @@ def test_summary_counts_wins_by_direction(tmp_path, capsys):
     assert "change better in 2/3" in out   # higher is better for items_per_s
     assert "minflt per run (median): parent 20  change 10" in out
     assert "cpu s per run (median): parent user 1 sys 0.1  change user 1.5 sys 0.1" in out
+
+
+def test_summary_names_duplicate_runs(tmp_path, capsys):
+    runs = [run("abc", 0, 100, 1.0), run("abc", 0, 90, 1.0), run("change", 0, 110, 1.0),
+            run("abc", 1, 100, 1.0), run("change", 1, 110, 1.0), run("change", 1, 120, 1.0),
+            run("change", 1, 130, 1.0)]
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"about": "", "parent": "abc", "runs": runs}))
+    assert load_tool().main(["summary", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("duplicate")] == [
+        "duplicate: train-small seed 0 parent has 2 runs; the last one is used",
+        "duplicate: train-small seed 1 change has 3 runs; the last one is used"]
+    # the last of each: parent 90 and 100, change 110 and 130
+    assert "items_per_s: parent 95 [92.5, 97.5]  change 120 [115, 125]" in out
 
 
 @pytest.mark.parametrize("losses, verdict", [(1, "holds"), (2, "fails")])

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalfuse import backbone, cli, objectives, worker
+from modalfuse import backbone, cli, evaluation, objectives, worker
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, json_records
 from modalfuse.experts import StubEncoders
-from modalfuse.scene_graph import SceneGraph, serialize_scene_graph
+from modalfuse.scene_graph import SceneGraph, read_graph_manifest, serialize_scene_graph
 from modalfuse.segmentation import read_segments
 from modalfuse.store import EmbeddingRecord, Store, write_store
 from modalfuse.synthetic import (make_mini_vqa, make_transcript_words,
@@ -483,12 +483,11 @@ class TestTrainingPipeline:
     def test_pretrain_examples_follow_the_objective(self, tmp_path, transcripts, monkeypatch,
                                                     objective):
         """The store was packed with --seed 1, which its header names; pretrain
-        encodes first halves with those encoders, in chunks of 3 of the 4 records."""
+        encodes first halves with those encoders."""
         segs, packed = tmp_path / "segments.jsonl", tmp_path / "seed1.store"
         main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
         assert main(["encode-pack", "--segments", str(segs), "--out", str(packed),
                      "--d", "32", "--seed", "1"]) == 0
-        monkeypatch.setattr(cli, "_ENCODE_CHUNK", 3)
         seen = []
         real_train = objectives.train
 
@@ -519,6 +518,108 @@ class TestTrainingPipeline:
                 target = " ".join(second)
             assert ex.fused.rows[1].tobytes() == text.tobytes()
             assert np.array_equal(ex.target, tokenize(target, 32))
+
+    @pytest.mark.parametrize("objective", ["full_caption", "split_half"])
+    def test_store_examples_equal_the_list_builders(self, tmp_path, objective):
+        """Each example pretrain builds from its store equals the one
+        ``pretrain_examples`` builds from the same segment and graph: a store
+        with one-word captions, segments with and without a graph and a target
+        cut to max-target-len."""
+        captions = ["one", "two words", "a caption whose second half runs well past the"
+                    " thirty bytes that a target keeps", "four", "five little words here now",
+                    "six words"]
+        segments = [{"video_id": "v", "word_start": i, "word_end": i + 1, "caption": c,
+                     "t_start": float(i), "t_end": i + 0.5,
+                     "frame_times": [i + 0.25, i + 0.375][:1 + i % 2]}
+                    for i, c in enumerate(captions)]
+        segs, graphs, packed = (tmp_path / n for n in ("segs.jsonl", "graphs.jsonl", "e.store"))
+        segs.write_text("".join(json.dumps(s) + "\n" for s in segments))
+        graphs.write_text("".join(
+            json.dumps({"key": f"v:{i}", "objects": ["dog", f"cat{i}"],
+                        "relations": [[0, "chasing", 1]]}) + "\n" for i in (1, 2)))
+        assert main(["encode-pack", "--segments", str(segs), "--graphs", str(graphs),
+                     "--out", str(packed), "--d", "32", "--seed", "5"]) == 0
+        with open(segs, "rb") as f:
+            corpus = list(read_segments(f))
+        with open(graphs, "rb") as f:
+            by_key = read_graph_manifest(f)
+        pairs = [(seg, by_key.get(f"v:{seg.word_start}")) for seg in corpus
+                 if objective == "full_caption" or " " in seg.caption]
+        expected = objectives.pretrain_examples(objective, pairs, StubEncoders(d=32, seed=5), 32)
+        assert any(e.truncated for e in expected) and not all(e.truncated for e in expected)
+        assert len({e.fused.modalities for e in expected}) == 4   # 1 or 2 frames, graph or not
+        with Store(packed) as store:
+            examples = cli._StoreExamples(store, objective, TINY_CONFIG)
+            built = list(examples)
+        assert len(built) == len(examples) == len(expected)
+        assert examples.skipped == len(captions) - len(expected)
+        assert examples.truncated == sum(e.truncated for e in expected)
+        for got, want in zip(built, expected):
+            assert got.fused.rows.tobytes() == want.fused.rows.tobytes()
+            assert got.fused.modalities == want.fused.modalities
+            assert got.fused.modality_ids.tobytes() == want.fused.modality_ids.tobytes()
+            assert got.target.tobytes() == want.target.tobytes()
+            assert (got.caption, got.truncated) == (want.caption, want.truncated)
+
+    def test_pretrain_reads_each_batch_from_the_store(self, tmp_path, packed, monkeypatch):
+        """Pretrain reads every record once before step 0, then one record per
+        example of each batch it draws."""
+        reads, during = [], []
+        real_get, real_train = Store.get, objectives.train
+
+        def get(store, i):
+            reads.append(i)
+            return real_get(store, i)
+
+        def train(examples, *args, **kwargs):
+            before = len(reads)
+            out = real_train(examples, *args, **kwargs)
+            during.append(len(reads) - before)
+            return out
+
+        monkeypatch.setattr(Store, "get", get)
+        monkeypatch.setattr(objectives, "train", train)
+        with Store(packed) as store:
+            n = len(store)
+        steps, batch = 3, 2
+        assert main(["pretrain", "--store", str(packed), "--out-dir", str(tmp_path / "run"),
+                     "--steps", str(steps), "--batch-size", str(batch), *TINY_MODEL]) == 0
+        assert len(reads) <= n + steps * batch
+        assert during == [steps * batch]
+
+    def test_corrupt_record_joins_the_model_draw(self, tmp_path, transcripts, monkeypatch,
+                                                 capsys):
+        """A record that fails its check ends pretrain before any step, after
+        the model's draw, which at this width runs on the worker, is joined."""
+        segs, packed = tmp_path / "segments.jsonl", tmp_path / "wide.store"
+        main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
+        assert main(["encode-pack", "--segments", str(segs), "--out", str(packed),
+                     "--d", "256"]) == 0
+        with Store(packed) as store:
+            _, offset, length = store._entries[0]
+        data = bytearray(packed.read_bytes())
+        data[offset + length - 8] ^= 0xFF   # a payload byte, before the record's CRC
+        packed.write_bytes(bytes(data))
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(worker, "_worker", pool)
+        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0, 1})
+        handles, real_draw = [], Model._draw
+
+        def draw(model, seed):
+            handles.append(real_draw(model, seed))
+            return handles[-1]
+
+        monkeypatch.setattr(Model, "_draw", draw)
+        run = tmp_path / "run"
+        try:
+            assert main(["pretrain", "--store", str(packed), "--out-dir", str(run), "--steps",
+                         "1", "--d-model", "256", "--n-heads", "4", "--enc-layers", "1",
+                         "--dec-layers", "1", "--d-ff", "64", "--max-target-len", "32"]) == 1
+            assert "CRC mismatch in record 0" in capsys.readouterr().err
+            assert not (run / "metrics.jsonl").exists()
+            assert len(handles) == 1 and handles[0].done()   # a Future: it ran on the worker
+        finally:
+            pool.shutdown()
 
     def test_pretrain_rejects_caption_text_that_is_not_bytes(self, tmp_path, capsys):
         # 367.0 would cast to 111, "o", and 100.7 to 100, "d": the run would go on
@@ -835,14 +936,18 @@ class TestAblate:
         out = capsys.readouterr().out
         assert "pretrain+graph" in out
 
-    def test_failed_rows_exit_nonzero(self, tmp_path, capsys):
+    def test_failed_rows_exit_nonzero(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("non-finite loss at step 0")
+
+        monkeypatch.setattr(evaluation, "train", diverge)
         run = tmp_path / "a"
         assert main(["ablate", "--n-segments", "8", "--n-vqa", "8",
                      "--pretrain-steps", "1", "--finetune-steps", "1",
-                     "--batch-size", "0", *TINY_MODEL, "--out-dir", str(run)]) == 1
+                     "--batch-size", "4", *TINY_MODEL, "--out-dir", str(run)]) == 1
         lines = (run / "ablation.tsv").read_text().splitlines()
         assert len(lines) == 9
-        assert all(l.split("\t")[3].startswith("failed:") for l in lines[1:])
+        assert all(l.split("\t")[3] == "failed: non-finite loss at step 0" for l in lines[1:])
         assert len((run / "ablation.jsonl").read_text().splitlines()) == 8
         err = capsys.readouterr().err
         assert "error: 8 of 8 ablation rows failed" in err and "pretrain+graph" in err
@@ -852,12 +957,17 @@ class TestAblate:
         ("--n-segments", "0", "n_segments must be >= 1, got 0"),
         ("--n-segments", "12", "n_segments 12 must be a multiple of variants_per_group 8"),
         ("--n-vqa", "0", "n_examples must be >= 1, got 0"),
+        # the training settings are refused before any model is drawn or trained
+        ("--pretrain-steps", "-2", "steps must be >= 0, got -2"),
+        ("--finetune-steps", "-3", "steps must be >= 0, got -3"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--lr", "-0.5", "lr must be >= 0, got -0.5"),
     ])
     def test_count_out_of_range_exits_nonzero(self, tmp_path, capsys, flag, value, message):
         run = tmp_path / "a"
         assert main(["ablate", flag, value, *TINY_MODEL, "--out-dir", str(run)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (run / "images.store").exists()
+        assert not (run / "images.store").exists() and not (run / "ablation.tsv").exists()
 
 
 def run_losses(run_dir):

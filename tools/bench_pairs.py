@@ -10,8 +10,10 @@ Run from the repository root. ``run`` exports both sides with ``git archive``
 into fresh directories: the parent commit, and the change, which is the
 working tree (tracked and untracked files, without what ``.gitignore``
 lists). Both sides must hold the same ``benchmarks/`` tree. For each seed it
-runs ``benchmarks/run.py --trace 0`` once per side, one process at a time;
-the side that runs first alternates from pair to pair. Each run keeps the
+runs ``benchmarks/run.py --trace 0`` once per side, one process at a time,
+after dropping the runs of that workload and seed already in ``--out`` (a cut
+run's leftovers), so each pair is recorded once; the side that runs first
+alternates with the number of complete pairs in the file. Each run keeps the
 last two lines of its standard output, parsed as JSON, and the minor page
 faults and user and system CPU seconds of the child process, from
 ``resource.getrusage(RUSAGE_CHILDREN)`` deltas. The file's header records the
@@ -26,7 +28,8 @@ digests of the outputs (SHA-256 or float hex; see ``_EXACT_CHILD``) into the
 header's ``exact``.
 
 ``summary`` prints both ``src/`` line counts, "outputs identical" or the
-first artifact that differs and on how many CPUs, then, per workload, each
+first artifact that differs and on how many CPUs, each (workload, seed, side)
+that has more than one run (it uses the last), then, per workload, each
 end-to-end metric's median and quartiles for both sides, the change's wins
 out of the pairs, and the median minor faults and user and system CPU
 seconds per run, which show a change that trades CPU time for wall time.
@@ -44,6 +47,7 @@ description, which is best written once the runs are in.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import resource
@@ -147,11 +151,27 @@ def _with_exports(args, fill) -> int:
     return 0
 
 
+def _side(run: dict) -> str:
+    return CHANGE if run["commit"] == CHANGE else "parent"
+
+
+def _complete_pairs(runs: list) -> int:
+    """The (workload, seed) pairs of ``runs`` that hold both sides."""
+    sides: dict[tuple, set] = {}
+    for run in runs:
+        sides.setdefault((run["workload"], run["seed"]), set()).add(_side(run))
+    return sum(len(s) == 2 for s in sides.values())
+
+
 def _pairs(args, parent: str, trees: dict, doc: dict):
     out = Path(args.out)
-    pairs_before = len(doc["runs"]) // 2
-    for i, seed in enumerate(_seeds(args.seeds)):
-        for commit in _order(pairs_before + i, parent):
+    for seed in _seeds(args.seeds):
+        kept = [r for r in doc["runs"] if (r["workload"], r["seed"]) != (args.workload, seed)]
+        if len(kept) < len(doc["runs"]):
+            print(f"{args.workload} seed {seed}: dropped {len(doc['runs']) - len(kept)}"
+                  f" earlier run(s) from {out}", file=sys.stderr)
+            doc["runs"] = kept
+        for commit in _order(_complete_pairs(doc["runs"]), parent):
             run = _run_one(trees[commit], args.workload, seed, args.seconds)
             doc["runs"].append({"commit": commit, "workload": args.workload, "seed": seed,
                                 **run})
@@ -273,9 +293,12 @@ def cmd_summary(args) -> int:
     if "exact" in doc:
         print(_exact_verdict(doc["exact"]))
     groups: dict[tuple, dict[int, dict]] = {}
+    counts = collections.Counter((run["workload"], run["seed"], _side(run)) for run in doc["runs"])
+    for (workload, seed, side), n in counts.items():
+        if n > 1:
+            print(f"duplicate: {workload} seed {seed} {side} has {n} runs; the last one is used")
     for run in doc["runs"]:
-        side = "change" if run["commit"] == CHANGE else "parent"
-        groups.setdefault(run["workload"], {}).setdefault(run["seed"], {})[side] = run
+        groups.setdefault(run["workload"], {}).setdefault(run["seed"], {})[_side(run)] = run
     for workload, pairs in groups.items():
         full = [p for p in pairs.values() if len(p) == 2]
         print(f"{workload}: {len(full)} pairs")
