@@ -41,9 +41,10 @@ class ModelConfig:
             value = getattr(self, f.name)
             if type(value) is not int:
                 raise ConfigError(f"{f.name} must be an int, got {value!r}")
-        for name in ("d_model", "n_heads", "d_ff", "max_target_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a target holds BOS and EOS, so it needs at least 2 tokens
+        for name, least in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("max_target_len", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("n_encoder_layers", "n_decoder_layers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -713,18 +714,19 @@ def load_checkpoint(path) -> Model:
     with Store(path) as store:
         cfg = json.loads(row_text(store.get_by_key(_CONFIG_KEY).arrays[0][1], _CONFIG_KEY))
         expected = {f.name for f in fields(ModelConfig)}
-        if set(cfg) != expected:
-            raise ConfigError(
-                f"{path}: checkpoint config has unknown keys {sorted(set(cfg) - expected)}"
-                f" and lacks keys {sorted(expected - set(cfg))}"
-            )
+        unknown, lacks = sorted(set(cfg) - expected), sorted(expected - set(cfg))
+        problems = [f"has unknown keys {unknown}"] if unknown else []
+        problems += [f"lacks keys {lacks}"] if lacks else []
+        if problems:
+            raise ConfigError(f"{path}: checkpoint config {' and '.join(problems)}")
 
-        # the parameters come from the store, read straight into the flat buffer: no random draws
+        # the parameters come from the store, copied into the flat buffer: no random draws
         model = Model.__new__(Model)._build(ModelConfig(**cfg), np.float32)
-        params = model.params()
-        shapes = store.read_into((f"param:{p.name}", [p.value]) for p in params)
-        for p, stored in zip(params, shapes):
+        for p in model.params():
+            arrays = [arr for _, arr in store.get_by_key(f"param:{p.name}").arrays]
+            stored = tuple(arr.shape for arr in arrays)
             if stored != (p.shape,):
                 raise ConfigError(f"checkpoint shape {stored[0] if len(stored) == 1 else stored}"
                                   f" for {p.name} does not match {p.shape}")
+            p.value[...] = arrays[0]
         return model

@@ -24,10 +24,8 @@ dict probe and one extent read.
 
 ``write_store`` writes through ``atomic_commit``'s buffered file, which
 copies headers and small arrays; an array larger than its buffer goes out
-from its own memory. ``Store.read_into`` hands the caller's arrays to
-``os.preadv``. The CRC of a record of at least _CRC_BYTES is handed to the
-worker thread (``worker._beside``) beside the write of the same bytes, or
-beside the read of the next record.
+from its own memory. ``Store.get`` reads a record's extent with one
+``os.pread``; every CRC, written or checked, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .errors import ConfigError, CorruptionError, NotFoundError, ValidationError
 # hash_bytes is unused here but stays importable as store.hash_bytes,
 # where the benchmark's call tracer patches it.
 from .experts import StubEncoders, hash_bytes  # noqa: F401
-from .worker import _beside
 
 MAGIC_HEAD = b"VPTS"
 MAGIC_TAIL = b"SPTV"
@@ -63,10 +60,7 @@ _FOOTER = struct.Struct("<QI4s")
 _INDEX_ENTRY = struct.Struct("<QQH")   # followed by the key bytes
 _CRC = struct.Struct("<I")
 
-_IOV_MAX = os.sysconf("SC_IOV_MAX")   # buffers per preadv call, at most
-_CRC_BYTES = 1 << 19   # record bytes from which the record's CRC runs on the worker
 _WRITE_BUFFER = 1 << 19   # atomic_commit's file buffer: with 8 KiB, stores write slower
-# (its own constant: tests set _CRC_BYTES to 0, and an unbuffered file can write short)
 
 
 @dataclass(frozen=True)
@@ -120,41 +114,18 @@ def row_text(row: np.ndarray, key: str) -> str:
         raise CorruptionError(f"record {key!r}: text is not UTF-8: {e}") from e
 
 
-def _read_all(fd: int, parts: list, offset: int) -> None:
-    """Fill ``parts``, 1-D writable byte buffers, in order from the file's bytes
-    at ``offset`` on, with ``os.preadv`` of at most _IOV_MAX of them a call; a
-    short read goes on where it stopped."""
-    parts, i, done, total = list(parts), 0, 0, sum(map(len, parts))
-    while done < total:
-        n = os.preadv(fd, parts[i:i + _IOV_MAX], offset + done)
-        if n == 0 and any(map(len, parts[i:i + _IOV_MAX])):
-            raise CorruptionError("the file ends inside a record")
-        done += n
-        if done < total:   # a short read, or more than _IOV_MAX parts: skip what was read
-            while n >= len(parts[i]):
-                n -= len(parts[i])
-                i += 1
-            parts[i] = memoryview(parts[i])[n:]
-
-
 def _crc(parts: list) -> bytes:
-    """The packed CRC32 of ``parts`` chained in order. It calls zlib only, so it
-    runs on the worker too."""
+    """The packed CRC32 of ``parts`` chained in order."""
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
     return _CRC.pack(crc)
 
 
-def _check_crc(computed: bytes, stored: bytes, where: str) -> None:
-    """Raise CorruptionError unless the packed CRC ``computed`` equals ``stored``."""
-    if computed != stored:
-        raise CorruptionError(f"CRC mismatch in record {where}")
-
-
 def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...]:
     end = len(blob) - _CRC.size
-    _check_crc(_crc([memoryview(blob)[:end]]), blob[end:] if end >= 2 else b"", where)
+    if end < 2 or _crc([memoryview(blob)[:end]]) != blob[end:]:
+        raise CorruptionError(f"CRC mismatch in record {where}")
     try:
         (n_arrays,) = struct.unpack_from("<H", blob, 0)
         pos = 2
@@ -204,10 +175,7 @@ def atomic_commit(path: str | Path) -> Iterator[BinaryIO]:
 def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
                 encoders: StubEncoders | None = None) -> StoreSummary:
     """Stream records into a new store, committed through ``atomic_commit``;
-    the header names ``encoders``, those that made the rows, or none.
-
-    A record's CRC is computed beside the write of its bytes, on the worker
-    for a record of at least _CRC_BYTES."""
+    the header names ``encoders``, those that made the rows, or none."""
     path = Path(path)
     seen: set[str] = set()
     index = bytearray()
@@ -227,9 +195,8 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
             for tag, arr in record.arrays:
                 parts += [_array_head(TAG_TO_ID[tag], arr.shape), _flat_bytes(arr)]
             length = sum(map(len, parts)) + _CRC.size
-            crc = _beside(length, _CRC_BYTES, _crc, parts)
             f.writelines(parts)
-            f.write(crc.result())
+            f.write(_crc(parts))
             index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
             pos += length
 
@@ -244,9 +211,8 @@ class Store:
     """Reader over a committed store file.
 
     The index loads once at open; each ``get`` then performs exactly one
-    extent read whose size depends only on the record, not its position, and
-    ``read_into`` reads records straight into the caller's arrays.
-    ``bytes_read`` counts the extent bytes both read, for instrumentation.
+    extent read whose size depends only on the record, not its position.
+    ``bytes_read`` counts the extent bytes it reads, for instrumentation.
     """
 
     def __init__(self, path: str | Path):
@@ -339,56 +305,11 @@ class Store:
         self.bytes_read += len(blob)
         return EmbeddingRecord(key, _decode_arrays(blob, where=str(index)))
 
-    def _number(self, key: str) -> int:
+    def get_by_key(self, key: str) -> EmbeddingRecord:
         number = self._by_key.get(key)
         if number is None:
             raise NotFoundError(f"key {key!r} not found in {self.path}")
-        return number
-
-    def get_by_key(self, key: str) -> EmbeddingRecord:
-        return self.get(self._number(key))
-
-    def read_into(self, targets: Iterable[tuple[str, list[np.ndarray]]]
-                  ) -> list[tuple[tuple[int, ...], ...]]:
-        """Read the arrays of each record ``key`` of ``targets``, in order, straight
-        into its ``out``, C-contiguous writable float32 arrays, with ``os.preadv``;
-        return the shapes each record holds. It stops after the first record whose
-        shapes are not those of its ``out``, which then holds unspecified bytes.
-
-        A large record's CRC runs on the worker while the next record is read.
-        The errors are those of ``get_by_key``, raised in record order.
-        """
-        fd, shapes = self._f.fileno(), []
-        last = []   # the CRC check of the record before: (handle of its CRC, stored CRC, number)
-        try:
-            for key, out in targets:
-                if not all(a.dtype == "<f4" and a.flags.c_contiguous and a.flags.writeable
-                           for a in out):
-                    raise ValueError("read_into fills C-contiguous writable float32 arrays")
-                number = self._number(key)
-                _, off, length = self._entries[number]
-                count, heads = bytearray(2), [bytearray(2 + 4 * a.ndim) for a in out]
-                parts = [count, *(p for head, a in zip(heads, out) for p in (head, _flat_bytes(a)))]
-                stored = bytearray(_CRC.size)
-                same = sum(map(len, parts)) + _CRC.size == length
-                if same:
-                    _read_all(fd, [*parts, stored], off)
-                    self.bytes_read += length
-                    same = count == struct.pack("<H", len(out)) and all(
-                        head[0] in ID_TO_TAG and head == _array_head(head[0], a.shape)
-                        for head, a in zip(heads, out))
-                if last:   # taken out first: a mismatch raises once
-                    crc, stored_crc, where = last.pop()
-                    _check_crc(crc.result(), stored_crc, where)
-                if not same:   # another layout: get parses it, or names its corruption
-                    shapes.append(tuple(a.shape for _, a in self.get(number).arrays))
-                    break
-                last.append((_beside(length, _CRC_BYTES, _crc, parts), stored, str(number)))
-                shapes.append(tuple(a.shape for a in out))
-        finally:
-            for crc, stored_crc, where in last:
-                _check_crc(crc.result(), stored_crc, where)
-        return shapes
+        return self.get(number)
 
     def inspect(self) -> dict:
         records = []

@@ -1,9 +1,8 @@
-"""The one worker thread that runs numpy and zlib jobs beside the main thread.
+"""The one worker thread that runs numpy jobs beside the main thread.
 
 ``backbone`` gives it product halves, weight-gradient products, AdamW halves
-and the model's draws, ``store`` the CRCs of large records, all through
-``_beside``. Every job computes the bits the main thread would, so a run
-gives the same outputs on one CPU or two.
+and the model's draws, all through ``_beside``. Every job computes the bits
+the main thread would, so a run gives the same outputs on one CPU or two.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ def _beside(work: int, least: int, job, *args):
     process may use 2 CPUs, else here; either way, a handle whose ``result()``
     joins the job and returns its value.
 
-    Jobs call numpy or zlib only, never a modalfuse function or method: the
+    Jobs call numpy only, never a modalfuse function or method: the
     benchmark's tracer keeps one span stack. A product is split only into
     column halves whose every half has at least ``backbone._SPLIT_MACS``
     multiply-adds: OpenBLAS computes each block of output columns from the

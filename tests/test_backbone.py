@@ -1,15 +1,17 @@
+import json
 import math
 import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse import backbone, store, tokenizer
+from modalfuse import backbone, tokenizer
 from modalfuse import worker as worker_module
 from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _float64_copy,
                                 _gelu, _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
@@ -18,7 +20,7 @@ from modalfuse.cli import main
 from modalfuse.errors import ConfigError, CorruptionError, NotFoundError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import TrainConfig, pretrain_examples, train
-from modalfuse.store import EmbeddingRecord, Store, write_store
+from modalfuse.store import EmbeddingRecord, Store, text_row, write_store
 from modalfuse.synthetic import make_leakage_corpus
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
@@ -77,7 +79,8 @@ class TestConfig:
         ("n_heads", 0, "n_heads must be >= 1"),
         ("d_model", 0, "d_model must be >= 1"),
         ("d_ff", 0, "d_ff must be >= 1"),
-        ("max_target_len", 0, "max_target_len must be >= 1"),
+        ("max_target_len", 0, "max_target_len must be >= 2, got 0"),
+        ("max_target_len", 1, "max_target_len must be >= 2, got 1"),   # no room for BOS and EOS
         ("n_decoder_layers", -1, "n_decoder_layers must be >= 0"),
     ])
     def test_field_types_and_ranges(self, field, value, match):
@@ -113,12 +116,11 @@ def worker(monkeypatch):
 
 
 def always_beside(monkeypatch):
-    """Send every product pair, AdamW step, model draw and store CRC to the
-    worker thread, whatever its size and however many CPUs the machine has.
-    The split gate of ``Linear.forward`` stays: it is an exactness bound."""
+    """Send every product pair, AdamW step and model draw to the worker
+    thread, whatever its size and however many CPUs the machine has. The
+    split gate of ``Linear.forward`` stays: it is an exactness bound."""
     monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
     monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(store, "_CRC_BYTES", 0)
     two_cpus(monkeypatch)
 
 
@@ -992,7 +994,7 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[off + length - 5] ^= 0x01   # the parameter's last payload byte
         path.write_bytes(bytes(data))
-        if beside:   # every record's CRC on the worker
+        if beside:   # the same error with every job of the run on the worker
             always_beside(monkeypatch)
         with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}$"):
             load_checkpoint(path)
@@ -1010,6 +1012,21 @@ class TestCheckpoint:
 
         self.rewrite(path, edit)
         with pytest.raises(CorruptionError, match="record '__model_config__': text values"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop, add, problems", [
+        ("d_ff", {}, "lacks keys ['d_ff']"),
+        (None, {"dropout": 0.0}, "has unknown keys ['dropout']"),
+        ("d_ff", {"dropout": 0.0}, "has unknown keys ['dropout'] and lacks keys ['d_ff']"),
+    ], ids=["lacks", "unknown", "both"])
+    def test_config_keys_must_be_the_model_configs(self, tmp_path, drop, add, problems):
+        # the message names only the side that is not empty
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        cfg = {k: v for k, v in asdict(TINY).items() if k != drop} | add
+        config = EmbeddingRecord("__model_config__", (("raw", text_row(json.dumps(cfg))),))
+        self.rewrite(path, lambda recs: [config, *recs[1:]])
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint config {problems}") + "$"):
             load_checkpoint(path)
 
     def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):

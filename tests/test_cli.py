@@ -377,12 +377,11 @@ class TestTrainingPipeline:
                     for line in run[0]]
 
         inline = pretrain(tmp_path / "inline")
-        # the model draws, the backward products, the AdamW halves and the CRCs on the worker
+        # the model draws, the backward products and the AdamW halves on the worker
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(worker, "_worker", pool)
         monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
         monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr("modalfuse.store._CRC_BYTES", 0)
         monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0, 1})
         threads = threading.active_count()
         beside = pretrain(tmp_path / "beside")
@@ -778,6 +777,8 @@ class TestTrainingPipeline:
         ("--weight-decay", "inf", "weight_decay must be finite, got inf"),
         ("--lr", "-0.01", "lr must be >= 0, got -0.01"),
         ("--weight-decay", "-5", "weight_decay must be >= 0, got -5.0"),
+        # no target fits BOS and EOS: refused before the store is read or a model drawn
+        ("--max-target-len", "1", "max_target_len must be >= 2, got 1"),
     ])
     def test_bad_train_setting_exits_nonzero(self, tmp_path, stage_argv, capsys, flag, value,
                                              message):
@@ -962,10 +963,11 @@ class TestAblate:
         ("--finetune-steps", "-3", "steps must be >= 0, got -3"),
         ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--lr", "-0.5", "lr must be >= 0, got -0.5"),
+        ("--max-target-len", "1", "max_target_len must be >= 2, got 1"),
     ])
     def test_count_out_of_range_exits_nonzero(self, tmp_path, capsys, flag, value, message):
         run = tmp_path / "a"
-        assert main(["ablate", flag, value, *TINY_MODEL, "--out-dir", str(run)]) == 1
+        assert main(["ablate", *TINY_MODEL, flag, value, "--out-dir", str(run)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (run / "images.store").exists() and not (run / "ablation.tsv").exists()
 

@@ -1,7 +1,5 @@
 import hashlib
-import itertools
 import json
-import os
 import struct
 import threading
 import zlib
@@ -404,42 +402,10 @@ class TestAtomicity:
                 assert s.get(0).key == "keep"
 
 
-def big_and_small_records():
-    """Records around _CRC_BYTES, whose CRCs run on the worker on 2 CPUs, beside
-    small, empty and rank-0 arrays."""
-    rng = np.random.default_rng(4)
-    return [EmbeddingRecord("big", (("raw", rng.normal(size=(300, 1024)).astype(np.float32)),)),
-            EmbeddingRecord("mixed", (("frame", np.zeros((0, 5), np.float32)),
-                                      ("caption", np.float32(2.5)),
-                                      ("raw", rng.normal(size=(2, 3)).astype(np.float32)))),
-            EmbeddingRecord("bigger", (("raw", rng.normal(size=(700, 768)).astype(np.float32)),)),
-            EmbeddingRecord("none", ())]
-
-
-def short_moves(move):
-    """``move``, os.preadv, cut to at most 3 and 1,000 bytes on alternate
-    calls, so that a move ends inside a header, a payload or a CRC."""
-    caps = itertools.cycle((3, 1000))
-
-    def short(fd, views, *offset):
-        cut, room = [], next(caps)
-        for view in views:
-            cut.append(memoryview(view)[:room])
-            room -= len(cut[-1])
-            if not room:
-                break
-        return move(fd, cut, *offset)
-
-    return short
-
-
 class TestVectoredIO:
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        """The large records' CRCs run on the worker, whatever the machine."""
-        monkeypatch.setattr("modalfuse.worker.os.sched_getaffinity", lambda pid: {0, 1})
+    """Records whose parts straddle the write buffer, or span many buffers."""
 
-    def test_records_around_the_write_buffer_round_trip(self, tmp_path, monkeypatch):
+    def test_records_around_the_write_buffer_round_trip(self, tmp_path):
         # payloads just below, at and above the buffer's size, between small
         # records that leave it partly full: copied into it, or written from the array
         n = store._WRITE_BUFFER // 4
@@ -447,13 +413,8 @@ class TestVectoredIO:
         recs = [EmbeddingRecord(key, (("frame", rng.normal(size=size).astype(np.float32)),))
                 for key, size in (("s0", 3), ("below", n - 1), ("s1", 5), ("at", n),
                                   ("above", n + 1), ("s2", 0))]
-        monkeypatch.setattr(store, "_CRC_BYTES", 0)   # every record's CRC on the worker
-        where, crc = [], store._crc
-        monkeypatch.setattr(store, "_crc", lambda parts: where.append(threading.current_thread())
-                            or crc(parts))
         path = tmp_path / "s.store"
         write_store(recs, path)
-        assert len(where) == len(recs) and threading.current_thread() not in where
         body, index = b"", b""   # the file, from the layout alone
         for r in recs:
             [(tag, arr)] = r.arrays
@@ -464,105 +425,20 @@ class TestVectoredIO:
         header = struct.pack("<4sIQIQ", b"VPTS", 3, len(recs), 0, 0)
         assert path.read_bytes() == header + body + index + struct.pack(
             "<QI4s", 28 + len(body), zlib.crc32(header + index), b"SPTV")
-        outs = [(r.key, [np.full_like(arr, np.nan) for _, arr in r.arrays]) for r in recs]
         with Store(path) as s:
             assert all(records_equal(s.get(i), r) for i, r in enumerate(recs))
-            s.read_into(outs)
-        for (_, out), r in zip(outs, recs):
-            assert out[0].tobytes() == r.arrays[0][1].tobytes()
-
-    def test_short_reads_fill_the_same_arrays(self, tmp_path, monkeypatch):
-        recs = big_and_small_records()
-        path = tmp_path / "s.store"
-        write_store(recs, path)
-        monkeypatch.setattr(os, "preadv", short_moves(os.preadv))
-        outs = [(r.key, [np.full_like(arr, np.nan) for _, arr in r.arrays]) for r in recs]
-        with Store(path) as s:
-            assert s.read_into(outs) == [tuple(arr.shape for _, arr in r.arrays) for r in recs]
-        for (_, out), r in zip(outs, recs):
-            assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(out, r.arrays))
 
     def test_600_array_record_round_trips(self, tmp_path):
-        # 1,201 header and payload buffers: more than one preadv takes
+        # 1,201 header and payload parts in one record
         rng = np.random.default_rng(6)
         arrays = tuple(("frame", rng.normal(size=(i % 4, 3)[: i % 3]).astype(np.float32))
                        for i in range(600))
         path = tmp_path / "s.store"
         write_store([EmbeddingRecord("many", arrays)], path)
-        out = [np.empty_like(arr) for _, arr in arrays]
         with Store(path) as s:
-            assert records_equal(s.get(0), EmbeddingRecord("many", arrays))
-            assert s.read_into([("many", out)]) == [tuple(arr.shape for _, arr in arrays)]
-        assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(out, arrays))
-
-    def test_read_into_fills_the_callers_arrays(self, tmp_path):
-        recs = big_and_small_records()
-        path = tmp_path / "s.store"
-        write_store(recs, path)
-        outs = {r.key: [np.full_like(arr, np.nan) for _, arr in r.arrays] for r in recs}
-        with Store(path) as s:
-            shapes = s.read_into(outs.items())
-            # bytes_read counts each record's extent, as get does
-            assert s.bytes_read == sum(length for _, _, length in s._entries)
-        assert shapes == [tuple(arr.shape for _, arr in r.arrays) for r in recs]
-        for r in recs:
-            assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(outs[r.key], r.arrays))
-
-    def test_read_into_stops_at_other_shapes(self, tmp_path):
-        recs = big_and_small_records()
-        path = tmp_path / "s.store"
-        write_store(recs, path)
-        with Store(path) as s:
-            # (1024, 300) has the bytes of (300, 1024); "absent" is never looked up
-            shapes = s.read_into([("big", [np.empty((1024, 300), np.float32)]),
-                                  ("absent", [])])
-            assert shapes == [((300, 1024),)]
-            assert s.read_into([("bigger", [np.empty(3, np.float32)])]) == [((700, 768),)]
-            with pytest.raises(NotFoundError):
-                s.read_into([("absent", [])])
-            with pytest.raises(ValueError, match="float32"):
-                s.read_into([("big", [np.empty((300, 1024))])])
-
-    @pytest.mark.parametrize("key", ["big", "mixed"])
-    def test_read_into_detects_a_flipped_payload_byte(self, tmp_path, key):
-        recs = big_and_small_records()
-        path = tmp_path / "s.store"
-        write_store(recs, path)
-        number = [r.key for r in recs].index(key)
-        with Store(path) as s:
-            _, off, length = s._entries[number]
-        data = bytearray(path.read_bytes())
-        data[off + length - 5] ^= 0x10   # the last payload byte
-        path.write_bytes(bytes(data))
-        outs = [(r.key, [np.empty_like(arr) for _, arr in r.arrays]) for r in recs]
-        with Store(path) as s:
-            with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}"):
-                s.read_into(outs)
-            # record order: the bad record's error comes before a later missing key
-            with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}"):
-                s.read_into([*outs[:number + 1], ("absent", [])])
-
-
-@pytest.mark.parametrize("later", [("absent", []), ("mixed", [np.empty((0, 5))])])
-def test_a_crc_mismatch_on_the_worker_raises_before_a_later_error(tmp_path, monkeypatch, later):
-    monkeypatch.setattr("modalfuse.worker.os.sched_getaffinity", lambda pid: {0, 1})
-    recs = big_and_small_records()
-    path = tmp_path / "s.store"
-    write_store(recs, path)
-    with Store(path) as s:
-        _, off, length = s._entries[0]   # "big", 1.2 MB: its CRC runs on the worker
-    data = bytearray(path.read_bytes())
-    data[off + length - 5] ^= 0x10
-    path.write_bytes(bytes(data))
-    where, crc = [], store._crc
-    monkeypatch.setattr(store, "_crc", lambda parts: where.append(threading.current_thread())
-                        or crc(parts))
-    with Store(path) as s:
-        with pytest.raises(CorruptionError, match="CRC mismatch in record 0") as e:
-            s.read_into([("big", [np.empty((300, 1024), np.float32)]), later])
-    assert len(where) == 1 and where[0] is not threading.current_thread()
-    # the later record's error (a missing key, a float64 out), raised first, is the context
-    assert type(e.value.__context__) is (NotFoundError if later[0] == "absent" else ValueError)
+            got = s.get_by_key("many")
+        assert records_equal(got, EmbeddingRecord("many", arrays))
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got.arrays, arrays))
 
 
 class TestConcurrency:
