@@ -16,7 +16,7 @@ from .objectives import (FusedInput, PretrainExample, TrainConfig, VqaExample,
                          build_split_half_example, build_vqa_example, corpus_loss,
                          fused_input, pretrain_examples, train, vqa_examples)
 from .synthetic import make_leakage_corpus, make_mini_vqa
-from .scene_graph import SceneGraph, linearize, parse_scene_graph
+from .scene_graph import SceneGraph, linearize
 from .segmentation import (Segment, TimedTranscript, TimedWord, filter_segments,
                            sample_frame_times, segment_transcript, word_density)
 from .store import EmbeddingRecord, Store, write_store

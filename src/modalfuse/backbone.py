@@ -10,21 +10,24 @@ pre-norm with RMS normalization.
 
 The model computes in float32, its parameters' dtype; ``gradient_check``
 checks the gradients on a float64 copy against central finite differences.
+Large products, AdamW halves and the draws run on one worker thread beside
+the main one, bit for bit (``_beside``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import tokenizer
-from .errors import ConfigError
+from .errors import ConfigError, json_object
 from .experts import MODALITIES
 from .store import EmbeddingRecord, Store, row_text, text_row, write_store
-from .worker import _beside
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,38 @@ class Parameter:
 
 _PAIR_MACS = 1 << 24   # multiply-adds of a backward product pair that pay for a hand-off
 _SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split product is exact
+_worker = None   # the executor of the one worker thread, made on first use
+
+
+def _beside(work: int, least: int, job, *args):
+    """``job(*args)``, on the one worker thread when ``work`` reaches ``least``
+    and the process may use 2 CPUs, else here; either way, a handle whose
+    ``result()`` joins the job and returns its value.
+
+    The jobs are product halves (``_product``), weight-gradient products
+    (``Linear.backward``), AdamW halves and the model's draws. Every job
+    computes the bits the main thread would, so a run gives the same outputs
+    on one CPU or two. Jobs call numpy only, never a modalfuse function or
+    method: the benchmark's tracer keeps one span stack. A product is split
+    only into column halves whose every half has at least ``_SPLIT_MACS``
+    multiply-adds: OpenBLAS computes each block of output columns from the
+    same packed panels of the left factor, so an element sums its k terms in
+    the same order in a half as in the whole. Smaller halves can fall into
+    its small-matrix or gemv kernels, whose sums round apart.
+    """
+    global _worker
+    if work < least or len(os.sched_getaffinity(0)) < 2:
+        value = job(*args)
+        return SimpleNamespace(result=lambda: value)
+    if _worker is None:   # imported here: a run that never hands off loads nothing
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, "modalfuse")
+    return _worker.submit(job, *args)
 
 
 def _product(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
     """rows @ W, W [..., d_in, d_out]; in column halves, the left one handed to the worker,
-    when each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see worker._beside)."""
+    when each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see _beside)."""
     h = W.shape[-1] // 128 * 64   # the left half's columns, a multiple of 64
     macs = rows.shape[0] * W.shape[-2] * h   # of the left half, the smaller one
     if macs < _SPLIT_MACS:
@@ -214,7 +244,6 @@ class MultiHeadAttention:
         self.wv = Linear(d_model, d_model, make, f"{name}/v")
         self.wo = Linear(d_model, d_model, make, f"{name}/o")
         self._cache = None
-        self.last_weights = None   # [B, H, Tq, Tk], for inspection/tests
 
     def _split(self, x):
         b, t, d = x.shape
@@ -230,7 +259,6 @@ class MultiHeadAttention:
         scale = 1.0 / math.sqrt(self.dh)
         ctx, weights = _attend(q, k, v, scale, causal)
         self._cache = (q, k, v, weights, scale)
-        self.last_weights = weights
         return self.wo.forward(self._merge(ctx))
 
     def keys_values(self, xkv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -712,7 +740,10 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     with Store(path) as store:
-        cfg = json.loads(row_text(store.get_by_key(_CONFIG_KEY).arrays[0][1], _CONFIG_KEY))
+        arrays = store.get_by_key(_CONFIG_KEY).arrays
+        if len(arrays) != 1:
+            raise ConfigError(f"{path}: checkpoint config holds {len(arrays)} arrays, not 1")
+        cfg = json_object(row_text(arrays[0][1], _CONFIG_KEY), f"{path} checkpoint config")
         expected = {f.name for f in fields(ModelConfig)}
         unknown, lacks = sorted(set(cfg) - expected), sorted(expected - set(cfg))
         problems = [f"has unknown keys {unknown}"] if unknown else []

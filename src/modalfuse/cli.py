@@ -155,6 +155,12 @@ _SEGMENT_DEFAULTS = {"window": segmentation.DEFAULT_WINDOW, "stride": int,
 
 
 def cmd_segment(cfg: dict) -> int:
+    # each setting is checked before any read, by the call that takes it, on no data
+    segmentation.segment_transcript(segmentation.TimedTranscript("-", ()), cfg["window"],
+                                    cfg["stride"])
+    segmentation.filter_segments((), cfg["min-wpm"])
+    segmentation.sample_frame_times(segmentation.Segment("-", 0, 0, "", 0.0, 0.0),
+                                    cfg["k-frames"])
     kept = dropped = 0
     buf = io.StringIO()
     with open(cfg["transcripts"], "rb") as f:
@@ -426,8 +432,6 @@ def cmd_ablate(cfg: dict) -> int:
     buf = io.StringIO()
     evaluation.write_ablation_table(rows, buf)
     atomic_write_text(run_dir / "ablation.tsv", buf.getvalue())
-    atomic_write_text(run_dir / "ablation.jsonl",
-                      "".join(json.dumps(asdict(r)) + "\n" for r in rows))
     print(buf.getvalue(), end="")
     failed = [r.label for r in rows if r.status != "ok"]
     if failed:

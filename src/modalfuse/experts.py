@@ -90,7 +90,6 @@ def hash_many(payloads: Sequence[bytes], seed: int = 0) -> np.ndarray:
 class Embedding:
     """What a single-payload encode method returns; ``_unit_rows`` checked it."""
     values: np.ndarray   # float32, shape (d,)
-    modality: str        # one of MODALITIES
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -165,14 +164,14 @@ class StubEncoders:
     # One payload: a one-row call of the list method, as an Embedding
 
     def encode_caption(self, text: str) -> Embedding:
-        return Embedding(self.encode_captions([text])[0], "caption")
+        return Embedding(self.encode_captions([text])[0])
 
     def encode_question(self, text: str) -> Embedding:
-        return Embedding(self.encode_questions([text])[0], "question")
+        return Embedding(self.encode_questions([text])[0])
 
     def encode_graph(self, graph: SceneGraph) -> Embedding:
-        return Embedding(self.encode_graphs([graph])[0], "scene_graph")
+        return Embedding(self.encode_graphs([graph])[0])
 
     def encode_frame(self, video_id: str, time_s: float) -> Embedding:
         """Frame stub keyed on (video_id, time quantized to 10 ms buckets)."""
-        return Embedding(self.encode_frames([(video_id, time_s)])[0], "frame")
+        return Embedding(self.encode_frames([(video_id, time_s)])[0])

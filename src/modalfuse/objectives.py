@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,8 +42,7 @@ class FusedInput:
     varies: k frames + 2 when everything is present.
     """
     rows: np.ndarray          # float32, finite, shape (m, d)
-    modalities: tuple[str, ...]
-    modality_ids: np.ndarray = field(repr=False, compare=False)   # int64, read-only
+    modality_ids: np.ndarray  # int64, read-only: each row's MODALITY_IDS entry
 
 
 def fused_input(frames, text: np.ndarray, text_modality: str,
@@ -60,14 +59,13 @@ def fused_input(frames, text: np.ndarray, text_modality: str,
     tags = ("frame",) * len(frames) + (text_modality,) + ("scene_graph",) * (graph is not None)
     ids = np.array([MODALITY_IDS[m] for m in tags], dtype=np.int64)
     ids.flags.writeable = False
-    return FusedInput(rows, tags, ids)
+    return FusedInput(rows, ids)
 
 
 @dataclass(frozen=True)
 class PretrainExample:
     fused: FusedInput
     target: np.ndarray        # token ids, PAD-padded to max_target_len; collate trims per batch
-    caption: str
     truncated: bool           # the target text was cut to fit max_target_len
 
 
@@ -114,7 +112,6 @@ def pretrain_example(objective: str, caption: str, fused: FusedInput,
     return PretrainExample(
         fused=fused,
         target=tokenizer.tokenize(target_text, max_target_len),
-        caption=caption,
         truncated=tokenizer.truncates(target_text, max_target_len),
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import RecordParseError, ValidationError, json_object, json_records
+from .errors import RecordParseError, ValidationError, json_records
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ def scene_graph_from_dict(rec, line: int | None = None) -> SceneGraph:
     return SceneGraph(objects, relations)
 
 
-def parse_scene_graph(text: str, line: int | None = None) -> SceneGraph:
-    """Parse one serialized graph record: {"objects": [...], "relations": [[s, p, o], ...]}."""
-    return scene_graph_from_dict(json_object(text, "scene-graph", line), line)
-
-
 def serialize_scene_graph(graph: SceneGraph) -> str:
     return json.dumps({
         "objects": list(graph.objects),
@@ -86,5 +81,7 @@ def read_graph_manifest(fp) -> dict[str, SceneGraph]:
         if type(key) is not str:
             raise RecordParseError(f"graph manifest key must be a string, got {key!r}",
                                    line=lineno)
+        if key in graphs:
+            raise RecordParseError(f"duplicate graph manifest key {key!r}", line=lineno)
         graphs[key] = scene_graph_from_dict(rec, line=lineno)
     return graphs

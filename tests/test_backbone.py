@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse import backbone, tokenizer
-from modalfuse import worker as worker_module
 from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _float64_copy,
                                 _gelu, _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
@@ -110,7 +109,7 @@ def worker(monkeypatch):
     """A fresh executor in place of the module's worker, so that a test sees
     whether its thread starts; shut down afterwards."""
     pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(worker_module, "_worker", pool)
+    monkeypatch.setattr(backbone, "_worker", pool)
     yield pool
     pool.shutdown()
 
@@ -125,7 +124,7 @@ def always_beside(monkeypatch):
 
 
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 class TestLinear:
@@ -198,7 +197,7 @@ class TestLinear:
         lin = make_linear(768, 768)
         whole = x @ lin.W.value
         seen = iter(answers)
-        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: next(seen))
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: next(seen))
         assert lin.forward(x).tobytes() == whole.tobytes()
         assert next(seen) == answers[1]
 
@@ -214,7 +213,7 @@ class TestLinear:
         if cpus == "two":
             always_beside(monkeypatch)   # _SPLIT_MACS stays: it is an exactness bound
         else:
-            monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
         stacked = backbone._product(x, np.stack(ws))
         assert stacked.shape == (3, rows, d)
         for got, w in zip(stacked, ws):
@@ -249,7 +248,7 @@ class TestEncoder:
         m = Model(TINY, seed=0)
         rows, ids, _ = tiny_batch()
         m.encoder_forward(rows, ids)
-        w = m.enc_blocks[0].attn.last_weights
+        w = m.enc_blocks[0].attn._cache[3]   # _attend's weights
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_permutation_equivariance(self):
@@ -291,7 +290,7 @@ class TestDecoder:
         m = Model(TINY, seed=0)
         rows, ids, targets = tiny_batch(b=1)
         m.decoder_forward(targets[:, :-1], m.encoder_forward(rows, ids))
-        w = m.dec_blocks[0].cross_attn.last_weights
+        w = m.dec_blocks[0].cross_attn._cache[3]   # _attend's weights
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("causal", [False, True])
@@ -664,7 +663,7 @@ class TestWorkerThread:
 
     def test_a_job_error_raises_in_the_caller(self, monkeypatch, worker):
         always_beside(monkeypatch)
-        pending = worker_module._beside(1, 0, np.add, np.ones(2), np.ones(3))
+        pending = backbone._beside(1, 0, np.add, np.ones(2), np.ones(3))
         with pytest.raises(ValueError, match="broadcast"):
             pending.result(timeout=60)
 
@@ -672,21 +671,21 @@ class TestWorkerThread:
     def test_a_job_run_here_gives_its_value_through_the_handle(self, monkeypatch, worker,
                                                                work, cpus):
         # below the threshold, or on one CPU, the job runs before _beside returns
-        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: cpus)
         threads, ran = threading.active_count(), []
 
         def job(x):
             ran.append(threading.current_thread())
             return x + 1
 
-        handle = worker_module._beside(work, 1, job, 41)
+        handle = backbone._beside(work, 1, job, 41)
         assert ran == [threading.current_thread()]
         assert handle.result() == 42 and handle.result() == 42
         assert threading.active_count() == threads
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, worker):
         always_beside(monkeypatch)
-        monkeypatch.setattr(worker_module.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
         threads = threading.active_count()
         train_run(TINY, steps=2, batch_size=4)
         assert threading.active_count() == threads
@@ -1028,6 +1027,33 @@ class TestCheckpoint:
         self.rewrite(path, lambda recs: [config, *recs[1:]])
         with pytest.raises(ConfigError, match=re.escape(f"checkpoint config {problems}") + "$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_config_record_without_one_array_exits_one(self, tmp_path, capsys, n):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        text = text_row(json.dumps(asdict(TINY)))
+        config = EmbeddingRecord("__model_config__", (("raw", text),) * n)
+        self.rewrite(path, lambda recs: [config, *recs[1:]])
+        assert main(["eval", "--checkpoint", str(path), "--vqa", "x", "--image-store", "y",
+                     "--out-dir", str(tmp_path / "ev")]) == 1
+        assert (f"error: {path}: checkpoint config holds {n} arrays, not 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, why", [
+        ("5", "record must be a JSON object, got 5"),
+        ('[{"d_model": 16}]', "record must be a JSON object"),
+        (json.dumps(asdict(TINY)).replace("16", "NaN", 1), "NaN is not a JSON number"),
+    ], ids=["number", "list", "nan"])
+    def test_config_text_that_is_no_json_object_exits_one(self, tmp_path, capsys, text, why):
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        config = EmbeddingRecord("__model_config__", (("raw", text_row(text)),))
+        self.rewrite(path, lambda recs: [config, *recs[1:]])
+        assert main(["eval", "--checkpoint", str(path), "--vqa", "x", "--image-store", "y",
+                     "--out-dir", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path} checkpoint config" in err and why in err
 
     def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "ckpt.store"

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalfuse import backbone, cli, evaluation, objectives, worker
+from modalfuse import backbone, cli, evaluation, objectives
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, json_records
-from modalfuse.experts import StubEncoders
+from modalfuse.experts import MODALITY_IDS, StubEncoders
 from modalfuse.scene_graph import SceneGraph, read_graph_manifest, serialize_scene_graph
 from modalfuse.segmentation import read_segments
 from modalfuse.store import EmbeddingRecord, Store, write_store
@@ -112,6 +112,24 @@ class TestSegment:
         assert f"error: min_wpm must be positive and finite, got {float(value)}" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message, n_videos", [
+        ("--window", "0", "window must be >= 1, got 0", 0),
+        ("--stride", "0", "stride must be >= 1, got 0", 0),
+        ("--k-frames", "0", "k must be >= 1, got 0", 0),
+        ("--min-wpm", "-1", "min_wpm must be positive and finite, got -1.0", 0),
+        ("--k-frames", "0", "k must be >= 1, got 0", 1),
+    ], ids=["window", "stride", "k-frames", "min-wpm", "k-frames-none-kept"])
+    def test_bad_setting_exits_one_before_reading(self, tmp_path, capsys, flag, value, message,
+                                                  n_videos):
+        """No video is an empty file; one video at 20 wpm keeps no segment."""
+        transcripts = tmp_path / "transcripts.jsonl"
+        write_transcripts(transcripts, n_videos=n_videos, wpm=20.0)
+        assert main(["segment", "--transcripts", str(transcripts),
+                     "--out", str(tmp_path / "segments.jsonl"), flag, value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        # neither the segments nor their resolved config
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["transcripts.jsonl"]
 
     def test_config_file_merged_and_flag_wins(self, tmp_path, transcripts):
         cfg = tmp_path / "cfg.json"
@@ -379,10 +397,10 @@ class TestTrainingPipeline:
         inline = pretrain(tmp_path / "inline")
         # the model draws, the backward products and the AdamW halves on the worker
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(worker, "_worker", pool)
+        monkeypatch.setattr(backbone, "_worker", pool)
         monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
         monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
         threads = threading.active_count()
         beside = pretrain(tmp_path / "beside")
         assert threading.active_count() == threads + 1
@@ -501,16 +519,17 @@ class TestTrainingPipeline:
         stub = StubEncoders(d=32, seed=1)
         with Store(packed) as store:
             stored = [dict(store.get(i).arrays) for i in range(len(store))]
-        assert [ex.caption for ex in seen] == [
-            bytes(r["raw"].astype(np.uint8)).decode("utf-8") for r in stored]
+        assert len(seen) == len(stored)
         for ex, rec in zip(seen, stored):
-            assert ex.fused.modalities == ("frame", "caption")
+            caption = bytes(rec["raw"].astype(np.uint8)).decode("utf-8")
+            assert ex.fused.modality_ids.tolist() == [MODALITY_IDS["frame"],
+                                                      MODALITY_IDS["caption"]]
             assert np.array_equal(ex.fused.rows[0], rec["frame"])
             if objective == "full_caption":
-                text, target = rec["caption"], ex.caption
-                assert text.tobytes() == stub.encode_caption(ex.caption).values.tobytes()
+                text, target = rec["caption"], caption
+                assert text.tobytes() == stub.encode_caption(caption).values.tobytes()
             else:
-                first, second = objectives.split_caption(ex.caption.split(" "))
+                first, second = objectives.split_caption(caption.split(" "))
                 text = stub.encode_caption(" ".join(first)).values
                 assert not np.array_equal(text, StubEncoders(d=32).encode_caption(
                     " ".join(first)).values)
@@ -546,7 +565,8 @@ class TestTrainingPipeline:
                  if objective == "full_caption" or " " in seg.caption]
         expected = objectives.pretrain_examples(objective, pairs, StubEncoders(d=32, seed=5), 32)
         assert any(e.truncated for e in expected) and not all(e.truncated for e in expected)
-        assert len({e.fused.modalities for e in expected}) == 4   # 1 or 2 frames, graph or not
+        # 1 or 2 frames, graph or not
+        assert len({e.fused.modality_ids.tobytes() for e in expected}) == 4
         with Store(packed) as store:
             examples = cli._StoreExamples(store, objective, TINY_CONFIG)
             built = list(examples)
@@ -555,10 +575,9 @@ class TestTrainingPipeline:
         assert examples.truncated == sum(e.truncated for e in expected)
         for got, want in zip(built, expected):
             assert got.fused.rows.tobytes() == want.fused.rows.tobytes()
-            assert got.fused.modalities == want.fused.modalities
             assert got.fused.modality_ids.tobytes() == want.fused.modality_ids.tobytes()
             assert got.target.tobytes() == want.target.tobytes()
-            assert (got.caption, got.truncated) == (want.caption, want.truncated)
+            assert got.truncated == want.truncated
 
     def test_pretrain_reads_each_batch_from_the_store(self, tmp_path, packed, monkeypatch):
         """Pretrain reads every record once before step 0, then one record per
@@ -600,8 +619,8 @@ class TestTrainingPipeline:
         data[offset + length - 8] ^= 0xFF   # a payload byte, before the record's CRC
         packed.write_bytes(bytes(data))
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(worker, "_worker", pool)
-        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(backbone, "_worker", pool)
+        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
         handles, real_draw = [], Model._draw
 
         def draw(model, seed):
@@ -931,9 +950,8 @@ class TestAblate:
         assert lines[0].split("\t") == ["label", "accuracy", "iterations", "status"]
         assert len(lines) == 9
         assert all(l.split("\t")[3] == "ok" for l in lines[1:])
-        rows = [json.loads(l) for l in
-                (run_a / "ablation.jsonl").read_text().splitlines()]
-        assert len(rows) == 8
+        assert len({l.split("\t")[0] for l in lines[1:]}) == 8   # one row per label
+        assert sorted(p.name for p in run_a.glob("ablation*")) == ["ablation.tsv"]
         out = capsys.readouterr().out
         assert "pretrain+graph" in out
 
@@ -949,7 +967,7 @@ class TestAblate:
         lines = (run / "ablation.tsv").read_text().splitlines()
         assert len(lines) == 9
         assert all(l.split("\t")[3] == "failed: non-finite loss at step 0" for l in lines[1:])
-        assert len((run / "ablation.jsonl").read_text().splitlines()) == 8
+        assert sorted(p.name for p in run.glob("ablation*")) == ["ablation.tsv"]
         err = capsys.readouterr().err
         assert "error: 8 of 8 ablation rows failed" in err and "pretrain+graph" in err
 

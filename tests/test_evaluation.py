@@ -167,7 +167,7 @@ def test_vqa_examples_equal_single_builds(vqa_setup, include_graph):
                        include_graph=include_graph, max_target_len=32)
     assert len(got) == len(expect)
     for g, e in zip(got, expect):
-        assert g.fused.modalities == e.fused.modalities
+        assert g.fused.modality_ids.tobytes() == e.fused.modality_ids.tobytes()
         assert g.fused.rows.tobytes() == e.fused.rows.tobytes()
         assert g.human_answers == e.human_answers and np.array_equal(g.target, e.target)
 

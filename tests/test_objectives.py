@@ -147,9 +147,9 @@ class TestPretrainExamples:
         expect = [pretrain_examples(objective, [pair], encoders, 32)[0] for pair in corpus]
         assert len(got) == len(expect)
         for g, e in zip(got, expect):
-            assert g.fused.modalities == e.fused.modalities
+            assert g.fused.modality_ids.tobytes() == e.fused.modality_ids.tobytes()
             assert g.fused.rows.tobytes() == e.fused.rows.tobytes()
-            assert g.caption == e.caption and np.array_equal(g.target, e.target)
+            assert np.array_equal(g.target, e.target) and g.truncated == e.truncated
 
     def test_split_half_is_the_one_row_builder(self, encoders):
         seg = make_segment("a b c d")

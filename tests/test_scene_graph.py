@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse.errors import RecordParseError, ValidationError
-from modalfuse.scene_graph import (SceneGraph, linearize, parse_scene_graph,
-                                   read_graph_manifest, serialize_scene_graph)
+from modalfuse.errors import RecordParseError, ValidationError, json_object
+from modalfuse.scene_graph import (SceneGraph, linearize, read_graph_manifest,
+                                   scene_graph_from_dict, serialize_scene_graph)
+
+
+def parse_scene_graph(text, line=None):
+    """One serialized graph record, decoded the way the package's JSON inputs are."""
+    return scene_graph_from_dict(json_object(text, "scene-graph", line), line)
 
 
 class TestParse:
@@ -47,6 +52,15 @@ class TestParse:
         with pytest.raises(RecordParseError, match="line 2: graph manifest key") as e:
             read_graph_manifest(io.StringIO("\n".join(lines)))
         assert e.value.line == 2
+
+    def test_manifest_repeated_key_names_it_and_its_second_line(self):
+        lines = ['{"key": "a", "objects": ["x", "y"], "relations": [[0, "on", 1]]}',
+                 '{"key": "b", "objects": ["x"], "relations": []}',
+                 '{"key": "a", "objects": ["z"], "relations": []}']
+        with pytest.raises(RecordParseError,
+                           match="line 3: duplicate graph manifest key 'a'") as e:
+            read_graph_manifest(io.StringIO("\n".join(lines)))
+        assert e.value.line == 3
 
     def test_manifest_lone_surrogate_names_its_line(self):
         lines = ['{"key": "v:0", "objects": ["a", "b"], "relations": [[0, "on", 1]]}',

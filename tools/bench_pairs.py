@@ -216,8 +216,7 @@ with contextlib.redirect_stdout(io.StringIO()):   # the table it prints
               "--n-segments", "16", "--n-vqa", "16", "--pretrain-steps", "10",
               "--finetune-steps", "30", "--batch-size", "8", "--lr", "0.01",
               "--seed", sys.argv[1], "--out-dir", str(ad)])
-for name in ("ablation.tsv", "ablation.jsonl"):
-    found[name] = hashlib.sha256((ad / name).read_bytes()).hexdigest()
+found["ablation.tsv"] = hashlib.sha256((ad / "ablation.tsv").read_bytes()).hexdigest()
 print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "artifacts": found}))
 """
 
