@@ -11,23 +11,21 @@ pre-norm with RMS normalization.
 The model computes in float32, its parameters' dtype; ``gradient_check``
 checks the gradients on a float64 copy against central finite differences.
 Large products, AdamW halves and the draws run on one worker thread beside
-the main one, bit for bit (``_beside``).
+the main one, bit for bit (``store._beside``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import tokenizer
-from .errors import ConfigError, json_object
+from .errors import ConfigError, NotFoundError, json_object
 from .experts import MODALITIES
-from .store import EmbeddingRecord, Store, row_text, text_row, write_store
+from .store import EmbeddingRecord, Store, _beside, row_text, text_row, write_store
 
 
 @dataclass(frozen=True)
@@ -67,38 +65,12 @@ class Parameter:
 
 _PAIR_MACS = 1 << 24   # multiply-adds of a backward product pair that pay for a hand-off
 _SPLIT_MACS = 1 << 24   # multiply-adds of each column half from which a split product is exact
-_worker = None   # the executor of the one worker thread, made on first use
-
-
-def _beside(work: int, least: int, job, *args):
-    """``job(*args)``, on the one worker thread when ``work`` reaches ``least``
-    and the process may use 2 CPUs, else here; either way, a handle whose
-    ``result()`` joins the job and returns its value.
-
-    The jobs are product halves (``_product``), weight-gradient products
-    (``Linear.backward``), AdamW halves and the model's draws. Every job
-    computes the bits the main thread would, so a run gives the same outputs
-    on one CPU or two. Jobs call numpy only, never a modalfuse function or
-    method: the benchmark's tracer keeps one span stack. A product is split
-    only into column halves whose every half has at least ``_SPLIT_MACS``
-    multiply-adds: OpenBLAS computes each block of output columns from the
-    same packed panels of the left factor, so an element sums its k terms in
-    the same order in a half as in the whole. Smaller halves can fall into
-    its small-matrix or gemv kernels, whose sums round apart.
-    """
-    global _worker
-    if work < least or len(os.sched_getaffinity(0)) < 2:
-        value = job(*args)
-        return SimpleNamespace(result=lambda: value)
-    if _worker is None:   # imported here: a run that never hands off loads nothing
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(1, "modalfuse")
-    return _worker.submit(job, *args)
 
 
 def _product(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """rows @ W, W [..., d_in, d_out]; in column halves, the left one handed to the worker,
-    when each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit (see _beside)."""
+    """rows @ W, W [..., d_in, d_out]; in column halves, the left one handed to the worker
+    (``_beside``), when each half has at least ``_SPLIT_MACS`` multiply-adds: bit for bit,
+    as OpenBLAS sums an element in the same order in a half as in the whole (see README)."""
     h = W.shape[-1] // 128 * 64   # the left half's columns, a multiple of 64
     macs = rows.shape[0] * W.shape[-2] * h   # of the left half, the smaller one
     if macs < _SPLIT_MACS:
@@ -384,11 +356,11 @@ class Model:
         return _beside(self.value.size, _SPLIT_ELEMENTS, draw,
                        np.empty(max(p.value.size for p in self._params)))
 
-    def _build(self, config: ModelConfig, dtype) -> Model:
+    def _build(self, config: ModelConfig, dtype, value: np.ndarray | None = None) -> Model:
         """Build the layers and return the model. Layers declare parameters with
         ``make(name, shape, ones=False)``; their values and gradients are views,
-        in ``params()`` order, into a flat ``value`` buffer, which the caller
-        fills, and a zeroed flat ``grad`` buffer, both of ``dtype``."""
+        in ``params()`` order, into a flat ``value`` buffer (the given one, or a
+        new one the caller fills) and a zeroed flat ``grad`` buffer, of ``dtype``."""
         self.config = c = config
         self._params = []
 
@@ -405,7 +377,8 @@ class Model:
         self.lm_head = Linear(c.d_model, tokenizer.VOCAB_SIZE, make, "lm_head")
         self.pos = sinusoidal_positions(c.max_target_len, c.d_model, dtype)
         ends = np.cumsum([math.prod(p.shape) for p in self._params])
-        self.value, self.grad = np.empty(ends[-1], dtype), np.zeros(ends[-1], dtype)
+        self.value = np.empty(ends[-1], dtype) if value is None else value
+        self.grad = np.zeros(ends[-1], dtype)
         for p, lo, hi in zip(self._params, [0, *ends], ends):
             p.value, p.grad = self.value[lo:hi].reshape(p.shape), self.grad[lo:hi].reshape(p.shape)
         at = dict(zip(self._params, [0, *ends]))
@@ -683,9 +656,7 @@ class AdamW:
 
 def _float64_copy(model: Model) -> Model:
     """A copy of ``model`` whose parameters, and so its computation, are float64."""
-    copy = Model.__new__(Model)._build(model.config, np.float64)
-    copy.value[...] = model.value
-    return copy
+    return Model.__new__(Model)._build(model.config, np.float64, model.value.astype(np.float64))
 
 
 def gradient_check(model: Model, rows, modality_ids, targets,
@@ -728,36 +699,53 @@ def gradient_check(model: Model, rows, modality_ids, targets,
 # -- checkpoints ------------------------------------------------------------
 
 _CONFIG_KEY = "__model_config__"
+_LAYOUT_KEY = "__param_layout__"   # {name: shape} of each parameter, in params() order
+_PARAMS_KEY = "params"   # the flat value buffer
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write parameters + config into a store-format container (atomic)."""
-    config = text_row(json.dumps(asdict(model.config)))
-    records = [EmbeddingRecord(_CONFIG_KEY, (("raw", config),))]
-    records += [EmbeddingRecord(f"param:{p.name}", (("raw", p.value),)) for p in model.params()]
-    write_store(records, path)
+    """Write the config, the parameter layout and the flat ``value`` buffer, atomically."""
+    layout = {p.name: list(p.shape) for p in model.params()}
+    write_store([EmbeddingRecord(key, (("raw", arr),)) for key, arr in (
+        (_CONFIG_KEY, text_row(json.dumps(asdict(model.config)))),
+        (_LAYOUT_KEY, text_row(json.dumps(layout))), (_PARAMS_KEY, model.value))], path)
+
+
+def _json_record(store: Store, key: str, what: str) -> dict:
+    """The JSON object that checkpoint record ``key``, its ``what``, holds as text."""
+    arrays = store.get_by_key(key).arrays
+    if len(arrays) != 1:
+        raise ConfigError(f"{store.path}: checkpoint {what} holds {len(arrays)} arrays, not 1")
+    return json_object(row_text(arrays[0][1], key), f"{store.path} checkpoint {what}")
 
 
 def load_checkpoint(path) -> Model:
+    """The model saved at ``path``. Its ``value`` is the ``params`` record's
+    array, uncopied, and no random number is drawn."""
     with Store(path) as store:
-        arrays = store.get_by_key(_CONFIG_KEY).arrays
-        if len(arrays) != 1:
-            raise ConfigError(f"{path}: checkpoint config holds {len(arrays)} arrays, not 1")
-        cfg = json_object(row_text(arrays[0][1], _CONFIG_KEY), f"{path} checkpoint config")
+        cfg = _json_record(store, _CONFIG_KEY, "config")
         expected = {f.name for f in fields(ModelConfig)}
         unknown, lacks = sorted(set(cfg) - expected), sorted(expected - set(cfg))
         problems = [f"has unknown keys {unknown}"] if unknown else []
         problems += [f"lacks keys {lacks}"] if lacks else []
         if problems:
             raise ConfigError(f"{path}: checkpoint config {' and '.join(problems)}")
+        try:
+            layout = _json_record(store, _LAYOUT_KEY, "layout")
+        except NotFoundError:
+            raise ConfigError(f"{path}: checkpoint holds no parameter layout (it has a record "
+                              "per parameter); re-run pretrain or finetune") from None
 
-        # the parameters come from the store, copied into the flat buffer: no random draws
-        model = Model.__new__(Model)._build(ModelConfig(**cfg), np.float32)
+        model = Model.__new__(Model)._build(ModelConfig(**cfg), np.float32)   # for its layout
         for p in model.params():
-            arrays = [arr for _, arr in store.get_by_key(f"param:{p.name}").arrays]
-            stored = tuple(arr.shape for arr in arrays)
-            if stored != (p.shape,):
-                raise ConfigError(f"checkpoint shape {stored[0] if len(stored) == 1 else stored}"
-                                  f" for {p.name} does not match {p.shape}")
-            p.value[...] = arrays[0]
-        return model
+            if p.name not in layout:
+                raise NotFoundError(f"{path}: checkpoint layout lacks parameter {p.name}")
+            if (shape := layout[p.name]) != list(p.shape):
+                shape = tuple(shape) if isinstance(shape, list) else shape
+                raise ConfigError(f"checkpoint shape {shape} for {p.name} does not match {p.shape}")
+        if list(layout) != [p.name for p in model.params()]:
+            raise ConfigError(f"{path}: checkpoint layout lists other parameters than the model")
+        arrays = [arr for _, arr in store.get_by_key(_PARAMS_KEY).arrays]
+        if [arr.shape for arr in arrays] != [model.value.shape]:
+            raise ConfigError(f"{path}: checkpoint params are not one array {model.value.shape}")
+        return model._build(model.config, np.float32, arrays[0])

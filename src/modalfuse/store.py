@@ -24,8 +24,11 @@ dict probe and one extent read.
 
 ``write_store`` writes through ``atomic_commit``'s buffered file, which
 copies headers and small arrays; an array larger than its buffer goes out
-from its own memory. ``Store.get`` reads a record's extent with one
-``os.pread``; every CRC, written or checked, runs on the calling thread.
+from its own memory. ``Store.get``, the one read path, reads a record with
+``os.preadv`` into a fresh numpy buffer that its arrays view. From
+``_SPLIT_BYTES`` on, the worker thread (``_beside``) computes a written
+record's CRC, and reads and checks the first half of a record read;
+``crc32_combine`` joins the halves' CRCs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ import tempfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -61,6 +66,55 @@ _INDEX_ENTRY = struct.Struct("<QQH")   # followed by the key bytes
 _CRC = struct.Struct("<I")
 
 _WRITE_BUFFER = 1 << 19   # atomic_commit's file buffer: with 8 KiB, stores write slower
+_SPLIT_BYTES = 1 << 20   # record size from which a get reads and checks halves, one on the worker
+_worker = None   # the executor of the one worker thread, made on first use
+
+
+def _beside(work: int, least: int, job, *args):
+    """``job(*args)``, on the one worker thread when ``work`` reaches ``least``
+    and the process may use 2 CPUs, else here; either way, a handle whose
+    ``result()`` joins the job and returns its value.
+
+    The jobs are a large record's CRC and first half's read (``write_store``,
+    ``Store.get``), and backbone's product halves, weight-gradient products,
+    AdamW halves and draws. Each computes the bits the main thread would, so
+    a run's outputs are the same on one CPU or two. Jobs call numpy,
+    ``os.preadv`` and ``zlib.crc32`` only, never a modalfuse function or
+    method: the benchmark's tracer keeps one span stack.
+    """
+    global _worker
+    if work < least or len(os.sched_getaffinity(0)) < 2:
+        value = job(*args)
+        return SimpleNamespace(result=lambda: value)
+    if _worker is None:   # imported here: a run that never hands off loads nothing
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, "modalfuse")
+    return _worker.submit(job, *args)
+
+
+def _times(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, both in zlib's reflected bit order."""
+    product = 0
+    for bit in range(31, -1, -1):
+        if a >> bit & 1:
+            product ^= b
+        b = b >> 1 ^ (0xEDB88320 if b & 1 else 0)   # b * x: the polynomial, reflected
+    return product
+
+
+_X8N = [1 << 23]   # x^(8 * 2^k), k = 0, 1, ...: the shift past 2^k bytes
+for _ in range(63):
+    _X8N.append(_times(_X8N[-1], _X8N[-1]))
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from crc1 and crc2, the CRCs of ``a`` and ``b``, and len2,
+    ``len(b)``: crc1 shifted past len2 bytes, plus crc2, as zlib's crc32_combine."""
+    shift = 1 << 31   # x^0
+    for k in range(len2.bit_length()):
+        if len2 >> k & 1:
+            shift = _times(_X8N[k], shift)
+    return _times(shift, crc1) ^ crc2
 
 
 @dataclass(frozen=True)
@@ -88,16 +142,6 @@ class StoreSummary:
     file_bytes: int
 
 
-def _array_head(tag_id: int, shape: tuple) -> bytes:
-    """An array's header: its modality tag, rank and dims."""
-    return struct.pack(f"<BB{len(shape)}I", tag_id, len(shape), *shape)
-
-
-def _flat_bytes(arr: np.ndarray) -> memoryview:
-    """The bytes of C-contiguous ``arr``, as a 1-D byte view that shares them."""
-    return memoryview(arr.reshape(-1)).cast("B")
-
-
 def text_row(text: str) -> np.ndarray:
     """``text`` as a float32 row of its UTF-8 bytes, one value per byte."""
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
@@ -114,18 +158,9 @@ def row_text(row: np.ndarray, key: str) -> str:
         raise CorruptionError(f"record {key!r}: text is not UTF-8: {e}") from e
 
 
-def _crc(parts: list) -> bytes:
-    """The packed CRC32 of ``parts`` chained in order."""
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    return _CRC.pack(crc)
-
-
-def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...]:
+def _decode_arrays(blob: np.ndarray, where: str) -> tuple[tuple[str, np.ndarray], ...]:
+    """The arrays of ``blob``, a record's bytes whose CRC has been checked."""
     end = len(blob) - _CRC.size
-    if end < 2 or _crc([memoryview(blob)[:end]]) != blob[end:]:
-        raise CorruptionError(f"CRC mismatch in record {where}")
     try:
         (n_arrays,) = struct.unpack_from("<H", blob, 0)
         pos = 2
@@ -136,7 +171,7 @@ def _decode_arrays(blob: bytes, where: str) -> tuple[tuple[str, np.ndarray], ...
             n = math.prod(dims)
             if pos + 4 * n > end:
                 raise CorruptionError(f"record {where}: shape {dims} overruns the record")
-            # a read-only view: the record's arrays share the blob, uncopied
+            # a view: the record's arrays share the blob, uncopied
             arr = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(dims)
             pos += 4 * n
             arrays.append((ID_TO_TAG[tag_id], arr))
@@ -192,11 +227,15 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
             if len(key_bytes) > 0xFFFF:
                 raise ValueError(f"key too long: {len(key_bytes)} bytes")
             parts = [struct.pack("<H", len(record.arrays))]
-            for tag, arr in record.arrays:
-                parts += [_array_head(TAG_TO_ID[tag], arr.shape), _flat_bytes(arr)]
+            for tag, arr in record.arrays:   # the head, then the array's own bytes, uncopied
+                parts += [struct.pack(f"<BB{arr.ndim}I", TAG_TO_ID[tag], arr.ndim, *arr.shape),
+                          memoryview(arr.reshape(-1)).cast("B")]
             length = sum(map(len, parts)) + _CRC.size
+            # a job (see _beside): the CRC chained over the parts
+            pending = _beside(length, _SPLIT_BYTES, reduce, lambda crc, part: zlib.crc32(part, crc),
+                              parts, 0)
             f.writelines(parts)
-            f.write(_crc(parts))
+            f.write(_CRC.pack(pending.result()))
             index += _INDEX_ENTRY.pack(pos, length, len(key_bytes)) + key_bytes
             pos += length
 
@@ -210,8 +249,8 @@ def write_store(records: Iterable[EmbeddingRecord], path: str | Path,
 class Store:
     """Reader over a committed store file.
 
-    The index loads once at open; each ``get`` then performs exactly one
-    extent read whose size depends only on the record, not its position.
+    The index loads once at open; each ``get`` then reads only its record's
+    extent, whose size depends only on the record, not its position.
     ``bytes_read`` counts the extent bytes it reads, for instrumentation.
     """
 
@@ -300,9 +339,24 @@ class Store:
         if not (0 <= index < self.count):
             raise IndexError(f"record index {index} out of range [0, {self.count})")
         key, off, length = self._entries[index]
-        # pread keeps gets thread-safe over the shared descriptor
-        blob = os.pread(self._f.fileno(), length, off)
-        self.bytes_read += len(blob)
+        fd, blob, end = self._f.fileno(), np.empty(length, np.uint8), length - _CRC.size
+
+        def read(lo: int, hi: int) -> tuple[int, int]:   # a job (see _beside); thread-safe
+            return os.preadv(fd, [blob[lo:hi]], off + lo), zlib.crc32(blob[lo:min(hi, end)])
+
+        if length < _SPLIT_BYTES:
+            got, crc = read(0, length)
+        else:   # the first half on the worker, the second here
+            cut = length // 2
+            first = _beside(length, _SPLIT_BYTES, read, 0, cut)
+            (got, crc), (got1, crc1) = read(cut, length), first.result()
+            got, crc = got1 + got, crc32_combine(crc1, crc, end - cut)
+        if got != length:   # blob holds uninitialised bytes
+            raise CorruptionError(f"{self.path}: record {index} is cut short: "
+                                  f"read {got} of its {length} bytes")
+        self.bytes_read += length
+        if end < 2 or crc != _CRC.unpack_from(blob, end)[0]:
+            raise CorruptionError(f"CRC mismatch in record {index}")
         return EmbeddingRecord(key, _decode_arrays(blob, where=str(index)))
 
     def get_by_key(self, key: str) -> EmbeddingRecord:
@@ -312,13 +366,8 @@ class Store:
         return self.get(number)
 
     def inspect(self) -> dict:
-        records = []
-        for i in range(self.count):
-            r = self.get(i)
-            records.append({
-                "key": r.key,
-                "arrays": [(tag, list(arr.shape)) for tag, arr in r.arrays],
-            })
+        records = [{"key": r.key, "arrays": [(tag, list(arr.shape)) for tag, arr in r.arrays]}
+                   for r in map(self.get, range(self.count))]
         d, seed = self._encoders
         return {
             "path": str(self.path),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalfuse import backbone, tokenizer
+from modalfuse import backbone, store, tokenizer
 from modalfuse.backbone import (AdamW, Linear, Model, ModelConfig, Parameter, _float64_copy,
                                 _gelu, _gelu_grad, cross_entropy_loss, cross_entropy_with_grad,
                                 gradient_check, load_checkpoint, save_checkpoint)
@@ -19,7 +19,7 @@ from modalfuse.cli import main
 from modalfuse.errors import ConfigError, CorruptionError, NotFoundError
 from modalfuse.experts import StubEncoders
 from modalfuse.objectives import TrainConfig, pretrain_examples, train
-from modalfuse.store import EmbeddingRecord, Store, text_row, write_store
+from modalfuse.store import EmbeddingRecord, Store, row_text, text_row, write_store
 from modalfuse.synthetic import make_leakage_corpus
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1,
@@ -109,7 +109,7 @@ def worker(monkeypatch):
     """A fresh executor in place of the module's worker, so that a test sees
     whether its thread starts; shut down afterwards."""
     pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(backbone, "_worker", pool)
+    monkeypatch.setattr(store, "_worker", pool)
     yield pool
     pool.shutdown()
 
@@ -124,7 +124,7 @@ def always_beside(monkeypatch):
 
 
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 class TestLinear:
@@ -197,7 +197,7 @@ class TestLinear:
         lin = make_linear(768, 768)
         whole = x @ lin.W.value
         seen = iter(answers)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: next(seen))
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: next(seen))
         assert lin.forward(x).tobytes() == whole.tobytes()
         assert next(seen) == answers[1]
 
@@ -213,7 +213,7 @@ class TestLinear:
         if cpus == "two":
             always_beside(monkeypatch)   # _SPLIT_MACS stays: it is an exactness bound
         else:
-            monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0})
         stacked = backbone._product(x, np.stack(ws))
         assert stacked.shape == (3, rows, d)
         for got, w in zip(stacked, ws):
@@ -671,7 +671,7 @@ class TestWorkerThread:
     def test_a_job_run_here_gives_its_value_through_the_handle(self, monkeypatch, worker,
                                                                work, cpus):
         # below the threshold, or on one CPU, the job runs before _beside returns
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: cpus)
         threads, ran = threading.active_count(), []
 
         def job(x):
@@ -685,7 +685,7 @@ class TestWorkerThread:
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, worker):
         always_beside(monkeypatch)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0})
         threads = threading.active_count()
         train_run(TINY, steps=2, batch_size=4)
         assert threading.active_count() == threads
@@ -964,21 +964,49 @@ class TestCheckpoint:
             records = [s.get(i) for i in range(len(s))]
         write_store(edit(records), path)
 
+    @classmethod
+    def rewrite_layout(cls, path, edit):
+        """Rewrite the checkpoint at ``path`` with its layout, {name: shape},
+        and its flat values replaced by ``edit(layout, values)``."""
+        def apply(recs):
+            config, layout, params = recs
+            assert [r.key for r in recs] == ["__model_config__", "__param_layout__", "params"]
+            shapes, values = edit(json.loads(row_text(layout.arrays[0][1], layout.key)),
+                                  params.arrays[0][1].copy())
+            return [config, EmbeddingRecord(layout.key, (("raw", text_row(json.dumps(shapes))),)),
+                    EmbeddingRecord(params.key, (("raw", values),))]
+
+        cls.rewrite(path, apply)
+
+    @staticmethod
+    def span(model, name):
+        """The slice of ``name``'s values in the model's flat buffer."""
+        lo = 0
+        for p in model.params():
+            if p.name == name:
+                return slice(lo, lo + p.value.size)
+            lo += p.value.size
+        raise KeyError(name)
+
     def test_wrong_shape_record_names_parameter(self, tmp_path):
         path = tmp_path / "ckpt.store"
         save_checkpoint(Model(TINY), path)
-        wrong = EmbeddingRecord("param:enc0/ff/in/W", (("raw", np.zeros((32, 16), np.float32)),))
-        self.rewrite(path, lambda recs: [wrong if r.key == wrong.key else r for r in recs])
+        self.rewrite_layout(path, lambda layout, values: (
+            {**layout, "enc0/ff/in/W": [32, 16]}, values))
         with pytest.raises(ConfigError, match=r"\(32, 16\) for enc0/ff/in/W does not match"):
             load_checkpoint(path)
 
     def test_transposed_parameter_names_both_shapes(self, tmp_path):
         path = tmp_path / "ckpt.store"
-        save_checkpoint(Model(TINY, seed=1), path)
-        key = "param:dec0/ff/in/W"
-        self.rewrite(path, lambda recs: [
-            EmbeddingRecord(key, (("raw", r.arrays[0][1].T),)) if r.key == key else r
-            for r in recs])
+        m = Model(TINY, seed=1)
+        save_checkpoint(m, path)
+        at = self.span(m, "dec0/ff/in/W")
+
+        def transpose(layout, values):   # a checkpoint of the parameter's transpose
+            values[at] = values[at].reshape(16, 32).T.reshape(-1)
+            return {**layout, "dec0/ff/in/W": [32, 16]}, values
+
+        self.rewrite_layout(path, transpose)
         with pytest.raises(ConfigError, match=re.escape(
                 "checkpoint shape (32, 16) for dec0/ff/in/W does not match (16, 32)")):
             load_checkpoint(path)
@@ -986,17 +1014,75 @@ class TestCheckpoint:
     @pytest.mark.parametrize("beside", [False, True])
     def test_flipped_payload_byte_raises_corruption(self, tmp_path, monkeypatch, worker, beside):
         path = tmp_path / "ckpt.store"
-        save_checkpoint(Model(TINY, seed=2), path)
+        m = Model(TINY, seed=2)
+        save_checkpoint(m, path)
         with Store(path) as s:
-            number = s._by_key["param:enc0/ff/in/W"]
-            _, off, length = s._entries[number]
+            number = s._by_key["params"]
+            _, off, _ = s._entries[number]
         data = bytearray(path.read_bytes())
-        data[off + length - 5] ^= 0x01   # the parameter's last payload byte
+        # the parameter's last payload byte, after the params array's 8-byte head
+        data[off + 8 + 4 * self.span(m, "enc0/ff/in/W").stop - 1] ^= 0x01
         path.write_bytes(bytes(data))
         if beside:   # the same error with every job of the run on the worker
             always_beside(monkeypatch)
         with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cpus", ["two", "one"])
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_flipped_byte_in_either_half_of_a_split_record(self, tmp_path, monkeypatch, worker,
+                                                         half, cpus):
+        # a params record of at least store._SPLIT_BYTES is read and checked in halves
+        path = tmp_path / "ckpt.store"
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0})   # saved inline
+        save_checkpoint(Model(ModelConfig(d_model=128, n_heads=2, n_encoder_layers=1,
+                                          n_decoder_layers=1, d_ff=256, max_target_len=16)), path)
+        with Store(path) as s:
+            number = s._by_key["params"]
+            _, off, length = s._entries[number]
+        assert length >= store._SPLIT_BYTES
+        data = bytearray(path.read_bytes())
+        data[off + (length // 4 if half == "first" else 3 * length // 4)] ^= 0x10
+        path.write_bytes(bytes(data))
+        if cpus == "two":
+            always_beside(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(CorruptionError, match=f"CRC mismatch in record {number}$"):
+            load_checkpoint(path)
+        # the first half went to the worker, whose thread stays; on one CPU none starts
+        assert threading.active_count() == threads + (cpus == "two")
+
+    def test_loaded_values_are_the_params_record_uncopied(self, tmp_path, monkeypatch):
+        m = Model(TINY, seed=4)
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(m, path)
+        records, real_get = [], Store.get
+
+        def get(s, i):
+            records.append(real_get(s, i))
+            return records[-1]
+
+        monkeypatch.setattr(Store, "get", get)
+        loaded = load_checkpoint(path)
+        [params] = [r.arrays[0][1] for r in records if r.key == "params"]
+        assert loaded.value is params
+        assert loaded.value.flags.aligned and loaded.value.flags.writeable
+        assert all(np.shares_memory(p.value, loaded.value) for p in loaded.params())
+        assert loaded.value.tobytes() == m.value.tobytes()
+
+    def test_per_parameter_checkpoint_refused_with_a_rerun_hint(self, tmp_path, capsys):
+        # the layout before the flat params record: one record per parameter
+        m, path = Model(TINY), tmp_path / "old.store"
+        write_store([EmbeddingRecord("__model_config__",
+                                     (("raw", text_row(json.dumps(asdict(TINY)))),))]
+                    + [EmbeddingRecord(f"param:{p.name}", (("raw", p.value),))
+                       for p in m.params()], path)
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*re-run pretrain or "
+                                              "finetune"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--vqa", "x", "--image-store", "y",
+                     "--out-dir", str(tmp_path / "ev")]) == 1
+        assert "re-run pretrain or finetune" in capsys.readouterr().err
 
     @pytest.mark.parametrize("char, bad", [("o", 367.0), ("d", 100.7)])
     def test_config_text_that_is_not_bytes_refused(self, tmp_path, char, bad):
@@ -1057,14 +1143,33 @@ class TestCheckpoint:
 
     def test_missing_record_raises_and_eval_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "ckpt.store"
-        save_checkpoint(Model(TINY), path)
-        self.rewrite(path, lambda recs: [r for r in recs if r.key != "param:dec0/norm2/g"])
+        m = Model(TINY)
+        save_checkpoint(m, path)
+        at = self.span(m, "dec0/norm2/g")
+        self.rewrite_layout(path, lambda layout, values: (
+            {k: v for k, v in layout.items() if k != "dec0/norm2/g"},
+            np.delete(values, np.arange(at.start, at.stop))))
         with pytest.raises(NotFoundError, match="dec0/norm2/g"):
             load_checkpoint(path)
         rc = main(["eval", "--checkpoint", str(path), "--vqa", "x", "--image-store", "y",
                    "--out-dir", str(tmp_path / "ev")])
         assert rc == 1
         assert "dec0/norm2/g" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda layout, values: (dict(reversed(layout.items())), values),
+         "checkpoint layout lists other parameters than the model"),
+        (lambda layout, values: ({**layout, "extra": [2]}, np.append(values, [1.0, 2.0])),
+         "checkpoint layout lists other parameters than the model"),
+        (lambda layout, values: (layout, values[:-1]),
+         "checkpoint params are not one array (13584,)")], ids=["order", "extra", "size"])
+    def test_layout_and_values_must_be_the_models(self, tmp_path, edit, message):
+        # names and shapes that match, in another order, would misplace every value
+        path = tmp_path / "ckpt.store"
+        save_checkpoint(Model(TINY), path)
+        self.rewrite_layout(path, edit)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         m = Model(TINY, seed=3)

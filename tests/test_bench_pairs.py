@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: the seed ranges it accepts, the running order of a
 pair, its exports of the trees, the summary it prints from a file of runs, and
-the first moved digest that ``exact`` reports."""
+every moved digest that ``exact`` reports."""
 
 import importlib.util
 import json
@@ -208,7 +208,8 @@ def test_summary_calls_a_metric_wider_than_its_bound_unresolved(tmp_path, capsys
 
 
 @pytest.mark.parametrize("change, verdict", [
-    ("bits = 2\n", "outputs differ: first pretrain/metrics.jsonl loss, on 1 CPU(s)"),
+    ("bits = 2\n", "outputs differ: first pretrain/checkpoint.store on 2 and 1 CPU(s), "
+                   "then pretrain/metrics.jsonl loss on 1 CPU(s)"),
     ("bits = 1\n", "outputs identical: 2 artifacts on 2 and 1 CPU(s)")])
 def test_exact_reports_the_first_moved_digest(tmp_path, monkeypatch, capsys, change, verdict):
     tool = load_tool()
@@ -224,10 +225,11 @@ def test_exact_reports_the_first_moved_digest(tmp_path, monkeypatch, capsys, cha
             subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
                             "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
 
-    def digests(tree, pin):   # a seeded bit that only moves on one CPU
-        bits = (tree / "src" / "a.py").read_text() if pin else "bits = 1\n"
+    def digests(tree, pin):   # a file that moves on any CPU count, a bit only on one CPU
+        bits = (tree / "src" / "a.py").read_text()
         return {"cpus": 1 if pin else 2,
-                "artifacts": {"embeddings.store": "e", "pretrain/metrics.jsonl loss": bits}}
+                "artifacts": {"pretrain/checkpoint.store": bits,
+                              "pretrain/metrics.jsonl loss": bits if pin else "bits = 1\n"}}
 
     monkeypatch.setattr(tool, "_digests", digests)
     out = tmp_path / "BENCH.json"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalfuse import backbone, cli, evaluation, objectives
+from modalfuse import backbone, cli, evaluation, objectives, store
 from modalfuse.backbone import Model, ModelConfig, load_checkpoint, save_checkpoint
 from modalfuse.cli import main
 from modalfuse.errors import ConfigError, json_records
@@ -397,10 +397,10 @@ class TestTrainingPipeline:
         inline = pretrain(tmp_path / "inline")
         # the model draws, the backward products and the AdamW halves on the worker
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(backbone, "_worker", pool)
+        monkeypatch.setattr(store, "_worker", pool)
         monkeypatch.setattr(backbone, "_PAIR_MACS", 0)
         monkeypatch.setattr(backbone, "_SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0, 1})
         threads = threading.active_count()
         beside = pretrain(tmp_path / "beside")
         assert threading.active_count() == threads + 1
@@ -613,14 +613,14 @@ class TestTrainingPipeline:
         main(["segment", "--transcripts", str(transcripts), "--out", str(segs)])
         assert main(["encode-pack", "--segments", str(segs), "--out", str(packed),
                      "--d", "256"]) == 0
-        with Store(packed) as store:
-            _, offset, length = store._entries[0]
+        with Store(packed) as s:
+            _, offset, length = s._entries[0]
         data = bytearray(packed.read_bytes())
         data[offset + length - 8] ^= 0xFF   # a payload byte, before the record's CRC
         packed.write_bytes(bytes(data))
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(backbone, "_worker", pool)
-        monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(store, "_worker", pool)
+        monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: {0, 1})
         handles, real_draw = [], Model._draw
 
         def draw(model, seed):

@@ -169,14 +169,54 @@ class TestGet:
             with pytest.raises(NotFoundError):
                 s.get_by_key("nope")
 
-    def test_get_returns_read_only_arrays(self, tmp_path):
-        # the arrays are views of the bytes read, not copies
-        rng = np.random.default_rng(2)
+    def test_arrays_view_one_buffer_per_get(self, tmp_path):
+        # a record's arrays are views of the one buffer its get read, not
+        # copies, and each get reads into a buffer of its own
+        arrays = tuple(("frame", np.full((2, 3), i, np.float32)) for i in range(3))
         path = tmp_path / "s.store"
-        write_store([rand_record(rng, "k")], path)
+        write_store([EmbeddingRecord("k", arrays)], path)
         with Store(path) as s:
-            for rec in (s.get(0), s.get_by_key("k")):
-                assert all(not arr.flags.writeable for _, arr in rec.arrays)
+            a, b = s.get(0), s.get_by_key("k")
+            length = s._entries[0][2]
+        for rec in (a, b):
+            [buf] = {id(arr.base): arr.base for _, arr in rec.arrays}.values()
+            assert buf.dtype == np.uint8 and buf.shape == (length,)
+            assert all(np.shares_memory(arr, buf) for _, arr in rec.arrays)
+        assert records_equal(a, b)
+        assert not any(np.shares_memory(x, y) for (_, x), (_, y) in zip(a.arrays, b.arrays))
+
+
+class TestSplitRead:
+    """A record of at least ``store._SPLIT_BYTES`` is read and CRC-checked in
+    two halves, whose CRCs ``store.crc32_combine`` joins."""
+
+    @given(data=st.binary(max_size=300), cut=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_crc32_combine_matches_zlib(self, data, cut):
+        a, b = data[:cut], data[cut:]   # either half can be empty
+        assert store.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(data)
+
+    def test_combine_over_a_long_second_part(self):
+        a, b = b"head", bytes(range(256)) * 5000
+        assert store.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("record, at", [(0, 0.5), (1, 0.25), (1, 0.75)],
+                             ids=["small", "big-first-half", "big-second-half"])
+    def test_short_read_raises_naming_the_record(self, tmp_path, record, at):
+        # the file is cut after the store opened it: a read comes back short
+        rng = np.random.default_rng(9)
+        big = rng.normal(size=store._SPLIT_BYTES // 4 + 100).astype(np.float32)
+        path = tmp_path / "s.store"
+        write_store([EmbeddingRecord("small", (("frame", np.ones(10, np.float32)),)),
+                     EmbeddingRecord("big", (("frame", big),))], path)
+        with Store(path) as s:
+            _, off, length = s._entries[record]
+            assert (length >= store._SPLIT_BYTES) == (record == 1)
+            with open(path, "r+b") as f:
+                f.truncate(off + int(length * at))
+            with pytest.raises(CorruptionError, match=f"record {record} is cut short: "
+                                                      f"read {int(length * at)} of its {length}"):
+                s.get(record)
 
 
 HEADER, FOOTER = 28, 16
@@ -279,7 +319,7 @@ class TestPinnedBytes:
                                           n_decoder_layers=1, d_ff=32, max_target_len=16),
                               seed=7), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "dd2b7cd852c1d503e92458bea50d701b01b1bbb63e5b73e202d0a2b2406eb4b6"
+        assert digest == "ae25aa23b89c49b178796a24e9478b94c47c74be635f385370799896c66329f6"
 
 
 class TestIndexIntegrity:

@@ -25,10 +25,12 @@ extended, so several workloads can share one file.
 at seed ``EXACT_SEED`` in both exports, in a child process with one BLAS
 thread on every CPU it may use, then in one pinned to one CPU, and writes the
 digests of the outputs (SHA-256 or float hex; see ``_EXACT_CHILD``) into the
-header's ``exact``.
+header's ``exact``. Each checkpoint also gets a digest of its parameters as
+that tree's ``load_checkpoint`` loads them, which compares across a change
+to the file layout.
 
-``summary`` prints both ``src/`` line counts, "outputs identical" or the
-first artifact that differs and on how many CPUs, each (workload, seed, side)
+``summary`` prints both ``src/`` line counts, "outputs identical" or each
+artifact that differs and on how many CPUs, each (workload, seed, side)
 that has more than one run (it uses the last), then, per workload, each
 end-to-end metric's median and quartiles for both sides, the change's wins
 out of the pairs, and the median minor faults and user and system CPU
@@ -201,6 +203,10 @@ for name, workload in WORKLOADS.items():
 rd = Path(sys.argv[2]) / "paper-pipeline" / "round0"
 found = {rel: hashlib.sha256((rd / rel).read_bytes()).hexdigest() for rel in (
     "embeddings.store", "pretrain/checkpoint.store", "finetune/checkpoint.store", "eval/eval.json")}
+from modalfuse.backbone import load_checkpoint
+for rel in ("pretrain/checkpoint.store", "finetune/checkpoint.store"):   # in any file layout
+    params = load_checkpoint(rd / rel).value.tobytes()
+    found[f"{rel} parameters"] = hashlib.sha256(params).hexdigest()
 for rel in ("pretrain/metrics.jsonl", "finetune/metrics.jsonl"):
     records = [json.loads(line) for line in (rd / rel).read_text().splitlines()]
     for k in ("loss", "grad_norm"):
@@ -243,10 +249,16 @@ def _exact(args, parent: str, trees: dict, doc: dict):
 
 
 def _exact_verdict(exact: dict) -> str:
+    """"outputs identical", or every artifact that differs, in the children's
+    order, with the CPU counts on which it does."""
+    moved: dict[str, list[str]] = {}
     for parent, change in zip(exact["parent"], exact[CHANGE]):
         for name, digest in parent["artifacts"].items():
             if change["artifacts"].get(name) != digest:
-                return f"outputs differ: first {name}, on {parent['cpus']} CPU(s)"
+                moved.setdefault(name, []).append(str(parent["cpus"]))
+    if moved:
+        return "outputs differ: first " + ", then ".join(
+            f"{name} on {' and '.join(cpus)} CPU(s)" for name, cpus in moved.items())
     cpus = " and ".join(str(run["cpus"]) for run in exact["parent"])
     return f"outputs identical: {len(exact['parent'][0]['artifacts'])} artifacts on {cpus} CPU(s)"
 
